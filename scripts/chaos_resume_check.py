@@ -2,10 +2,11 @@
 
 The CI ``chaos-shard`` job runs this script.  It
 
-1. launches a child process that sweeps the bench cell matrix through a
-   sharded :class:`~repro.core.experiments.engine.SweepEngine` under a
-   seeded :class:`~repro.core.chaos.ChaosPlan` (worker kills + slowdowns,
-   so the run both loses workers and takes long enough to be killed),
+1. launches a child process that sweeps a small Matmul/K-means cell
+   matrix through a sharded
+   :class:`~repro.core.experiments.engine.SweepEngine` under a seeded
+   :class:`~repro.core.chaos.ChaosPlan` (worker kills + slowdowns, so
+   the run both loses workers and takes long enough to be killed),
 2. SIGKILLs the child's whole process group once the execution ledger
    shows a few cells DONE but not all of them — the hard mid-sweep death
    the ledger exists for,
@@ -36,12 +37,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.bench import sweep_bench_cells  # noqa: E402
 from repro.core import ledger as ledger_module  # noqa: E402
 from repro.core.chaos import ChaosPlan  # noqa: E402
 from repro.core.experiments.engine import (  # noqa: E402
     SweepEngine,
     cell_digest,
+    cells_product,
     model_fingerprint,
 )
 from repro.core.supervise import SupervisionPolicy  # noqa: E402
@@ -51,6 +52,16 @@ KILL_AFTER_DONE = 3
 
 #: Give up if the child makes no progress for this long.
 CHILD_TIMEOUT = 180.0
+
+
+def sweep_cells() -> list:
+    """The swept cells: both algorithms on the small datasets, three
+    grids each, CPU and GPU."""
+    return cells_product(
+        "matmul", (8, 4, 2), dataset_key="matmul_128mb"
+    ) + cells_product(
+        "kmeans", (16, 8, 4), dataset_key="kmeans_100mb", n_clusters=10
+    )
 
 
 def chaos_plan() -> ChaosPlan:
@@ -81,7 +92,7 @@ def child_main(cache_dir: str) -> int:
     with SweepEngine(
         jobs=2, cache_dir=cache_dir, policy=policy(), chaos=chaos_plan()
     ) as engine:
-        engine.run_cells(sweep_bench_cells())
+        engine.run_cells(sweep_cells())
         print(engine.stats.line())
     return 0
 
@@ -103,7 +114,7 @@ def main() -> int:
     if len(sys.argv) > 1 and sys.argv[1] == "--child":
         return child_main(sys.argv[2])
 
-    cells = sweep_bench_cells()
+    cells = sweep_cells()
     fingerprint = model_fingerprint()
     digests = {cell_digest(spec, fingerprint) for spec in cells}
 

@@ -10,8 +10,8 @@ cross-level edges and per-task cost profiles.
 
 The generator is used three ways in this repository:
 
-* the ``repro bench`` workload matrix runs a *wide* generated DAG to
-  measure simulator throughput on a shape no paper figure covers;
+* the simulator throughput floors run a *wide* generated DAG, a shape
+  no paper figure covers;
 * the golden-trace equivalence suite replays small generated DAGs across
   every scheduling policy;
 * Hypothesis property tests compare the executor's incremental ready-set

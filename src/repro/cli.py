@@ -14,8 +14,6 @@ Commands:
 * ``devlint`` — lint repro's own Python source for nondeterminism
   patterns (``DLnnn``: unsorted set iteration, address-based tie-breaks,
   unseeded RNGs, ...), gated on a committed baseline file;
-* ``bench`` — measure the simulator's own wall-clock throughput over a
-  fixed workload matrix and write ``BENCH_simulator.json``;
 * ``info`` — show the simulated cluster and calibration constants.
 """
 
@@ -202,35 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="rewrite the baseline file with the current findings and exit 0",
     )
-
-    bench = sub.add_parser(
-        "bench",
-        help="measure simulator throughput over the fixed workload matrix",
-    )
-    bench.add_argument(
-        "--suite",
-        choices=("simulator", "sweeps", "faults", "scale", "chaos"),
-        default="simulator",
-        help="simulator: raw dispatch throughput; sweeps: engine "
-             "cold/warm cells-per-second; faults: node-loss recovery "
-             "cost per workload; scale: 10^5..10^6-task replay floors; "
-             "chaos: sharded replays under seeded worker kills/hangs/"
-             "slowdowns, checked bit-identical to serial "
-             "(default: %(default)s)",
-    )
-    bench.add_argument(
-        "--out",
-        metavar="FILE",
-        default=None,
-        help="where to write the JSON report (default: "
-             "BENCH_simulator.json / BENCH_sweeps.json / BENCH_faults.json "
-             "per suite)",
-    )
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="timed runs per workload; the best one counts")
-    bench.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="worker processes for the sweeps suite and the "
-                            "scale suite's sharded cells")
 
     decompose = sub.add_parser(
         "decompose",
@@ -541,44 +510,6 @@ def _cmd_devlint(args) -> int:
     return 1 if new else 0
 
 
-def _cmd_bench(args) -> int:
-    if args.suite == "sweeps":
-        from repro.bench import DEFAULT_SWEEPS_OUTPUT, render_sweep_report, run_sweep_bench
-
-        out = args.out or DEFAULT_SWEEPS_OUTPUT
-        report = run_sweep_bench(jobs=args.jobs, out_path=out)
-        print(render_sweep_report(report))
-    elif args.suite == "faults":
-        from repro.bench import DEFAULT_FAULTS_OUTPUT, render_fault_report, run_fault_bench
-
-        out = args.out or DEFAULT_FAULTS_OUTPUT
-        report = run_fault_bench(out_path=out)
-        print(render_fault_report(report))
-    elif args.suite == "scale":
-        from repro.bench import DEFAULT_SCALE_OUTPUT, render_scale_report, run_scale_bench
-
-        out = args.out or DEFAULT_SCALE_OUTPUT
-        report = run_scale_bench(out_path=out, jobs=args.jobs)
-        print(render_scale_report(report))
-    elif args.suite == "chaos":
-        from repro.bench import DEFAULT_CHAOS_OUTPUT, render_chaos_report, run_chaos_bench
-
-        out = args.out or DEFAULT_CHAOS_OUTPUT
-        report = run_chaos_bench(out_path=out, jobs=args.jobs)
-        print(render_chaos_report(report))
-        if not report["bit_identical"]:
-            print("[chaos] sharded results diverged from serial", file=sys.stderr)
-            return 1
-    else:
-        from repro.bench import DEFAULT_OUTPUT, render_report, run_bench
-
-        out = args.out or DEFAULT_OUTPUT
-        report = run_bench(repeats=args.repeats, out_path=out)
-        print(render_report(report))
-    print(f"[saved {out}]")
-    return 0
-
-
 def _cmd_info() -> int:
     from repro.perfmodel.calibration import CALIBRATION_NOTES
 
@@ -650,8 +581,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_lint(args)
     if args.command == "devlint":
         return _cmd_devlint(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "info":
         return _cmd_info()
     if args.command == "decompose":

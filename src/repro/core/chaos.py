@@ -23,8 +23,7 @@ draws it or in what order.  Two properties follow: a chaos run is
 exactly reproducible from its seed, and because chaos only delays or
 kills processes (never alters what a function computes), a sharded run
 under chaos must stay bit-identical to a serial run of the same
-instances.  ``repro bench --suite chaos`` and ``tests/test_chaos.py``
-hold the pool to that.
+instances.  ``tests/test_chaos.py`` holds the pool to that.
 
 By default faults only fire on the first attempt
 (``fault_attempts=1``), so a retried instance completes and a plan can

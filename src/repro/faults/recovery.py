@@ -149,7 +149,3 @@ class RecoveryMetrics:
     def any_recovery(self) -> bool:
         """Whether the run exercised any recovery machinery at all."""
         return any(value != 0 for value in asdict(self).values())
-
-    def to_dict(self) -> dict:
-        """JSON-ready representation (used by ``repro bench --suite faults``)."""
-        return asdict(self)

@@ -73,7 +73,6 @@ from repro.runtime.locality import LocalityIndex
 from repro.runtime.scheduler import Scheduler, SchedulingPolicy, make_scheduler
 from repro.runtime.task import Task
 from repro.sim import (
-    KERNELS,
     Process,
     SimEvent,
     Simulator,
@@ -238,7 +237,6 @@ class SimulatedExecutor:
         fault_plan: FaultPlan | None = None,
         retry_policy: RetryPolicy | None = None,
         checkpoint_policy: CheckpointPolicy | None = None,
-        kernel: str = "batched",
     ) -> None:
         if cpu_threads < 1:
             raise ValueError("cpu_threads must be >= 1")
@@ -249,17 +247,6 @@ class SimulatedExecutor:
         if cpu_threads > cluster_spec.node.cpu.cores_per_node:
             raise ValueError(
                 "cpu_threads cannot exceed the cores of one node"
-            )
-        if kernel not in KERNELS:
-            if kernel == "reference":
-                raise ValueError(
-                    "the legacy 'reference' simulation kernel was removed; "
-                    "the batched kernel is differentially pinned against its "
-                    "recorded traces (tests/golden/kernel_oracle_digests.json). "
-                    "Use sim_kernel='batched'."
-                )
-            raise ValueError(
-                f"unknown simulation kernel {kernel!r}; expected one of {KERNELS}"
             )
         if fault_plan is not None:
             for fault in fault_plan.node_faults:
@@ -299,12 +286,6 @@ class SimulatedExecutor:
         #: dependencies, or stranded without schedulable nodes); set by
         #: :meth:`execute`.
         self.failed_task_ids: tuple[int, ...] = ()
-        #: Event-core implementation (``repro.sim.KERNELS``): "batched" —
-        #: the flat event heap, the fast processor-sharing settle path,
-        #: and — when the run qualifies — batched ready-set dispatch.
-        #: The legacy "reference" kernel was removed; its recorded traces
-        #: remain the differential oracle.
-        self.kernel = kernel
         self.cost_model = CostModel(cluster_spec)
 
     def _jitter(self, duration: float) -> float:
@@ -336,15 +317,13 @@ class SimulatedExecutor:
         """
         if not self._gpu_intended(task):
             return False
-        if hasattr(self, "_forced_cpu") and task.task_id in self._forced_cpu:
+        if task.task_id in self._forced_cpu:
             return False
         if not self.gpu_overflow:
             return True
         cost = task.cost or _ZERO_COST
         if cost.gpu_memory_bytes > self.cluster_spec.node.gpu.memory_bytes:
             return False
-        if not hasattr(self, "cluster"):
-            return True  # pre-simulation (memory precheck) path
         if any(
             node.alive and node.gpus.available > 0 for node in self.cluster.nodes
         ):
@@ -371,7 +350,7 @@ class SimulatedExecutor:
         self._precheck_memory(graph)
         self._rng = _np.random.default_rng(self.jitter_seed)
         self._warmed_cores: set[tuple[int, int]] = set()
-        self.sim = Simulator(kernel=self.kernel)
+        self.sim = Simulator()
         self.cluster = SimulatedCluster(self.sim, self.cluster_spec)
         self.trace = Trace()
         self.scheduler: Scheduler = make_scheduler(self.scheduling)
@@ -589,7 +568,7 @@ class SimulatedExecutor:
     def _batch_dispatch_eligible(self, graph: TaskGraph) -> bool:
         """Whether this run may drain ready batches without yielding.
 
-        The batched kernel's dispatcher skips the per-task
+        The batched dispatcher skips the per-task
         ``Timeout(dispatch latency)`` and launches a whole same-instant
         ready batch from one scheduler activation.  That is provably
         trace-identical to the interleaved dispatcher only when
@@ -613,7 +592,6 @@ class SimulatedExecutor:
         policy = self.retry_policy
         return (
             not self._force_dispatch_loop
-            and self.kernel == "batched"
             and self.fault_plan is None
             and not policy.speculation_enabled
             and policy.task_deadline is None
@@ -676,12 +654,12 @@ class SimulatedExecutor:
             )
 
     def _reserve_assignment(self, assignment) -> tuple[Task, int, int, bool]:
-        """Commit one batched-dispatch placement (no simulated time passes).
+        """Commit one placement (no simulated time passes).
 
-        Performs exactly the reservation sequence of the interleaved
-        dispatch loop — cores, GPU device slot, RAM, core slot, ready-set
-        removal — so scheduler decisions made after this one observe the
-        same cluster state in either dispatch mode.
+        The one reservation sequence of both dispatch modes — cores, GPU
+        device slot, RAM, core slot, ready-set removal — so scheduler
+        decisions made after this one observe the same cluster state
+        whether the ready set is drained or dispatched one at a time.
         """
         task = assignment.task
         node = self.cluster.nodes[assignment.node]
@@ -697,6 +675,28 @@ class SimulatedExecutor:
         core_slot = self._free_cores[node.index].pop()
         self._ready_remove(task.task_id)
         return task, node.index, core_slot, task_on_gpu
+
+    def _launch(
+        self,
+        task: Task,
+        node_index: int,
+        core_slot: int,
+        task_on_gpu: bool,
+        autostart: bool = True,
+    ) -> tuple[Process, int]:
+        """Start the next attempt of a reserved task; returns it and its
+        attempt number."""
+        attempt = int(self._attempt_counts[task.task_id]) + 1
+        self._attempt_counts[task.task_id] = attempt
+        process = Process(
+            self.sim,
+            self._run_task(task, node_index, core_slot, task_on_gpu, attempt),
+            name=f"task{task.task_id}",
+            autostart=autostart,
+        )
+        self._running.setdefault(task.task_id, {})[attempt] = (process, node_index)
+        self._state[task.task_id] |= _RUNNING
+        return process, attempt
 
     def _drain_ready_batch(self, ready_view) -> None:
         """Launch every placeable ready task at the current instant.
@@ -728,22 +728,7 @@ class SimulatedExecutor:
                 self.cost_model.stage_times_batch(cpu_costs, False, self.cpu_threads)
             if gpu_costs:
                 self.cost_model.stage_times_batch(gpu_costs, True, self.cpu_threads)
-        launched = []
-        for task, node_index, core_slot, task_on_gpu in batch:
-            attempt = int(self._attempt_counts[task.task_id]) + 1
-            self._attempt_counts[task.task_id] = attempt
-            process = Process(
-                self.sim,
-                self._run_task(task, node_index, core_slot, task_on_gpu, attempt),
-                name=f"task{task.task_id}",
-                autostart=False,
-            )
-            self._running.setdefault(task.task_id, {})[attempt] = (
-                process,
-                node_index,
-            )
-            self._state[task.task_id] |= _RUNNING
-            launched.append(process)
+        launched = [self._launch(*placed, autostart=False)[0] for placed in batch]
         # Run each process to its first suspension point now instead of
         # through a zero-delay event per task.  Legal because the drain
         # only runs when no other event shares this instant, so these
@@ -797,31 +782,9 @@ class SimulatedExecutor:
                 # read its inputs.
                 self._recover_inputs(task)
                 continue
-            node = self.cluster.nodes[assignment.node]
-            task_on_gpu = self._task_on_gpu(task)
-            cores_needed = 1 if task_on_gpu else self.cpu_threads
-            if not node.cores.try_request(cores_needed):
-                raise RuntimeError("scheduler chose a node without free cores")
-            if task_on_gpu and not node.gpus.try_request(1):
-                node.cores.release(cores_needed)
-                raise RuntimeError("scheduler chose a node without free GPUs")
-            task_ram = task.cost.host_memory_bytes if task.cost else 0
-            node.reserve_ram(task_ram)
-            core_slot = self._free_cores[node.index].pop()
-            self._ready_remove(task.task_id)
+            placed = self._reserve_assignment(assignment)
             yield Timeout(self._dispatch_latency + self._scan_latency())
-            attempt = int(self._attempt_counts[task.task_id]) + 1
-            self._attempt_counts[task.task_id] = attempt
-            process = Process(
-                self.sim,
-                self._run_task(task, node.index, core_slot, task_on_gpu, attempt),
-                name=f"task{task.task_id}",
-            )
-            self._running.setdefault(task.task_id, {})[attempt] = (
-                process,
-                node.index,
-            )
-            self._state[task.task_id] |= _RUNNING
+            _process, attempt = self._launch(*placed)
             if policy.speculation_enabled:
                 median = self._median_duration(task.name)
                 if median is not None:

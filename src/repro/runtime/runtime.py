@@ -97,13 +97,6 @@ class RuntimeConfig:
     #: backend only): bounds how deep lineage recomputation must walk at
     #: the price of modeled GPFS write time.  ``None`` = no checkpoints.
     checkpoint_policy: CheckpointPolicy | None = None
-    #: Event-core implementation of the simulated backend: "batched" (the
-    #: only kernel) runs the flat-heap event core with batched ready-set
-    #: dispatch.  The legacy "reference" kernel was removed after a
-    #: release as the non-default; requesting it raises a pointed error.
-    #: Its traces survive as recorded oracle digests that the
-    #: differential harness pins the batched kernel against.
-    sim_kernel: str = "batched"
     #: Run the static analyzer (:mod:`repro.analysis`) before dispatch and
     #: raise :class:`~repro.analysis.WorkflowValidationError` on
     #: error-severity findings (predicted OOM, broken DAG, ...).
@@ -116,15 +109,6 @@ class RuntimeConfig:
     #: golden suite; simulated backend only.  Read-only — a sanitized
     #: run's trace is bit-identical to an unsanitized one.
     sanitize: bool = False
-
-    def __post_init__(self) -> None:
-        if self.sim_kernel == "reference":
-            raise ValueError(
-                "the legacy 'reference' simulation kernel was removed; the "
-                "batched kernel is differentially pinned against its recorded "
-                "traces (tests/golden/kernel_oracle_digests.json). Use "
-                "sim_kernel='batched'."
-            )
 
 
 @dataclass
@@ -356,7 +340,6 @@ class Runtime:
             fault_plan=self.config.fault_plan,
             retry_policy=self.config.retry_policy,
             checkpoint_policy=self.config.checkpoint_policy,
-            kernel=self.config.sim_kernel,
         )
         trace = executor.execute(self.graph)
         result = WorkflowResult(

@@ -97,25 +97,55 @@ def _chaos_policy() -> SupervisionPolicy:
     return SupervisionPolicy(max_attempts=3, kill_grace=0.5)
 
 
+def _mixed_plan() -> ChaosPlan:
+    """Kills, hangs past any deadline, and slowdowns in one run."""
+    return ChaosPlan(
+        seed=17,  # on _CHAOS_KEYS: a kill, a hang, a clean run, a slowdown
+        kill_probability=0.25,
+        hang_probability=0.125,
+        slow_probability=0.25,
+        hang_seconds=60.0,
+        slow_seconds=(0.05, 0.2),
+        fault_attempts=1,
+    )
+
+
+def _mixed_policy() -> SupervisionPolicy:
+    # Frozen heartbeats, not the 60 s sleep, must reclaim the hung worker.
+    return SupervisionPolicy(
+        heartbeat_interval=0.2, heartbeat_grace=3.0, max_attempts=3,
+        kill_grace=0.5,
+    )
+
+
 @pytest.fixture(scope="module")
 def serial_digests() -> dict[str, str]:
     return {key: _digest_golden_cell(key) for key in _CHAOS_KEYS}
 
 
 class TestChaosBitIdentity:
-    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    @pytest.mark.parametrize(
+        "start_method, plan, policy",
+        [
+            ("fork", _chaos_plan(), _chaos_policy()),
+            ("spawn", _chaos_plan(), _chaos_policy()),
+            ("fork", _mixed_plan(), _mixed_policy()),
+        ],
+        ids=["fork", "spawn", "mixed"],
+    )
     def test_chaotic_shards_match_serial_golden_digests(
-        self, serial_digests, start_method
+        self, serial_digests, start_method, plan, policy
     ):
-        """Host faults may delay results but never change them: kills and
-        slowdowns leave the merged digests bit-identical to serial."""
-        plan = _chaos_plan()
+        """Host faults may delay results but never change them: kills,
+        hangs and slowdowns leave the merged digests bit-identical to
+        serial."""
         kills = [k for k in _CHAOS_KEYS if plan.decide(k, 1).kind == KILL]
+        hangs = [k for k in _CHAOS_KEYS if plan.decide(k, 1).kind == HANG]
         assert kills, "seeded plan landed no kills; test would prove nothing"
         with ShardPool(
             workers=2,
             start_method=start_method,
-            policy=_chaos_policy(),
+            policy=policy,
             chaos=plan,
         ) as pool:
             report = pool.run_report(
@@ -127,9 +157,10 @@ class TestChaosBitIdentity:
         assert report.ok
         assert report.results == serial_digests
         assert report.worker_crashes >= len(kills)
-        # Every killed instance needed (exactly) a second dispatch.
-        assert set(report.attempts) == set(kills)
-        assert all(report.attempts[k] == 2 for k in kills)
+        assert report.worker_kills >= len(hangs)
+        # Every killed or hung instance needed (exactly) a second dispatch.
+        assert set(report.attempts) == set(kills) | set(hangs)
+        assert all(report.attempts[k] == 2 for k in kills + hangs)
 
 
 class TestChaosFailurePaths:

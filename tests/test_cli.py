@@ -170,62 +170,3 @@ class TestAdviseMatmul:
         )
         assert code == 0
         assert "recommended:" in capsys.readouterr().out
-
-
-class TestBench:
-    def test_bench_writes_report(self, capsys, tmp_path):
-        import json
-
-        out = tmp_path / "BENCH_simulator.json"
-        code = main(["bench", "--repeats", "1", "--out", str(out)])
-        assert code == 0
-        stdout = capsys.readouterr().out
-        assert "tasks/s" in stdout
-        report = json.loads(out.read_text(encoding="utf-8"))
-        assert report["schema"] == "repro-bench/1"
-        names = [row["name"] for row in report["workloads"]]
-        assert names == ["matmul16", "kmeans_deep", "wide_dag", "plain_replay"]
-        for row in report["workloads"]:
-            assert row["num_tasks"] > 0
-            assert row["tasks_per_second"] > 0
-            assert len(row["wall_seconds"]) == row["repeats"] == 1
-
-    def test_bench_scale_suite_writes_report(self, capsys, tmp_path, monkeypatch):
-        import json
-
-        from repro import bench as bench_module
-
-        out = tmp_path / "BENCH_scale.json"
-        # The real cells replay 10^5-10^6 tasks; a shrunk cell keeps the
-        # CLI wiring (suite selection, report schema, floor evaluation)
-        # under test at unit-test cost.
-        monkeypatch.setattr(
-            bench_module, "SCALE_CELLS", (("scale_tiny", 16, 40, 1, 100.0),)
-        )
-        code = main(["bench", "--suite", "scale", "--out", str(out)])
-        assert code == 0
-        stdout = capsys.readouterr().out
-        assert "tasks/s" in stdout
-        report = json.loads(out.read_text(encoding="utf-8"))
-        assert report["schema"] == "repro-scale-bench/2"
-        (row,) = report["workloads"]
-        assert row["name"] == "scale_tiny"
-        assert row["workers"] == 1
-        assert row["num_tasks"] == 16 * 40
-        assert row["floor_tasks_per_second"] == 100.0
-        assert row["meets_floor"] is True
-        assert row["speedup_vs_serial"] is None
-
-    def test_bench_sweeps_suite_writes_report(self, capsys, tmp_path):
-        import json
-
-        out = tmp_path / "BENCH_sweeps.json"
-        code = main(["bench", "--suite", "sweeps", "--jobs", "1",
-                     "--out", str(out)])
-        assert code == 0
-        stdout = capsys.readouterr().out
-        assert "cells/s" in stdout
-        report = json.loads(out.read_text(encoding="utf-8"))
-        assert report["schema"] == "repro-sweeps-bench/1"
-        assert report["warm"]["misses"] == 0
-        assert report["byte_identical"] is True

@@ -12,7 +12,7 @@ recorded under — never different (task dispatch order, per-stage times,
 attempt histories, makespan and failed-task sets, via
 :func:`repro.tracing.trace_digest`).
 
-Three layers:
+Two layers:
 
 * the corpus replayed against the frozen oracle digests — covering the
   batched fast path (zero-latency clusters, where whole ready batches
@@ -24,9 +24,7 @@ Three layers:
 * a Hypothesis property comparing batched ready-set drains against a
   forced interleaved dispatch loop over random DAG shapes — the two
   dispatch modes must stay bit-identical now that the old kernel can no
-  longer arbitrate between them;
-* guards that the removed kernel stays removed: requesting it raises a
-  pointed error at both the config and the engine layer.
+  longer arbitrate between them.
 
 A failure in the oracle layer means the batched kernel changed execution
 semantics — fix the kernel, never the recorded digests.
@@ -44,7 +42,6 @@ from repro.algorithms import GeneratedDagWorkflow
 from repro.hardware import StorageKind
 from repro.runtime import Runtime, RuntimeConfig, SchedulingPolicy
 from repro.runtime.backends.simulated import SimulatedExecutor
-from repro.sim import SimulationError, Simulator
 from tests.kernel_corpus import corpus_cases, run_digest, zero_latency_cluster
 
 ORACLE_PATH = pathlib.Path(__file__).parent / "golden" / "kernel_oracle_digests.json"
@@ -166,20 +163,3 @@ def test_forced_loop_knob_actually_disables_draining(monkeypatch):
     monkeypatch.setattr(SimulatedExecutor, "_force_dispatch_loop", True)
     run_once()
     assert not calls, "the force knob must route dispatch through the loop"
-
-
-# ------------------------------------------------ the kernel stays gone
-
-def test_reference_kernel_removed_from_config():
-    with pytest.raises(ValueError, match="was removed"):
-        RuntimeConfig(sim_kernel="reference")
-
-
-def test_reference_kernel_removed_from_engine():
-    with pytest.raises(SimulationError, match="was removed"):
-        Simulator(kernel="reference")
-
-
-def test_unknown_kernel_still_rejected():
-    with pytest.raises(SimulationError, match="unknown simulation kernel"):
-        Simulator(kernel="warp")

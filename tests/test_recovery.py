@@ -25,8 +25,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.algorithms import GeneratedDagWorkflow
+from repro.algorithms import GeneratedDagWorkflow, KMeansWorkflow, MatmulWorkflow
 from repro.analysis import analyze
+from repro.data import paper_datasets
 from repro.faults import (
     CheckpointPolicy,
     FaultPlan,
@@ -135,6 +136,38 @@ class TestLineageRecovery:
         # distinct committed set must match the fault-free run exactly.
         committed = {t.task_id for t in result.trace.tasks}
         assert committed == {t.task_id for t in clean.trace.tasks}
+        assert_result_invariants(result)
+
+    @pytest.mark.parametrize("workload", ["matmul8", "kmeans_deep"])
+    def test_paper_workload_node_loss_recovers(self, workload):
+        """Node 1 dies at 25% of the clean makespan of a paper workload."""
+        datasets = paper_datasets()
+        workflow, use_gpu = {
+            "matmul8": (MatmulWorkflow(datasets["matmul_8gb"], grid=8), False),
+            "kmeans_deep": (
+                KMeansWorkflow(datasets["kmeans_10gb"], grid_rows=64,
+                               n_clusters=10, iterations=8),
+                True,
+            ),
+        }[workload]
+
+        def run(config):
+            runtime = Runtime(config)
+            workflow.build(runtime)
+            return runtime.run()
+
+        clean = run(RuntimeConfig(use_gpu=use_gpu))
+        plan = FaultPlan(
+            node_faults=(NodeFault(node=1, at_time=0.25 * clean.makespan),)
+        )
+        result = run(
+            RuntimeConfig(use_gpu=use_gpu, fault_plan=plan, retry_policy=RECOVERY)
+        )
+        assert not result.failed
+        assert result.recovery_metrics.tasks_resurrected > 0
+        assert {t.task_id for t in result.trace.tasks} == {
+            t.task_id for t in clean.trace.tasks
+        }
         assert_result_invariants(result)
 
     def test_recovery_disabled_ignores_block_loss(self):
