@@ -2,7 +2,7 @@
 
 Regression guards, not measurements: ``bench/run.py`` is what measures
 the repo's speed.  A floor trip should mean an order-of-magnitude
-regression (e.g. the batched drain disengaging, or locality dispatch
+regression (e.g. synchronous task starts disengaging, or locality dispatch
 sliding back to O(ready x nodes x inputs)), so floors sit well below
 measured rates to absorb CI noise.  Two groups of cells:
 
@@ -137,8 +137,9 @@ def test_simulator_throughput(benchmark, name):
 # ----------------------------------------------------------- scale cells
 
 #: ``(name, width, depth, workers, base floor tasks/s)``.  Width 125 keeps
-#: the DAG just under the cluster's 128 concurrent tasks, so drained
-#: rounds empty the ready set instead of ending in a saturated-node scan.
+#: the DAG just under the cluster's 128 concurrent tasks, so dispatcher
+#: activations empty the ready set instead of ending in a saturated-node
+#: scan.
 #: A sharded cell splits the depth over ``workers`` replicas (seeds 11,
 #: 12, ...) and is rated on the aggregate: total tasks over batch wall.
 SCALE_CELLS = (

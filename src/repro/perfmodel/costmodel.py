@@ -275,18 +275,18 @@ class CostModel:
         use_gpu: bool,
         threads: int = 1,
     ) -> list[StageTimes | None]:
-        """Vectorized twin of :meth:`stage_times` over a whole ready batch.
+        """Vectorized twin of :meth:`stage_times` over a batch of costs.
 
         Evaluates every cache miss in one set of NumPy array expressions
-        and fills the memo, so a batched dispatcher (or an executor
-        prewarming the model over a DAG's distinct cost profiles) pays
-        the closed-form arithmetic once per *batch* instead of once per
-        task.  Each array expression performs the identical sequence of
-        IEEE-754 float64 operations as the scalar path — same operand
-        order, same ``min``/guard structure — and every
-        :class:`StageTimes` field is converted back to a Python float, so
-        a memo entry produced here is bit-identical to one produced by
-        :meth:`stage_times` and traces cannot tell the two apart.
+        and fills the memo, so an executor prewarming the model over a
+        DAG's distinct cost profiles pays the closed-form arithmetic once
+        per *batch* instead of once per task.  Each array expression
+        performs the identical sequence of IEEE-754 float64 operations as
+        the scalar path — same operand order, same ``min``/guard
+        structure — and every :class:`StageTimes` field is converted back
+        to a Python float, so a memo entry produced here is bit-identical
+        to one produced by :meth:`stage_times` and traces cannot tell the
+        two apart.
 
         GPU elements whose parallel fraction is non-trivial but whose
         effective device rate is zero (the configuration

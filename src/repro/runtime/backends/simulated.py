@@ -70,7 +70,12 @@ from repro.hardware import SimulatedCluster, StorageKind
 from repro.perfmodel import CostModel, TaskCost
 from repro.runtime.dag import TaskGraph
 from repro.runtime.locality import LocalityIndex
-from repro.runtime.scheduler import Scheduler, SchedulingPolicy, make_scheduler
+from repro.runtime.scheduler import (
+    Assignment,
+    Scheduler,
+    SchedulingPolicy,
+    make_scheduler,
+)
 from repro.runtime.task import Task
 from repro.sim import (
     Process,
@@ -456,7 +461,6 @@ class SimulatedExecutor:
                     self._node_killer(fault),
                     name=f"nodefault{fault.node}",
                 )
-        self._batch_dispatch = self._batch_dispatch_eligible(graph)
         self._prewarm_cost_model(graph)
         Process(self.sim, self._dispatcher(), name="dispatcher")
         self.sim.run()
@@ -557,51 +561,35 @@ class SimulatedExecutor:
         if self._wake is not None and not self._wake.fired:
             self._wake.succeed()
 
-    # ---------------------------------------------------- batched dispatch
-    #: Test-only override: force every dispatch through the interleaved
-    #: :meth:`_dispatch_loop` even when the run qualifies for batched
-    #: ready-set drains.  The differential harness monkeypatches this to
-    #: prove both dispatch modes produce bit-identical traces now that
-    #: the legacy kernel they were originally compared against is gone.
-    _force_dispatch_loop = False
+    def _sync_start_eligible(self, graph: TaskGraph) -> bool:
+        """Whether this run may start tasks without a dispatch yield.
 
-    def _batch_dispatch_eligible(self, graph: TaskGraph) -> bool:
-        """Whether this run may drain ready batches without yielding.
+        A synchronous start skips the per-decision
+        ``Timeout(dispatch latency)`` and the task's zero-delay start
+        event.  It is trace-identical to the yielding path only when
 
-        The batched dispatcher skips the per-task
-        ``Timeout(dispatch latency)`` and launches a whole same-instant
-        ready batch from one scheduler activation.  That is provably
-        trace-identical to the interleaved dispatcher only when
-
-        * the per-decision latency is exactly zero (otherwise decisions
-          occupy distinct simulated instants by construction),
-        * no fault/recovery machinery can interleave with the drain
-          (fault plans, speculation watchdogs, task deadlines and
-          checkpoint barriers all schedule their own events around
-          dispatch), and
+        * the per-decision latency and the locality scan cost are exactly
+          zero (otherwise decisions occupy distinct simulated instants),
+        * no fault/recovery machinery schedules events around dispatch
+          (fault plans, speculation watchdogs, task deadlines, checkpoint
+          barriers),
+        * staged-pipeline GPU overlap is off (its fill sub-process starts
+          at the launch instant), and
         * every task's first suspension is strictly in the future
-          (:meth:`_task_batch_safe`), so a freshly launched task cannot
-          complete — and mutate the ready set — in the same instant its
-          siblings are still being placed.  Staged-pipeline GPU overlap
-          is excluded for the same reason: its fill sub-process starts at
-          the launch instant.
-
-        Every other configuration falls back to the interleaved dispatch
-        loop, the mode the recorded oracle digests were produced under.
+          (:meth:`_task_batch_safe`).
         """
         policy = self.retry_policy
         return (
-            not self._force_dispatch_loop
-            and self.fault_plan is None
+            self.fault_plan is None
             and not policy.speculation_enabled
             and policy.task_deadline is None
             and self.checkpoint_policy is None
             and self._dispatch_latency == 0.0
-            and not (self.use_gpu and self.comm_overlap)
             and (
                 self.scheduling is not SchedulingPolicy.DATA_LOCALITY
                 or self.cluster_spec.locality_scan_seconds_per_task == 0.0
             )
+            and not (self.use_gpu and self.comm_overlap)
             and all(self._task_batch_safe(task) for task in graph.tasks())
         )
 
@@ -610,10 +598,12 @@ class SimulatedExecutor:
 
         A task whose stage walk yields nothing (or only zero-delay
         timeouts) before completing would commit synchronously at its
-        launch instant, changing scheduler-visible state mid-drain; any
-        positive-size read, decode, compute fraction, encode or write
-        guarantees the walk leaves the launch instant first.  Warm-up
-        overhead is ignored — it only covers the first task per core.
+        launch instant, changing scheduler-visible state between two
+        decisions of one instant; any positive-size read, decode, compute
+        fraction, encode or write guarantees the walk leaves the launch
+        instant first, so a synchronous start schedules nothing at the
+        current instant.  Warm-up overhead is ignored — it only covers
+        the first task per core.
         """
         cost = task.cost or _ZERO_COST
         if cost.serial_flops > 0 or cost.parallel_flops > 0:
@@ -656,10 +646,9 @@ class SimulatedExecutor:
     def _reserve_assignment(self, assignment) -> tuple[Task, int, int, bool]:
         """Commit one placement (no simulated time passes).
 
-        The one reservation sequence of both dispatch modes — cores, GPU
-        device slot, RAM, core slot, ready-set removal — so scheduler
-        decisions made after this one observe the same cluster state
-        whether the ready set is drained or dispatched one at a time.
+        The one reservation sequence — cores, GPU device slot, RAM, core
+        slot, ready-set removal — shared by dispatch decisions and
+        speculative backups, so every later decision observes it.
         """
         task = assignment.task
         node = self.cluster.nodes[assignment.node]
@@ -698,103 +687,57 @@ class SimulatedExecutor:
         self._state[task.task_id] |= _RUNNING
         return process, attempt
 
-    def _drain_ready_batch(self, ready_view) -> None:
-        """Launch every placeable ready task at the current instant.
-
-        One ``select_batch`` call makes all placement decisions (each
-        observing the reservations of the previous ones), one
-        ``stage_times_batch`` call per device flag prewarms any cost
-        profiles the batch introduces, and the task processes are then
-        created in decision order — the same relative launch order the
-        interleaved loop produces.
-        """
-        batch: list[tuple[Task, int, int, bool]] = []
-        self.scheduler.select_batch(
-            ready_view,
-            self._view,
-            self._task_on_gpu,
-            lambda assignment: batch.append(self._reserve_assignment(assignment)),
-        )
-        if not batch:
-            return
-        if len(batch) >= 16:
-            # Worth a vectorized evaluation; smaller batches ride the
-            # memoized scalar path (the whole DAG was prewarmed at
-            # execute start, so misses only occur when a GPU-intended
-            # task overflowed to CPU).
-            cpu_costs = [t.cost or _ZERO_COST for t, _, _, g in batch if not g]
-            gpu_costs = [t.cost or _ZERO_COST for t, _, _, g in batch if g]
-            if cpu_costs:
-                self.cost_model.stage_times_batch(cpu_costs, False, self.cpu_threads)
-            if gpu_costs:
-                self.cost_model.stage_times_batch(gpu_costs, True, self.cpu_threads)
-        launched = [self._launch(*placed, autostart=False)[0] for placed in batch]
-        # Run each process to its first suspension point now instead of
-        # through a zero-delay event per task.  Legal because the drain
-        # only runs when no other event shares this instant, so these
-        # resumes would have been the very next events in creation order
-        # anyway; _task_batch_safe guarantees none of them completes (or
-        # touches scheduler-visible state) before suspending.
-        for process in launched:
-            process.start_now()
-
     def _dispatcher(self) -> Generator:
+        """One decision at a time, each reserved before the next is made."""
         ready_view = _ReadyView(self)
         policy = self.retry_policy
         sim = self.sim
-        batch_mode = self._batch_dispatch
+        sync_starts = self._sync_start_eligible(self._graph)
         while self._outstanding() > 0:
-            if (
-                batch_mode
-                and self._ready
-                and sim.cascade_depth == 0
-                and sim.peek_time() != sim.now
+            for assignment in self.scheduler.select_batch(
+                ready_view, self._view, self._task_on_gpu
             ):
-                # No other pending event shares this instant — neither in
-                # the event queue nor in a resource completion cascade
-                # still firing callbacks — so the whole ready set can be
-                # drained in one activation.  Any same-instant contender
-                # falls through to the interleaved loop below, which
-                # preserves the event ordering the oracle traces recorded.
-                self._drain_ready_batch(ready_view)
-            else:
-                yield from self._dispatch_loop(ready_view, policy)
+                task = assignment.task
+                if (
+                    self._recovery_on
+                    and self._lost_refs
+                    and any(r.ref_id in self._lost_refs for r in task.inputs)
+                ):
+                    # An input block died with its node: recover the
+                    # lineage instead of dispatching a task that cannot
+                    # read its inputs.
+                    self._recover_inputs(task)
+                    continue
+                placed = self._reserve_assignment(assignment)
+                if (
+                    sync_starts
+                    and sim.cascade_depth == 0
+                    and sim.peek_time() != sim.now
+                ):
+                    # No other pending event shares this instant — neither
+                    # in the event queue nor in a resource completion
+                    # cascade still firing callbacks — so the zero-delay
+                    # start event would be the very next one anyway: run
+                    # the task to its first suspension now.  It schedules
+                    # nothing at this instant (_task_batch_safe), so the
+                    # rest of the activation starts synchronously too.
+                    self._launch(*placed, autostart=False)[0].start_now()
+                    continue
+                yield Timeout(self._dispatch_latency + self._scan_latency())
+                _process, attempt = self._launch(*placed)
+                if policy.speculation_enabled:
+                    median = self._median_duration(task.name)
+                    if median is not None:
+                        Process(
+                            self.sim,
+                            self._speculation_watchdog(
+                                task, attempt, median * policy.speculation_factor
+                            ),
+                            name=f"spec{task.task_id}",
+                        )
             if self._outstanding() > 0:
                 self._wake = SimEvent(name="dispatcher.wake")
                 yield WaitEvent(self._wake)
-
-    def _dispatch_loop(self, ready_view, policy) -> Generator:
-        """Interleaved dispatch: one decision, one latency yield, one launch."""
-        while True:
-            assignment = self.scheduler.select(
-                ready_view, self._view, self._task_on_gpu
-            )
-            if assignment is None:
-                break
-            task = assignment.task
-            if (
-                self._recovery_on
-                and self._lost_refs
-                and any(r.ref_id in self._lost_refs for r in task.inputs)
-            ):
-                # An input block died with its node: recover the
-                # lineage instead of dispatching a task that cannot
-                # read its inputs.
-                self._recover_inputs(task)
-                continue
-            placed = self._reserve_assignment(assignment)
-            yield Timeout(self._dispatch_latency + self._scan_latency())
-            _process, attempt = self._launch(*placed)
-            if policy.speculation_enabled:
-                median = self._median_duration(task.name)
-                if median is not None:
-                    Process(
-                        self.sim,
-                        self._speculation_watchdog(
-                            task, attempt, median * policy.speculation_factor
-                        ),
-                        name=f"spec{task.task_id}",
-                    )
 
     def _scan_latency(self) -> float:
         """Queue-length-dependent decision cost of the locality policy."""
@@ -969,17 +912,8 @@ class SimulatedExecutor:
                 break
         if backup_node is None:
             return
-        node = self.cluster.nodes[backup_node]
-        cores_needed = 1 if task_on_gpu else self.cpu_threads
-        if not node.cores.try_request(cores_needed):
-            return
-        if task_on_gpu and not node.gpus.try_request(1):
-            node.cores.release(cores_needed)
-            return
-        node.reserve_ram(task_ram)
-        core_slot = self._free_cores[backup_node].pop()
-        backup_attempt = int(self._attempt_counts[task.task_id]) + 1
-        self._attempt_counts[task.task_id] = backup_attempt
+        placed = self._reserve_assignment(Assignment(task, backup_node))
+        _process, backup_attempt = self._launch(*placed)
         now = self.sim.now
         # Zero-duration master-side marker: the speculation decision.
         self.trace.add_stage_row(
@@ -996,12 +930,6 @@ class SimulatedExecutor:
         )
         self._speculative_attempts.add((task.task_id, backup_attempt))
         self.recovery_metrics.speculative_launches += 1
-        process = Process(
-            self.sim,
-            self._run_task(task, backup_node, core_slot, task_on_gpu, backup_attempt),
-            name=f"task{task.task_id}b{backup_attempt}",
-        )
-        self._running[task.task_id][backup_attempt] = (process, backup_node)
 
     # ----------------------------------------------------------- fault path
     def _node_killer(self, fault) -> Generator:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Iterator, Protocol, Sequence
 
 from repro.runtime.task import Task
 
@@ -126,30 +126,21 @@ class Scheduler:
         ready: Sequence[Task],
         cluster: ClusterView,
         requires_gpu: GpuPredicate,
-        reserve: Callable[[Assignment], None],
-    ) -> int:
-        """Drain every placeable ready task in one scheduler call.
+    ) -> Iterator[Assignment]:
+        """Yield assignments until no ready task fits any node.
 
-        Repeatedly applies :meth:`select` and hands each assignment to
-        ``reserve`` — which must commit the placement (claim cores/GPU/RAM
-        and remove the task from ``ready``) before the next decision is
-        made — until no ready task fits any node.  Returns the number of
-        tasks placed.
-
-        This is the batched kernel's dispatch entry point: one call per
-        simulated instant instead of one scheduler activation per task.
-        Because each decision still observes the reservations of every
-        earlier one, the produced sequence of assignments (and any policy
-        cursor state, e.g. round-robin node choice) is identical to ``n``
-        individual :meth:`select` calls.
+        The caller must commit each placement (claim cores/GPU/RAM and
+        remove the task from ``ready``) before asking for the next one,
+        so every decision observes the reservations of the earlier ones:
+        the sequence of assignments (and any policy cursor state, e.g.
+        round-robin node choice) is identical to repeated :meth:`select`
+        calls.
         """
-        placed = 0
         while True:
             assignment = self.select(ready, cluster, requires_gpu)
             if assignment is None:
-                return placed
-            reserve(assignment)
-            placed += 1
+                return
+            yield assignment
 
 
 class GenerationOrderScheduler(Scheduler):

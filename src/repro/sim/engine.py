@@ -89,9 +89,8 @@ class SimEngine:
         #: :meth:`~repro.sim.resources.BandwidthResource._complete_due`).
         #: While non-zero, same-instant work exists that is *not* visible
         #: in the event queue — it lives in a callback list on the Python
-        #: stack — so the batched dispatcher must not drain the ready set
-        #: without yielding.  Purely advisory: the engine itself never
-        #: reads it.
+        #: stack — so the dispatcher must not start a task synchronously.
+        #: Purely advisory: the engine itself never reads it.
         self.cascade_depth = 0
 
     @property
@@ -138,8 +137,8 @@ class SimEngine:
     def peek_time(self) -> float | None:
         """Time of the next pending (non-cancelled) event, ``None`` if idle.
 
-        Used by the batched dispatcher to prove no other event shares the
-        current instant before draining the ready set without yields.
+        Used by the dispatcher to prove no other event shares the current
+        instant before it starts a task synchronously.
         """
         queue = self._queue
         while queue:

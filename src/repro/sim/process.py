@@ -121,9 +121,8 @@ class Process:
         #: interrupt) carry a stale epoch and are ignored.
         self._epoch = 0
         #: ``autostart=False`` skips the usual zero-delay start event;
-        #: the creator must call :meth:`start_now` (used by the batched
-        #: dispatcher to launch a drained batch without one heap event
-        #: per task).
+        #: the creator must call :meth:`start_now` (used by the dispatcher
+        #: to start an uncontended task without a heap event).
         self._pending = sim.schedule(0.0, self._resume, None) if autostart else None
 
     def start_now(self) -> None:

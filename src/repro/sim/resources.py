@@ -106,8 +106,8 @@ class CapacityResource:
             return
         # Serving queued waiters is a completion cascade: while one grant
         # callback runs, further grants may still be pending here rather
-        # than in the event queue, so flag the engine (the batched
-        # dispatcher must not drain the ready set mid-cascade).
+        # than in the event queue, so flag the engine (the dispatcher
+        # must not start tasks synchronously mid-cascade).
         self._sim.cascade_depth += 1
         try:
             while self._waiters:
@@ -308,10 +308,10 @@ class BandwidthResource:
         When several jobs finish in one settle, the callbacks after the
         first are same-instant work that lives in this list rather than
         in the event queue; the engine's ``cascade_depth`` flags that
-        window so the batched dispatcher (woken synchronously by, say,
-        the first completion committing a task) falls back to the
-        yielding reference loop, which lets the remaining completions
-        interleave exactly like the reference kernel.
+        window so the dispatcher (woken synchronously by, say, the first
+        completion committing a task) yields before each launch instead
+        of starting tasks synchronously, which lets the remaining
+        completions interleave exactly like the reference kernel.
         """
         if len(finished) == 1:
             job = finished[0]

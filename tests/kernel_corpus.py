@@ -6,12 +6,13 @@ trace digest under the legacy ``reference`` event kernel into
 removed) and ``tests/test_kernel_differential.py`` (which asserts the
 batched kernel still reproduces those digests bit for bit).
 
-The cells cover the batched fast path (zero-latency clusters, where whole
-ready batches are drained in one scheduler activation) and every
-configuration that must *fall back* to the interleaved dispatch loop
-(fault plans, lineage recovery, speculation, checkpoint barriers, nonzero
-dispatch latency), plus GPU mode and the same-instant completion-cascade
-shape that exposed the original drain bug.
+The ``drain:`` cells cover synchronous task starts (zero-latency
+clusters, where a whole same-instant ready set starts in one dispatcher
+activation without yielding); the ``fallback:`` cells cover every
+configuration whose dispatcher yields before each launch (fault plans,
+lineage recovery, speculation, checkpoint barriers, nonzero dispatch
+latency); plus GPU mode and the same-instant completion-cascade shape
+that exposed the original bug in the synchronous path.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from tests.golden_matrix import GOLDEN_FAULT_PLAN, GOLDEN_RETRY_POLICY
 def zero_latency_cluster(num_nodes: int = 4):
     """A cluster whose scheduler decisions take no simulated time.
 
-    This is the configuration under which the batched kernel's dispatcher
-    may drain whole ready batches, so it is the one that actually
-    exercises the fast path being differentially tested.
+    This is the configuration under which the dispatcher may start tasks
+    synchronously, so it is the one that actually exercises the fast path
+    being differentially tested.
     """
     return dataclasses.replace(
         minotauro(num_nodes=num_nodes),
@@ -49,8 +50,8 @@ def run_digest(config: RuntimeConfig, workflow: GeneratedDagWorkflow) -> str:
     return trace_digest(result.trace, result.failed_task_ids)
 
 
-#: Fast-path cells: zero-latency clusters where the batched dispatcher
-#: drains ready batches.  Policies x storage x block size x jitter.
+#: Fast-path cells: zero-latency clusters where the dispatcher starts
+#: tasks synchronously.  Policies x storage x block size x jitter.
 DRAIN_CASES = {
     "generation_order-local-small": dict(
         scheduling=SchedulingPolicy.GENERATION_ORDER,
@@ -88,8 +89,8 @@ DRAIN_CASES = {
     ),
 }
 
-#: Fallback cells: configurations the batched dispatcher must refuse to
-#: drain, exercising the interleaved dispatch loop under the flat heap.
+#: Fallback cells: configurations that forbid synchronous starts, so the
+#: dispatcher yields before every launch.
 FALLBACK_CASES = {
     "default-latency": dict(),
     "faults-retry": dict(

@@ -14,17 +14,17 @@ attempt histories, makespan and failed-task sets, via
 
 Two layers:
 
-* the corpus replayed against the frozen oracle digests — covering the
-  batched fast path (zero-latency clusters, where whole ready batches
-  are drained in one scheduler activation), every configuration that
-  must fall back to the interleaved dispatch loop (fault plans, lineage
-  recovery, speculation, checkpoint barriers, nonzero dispatch latency),
-  GPU mode, and the same-instant completion-cascade shape that exposed
-  the original drain bug;
-* a Hypothesis property comparing batched ready-set drains against a
-  forced interleaved dispatch loop over random DAG shapes — the two
-  dispatch modes must stay bit-identical now that the old kernel can no
-  longer arbitrate between them.
+* the corpus replayed against the frozen oracle digests — covering
+  synchronous task starts (zero-latency clusters, where a whole
+  same-instant ready set starts in one dispatcher activation), every
+  configuration whose dispatcher yields before each launch (fault plans,
+  lineage recovery, speculation, checkpoint barriers, nonzero dispatch
+  latency), GPU mode, and the same-instant completion-cascade shape that
+  exposed the original bug in the synchronous path;
+* a Hypothesis property comparing synchronous starts against runs where
+  every instant is made to look contended (so every decision yields)
+  over random DAG shapes — the two paths must stay bit-identical now
+  that the old kernel can no longer arbitrate between them.
 
 A failure in the oracle layer means the batched kernel changed execution
 semantics — fix the kernel, never the recorded digests.
@@ -32,6 +32,7 @@ semantics — fix the kernel, never the recorded digests.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import pathlib
 
@@ -41,7 +42,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.algorithms import GeneratedDagWorkflow
 from repro.hardware import StorageKind
 from repro.runtime import Runtime, RuntimeConfig, SchedulingPolicy
-from repro.runtime.backends.simulated import SimulatedExecutor
+from repro.sim import Process, SimEngine
 from tests.kernel_corpus import corpus_cases, run_digest, zero_latency_cluster
 
 ORACLE_PATH = pathlib.Path(__file__).parent / "golden" / "kernel_oracle_digests.json"
@@ -86,6 +87,22 @@ def test_oracle_covers_whole_corpus(oracle):
 
 # ------------------------------------------- dispatch-mode equivalence
 
+@contextlib.contextmanager
+def contended_instants():
+    """Make every instant look contended to the dispatcher.
+
+    With ``peek_time`` reporting the current instant, no decision may
+    start its task synchronously: each one yields and launches through a
+    zero-delay start event, the one-decision-per-yield reference path.
+    """
+    original = SimEngine.peek_time
+    SimEngine.peek_time = lambda self: self.now
+    try:
+        yield
+    finally:
+        SimEngine.peek_time = original
+
+
 @given(
     width=st.integers(min_value=2, max_value=10),
     depth=st.integers(min_value=1, max_value=6),
@@ -101,16 +118,16 @@ def test_oracle_covers_whole_corpus(oracle):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_batched_drain_equals_forced_dispatch_loop(
+def test_synchronous_starts_equal_interleaved_dispatch(
     width, depth, fan_in, block_mb, seed, num_nodes, policy, storage
 ):
-    """Batched ready-set drains must equal the interleaved dispatch loop.
+    """Synchronous task starts must equal the interleaved dispatch path.
 
-    Zero-latency clusters are the configurations where the batched
-    dispatcher actually drains whole ready batches in one activation, so
-    this property pins the drain path against the one-decision-per-yield
-    loop it claims to be equivalent to.  The monkeypatch-free runs and
-    the forced-loop runs must produce bit-identical traces.
+    Zero-latency clusters are the configurations where the dispatcher
+    starts whole same-instant ready sets without yielding, so this
+    property pins that path against the one-decision-per-yield path it
+    claims to be equivalent to: the unforced runs and the runs under
+    :func:`contended_instants` must produce bit-identical traces.
     """
     workflow = GeneratedDagWorkflow(
         width=width, depth=depth, fan_in=fan_in, block_mb=block_mb, seed=seed
@@ -124,30 +141,26 @@ def test_batched_drain_equals_forced_dispatch_loop(
             use_gpu=False,
         )
 
-    batched = run_digest(make_config(), workflow)
-    original = SimulatedExecutor._force_dispatch_loop
-    SimulatedExecutor._force_dispatch_loop = True
-    try:
-        forced = run_digest(make_config(), workflow)
-    finally:
-        SimulatedExecutor._force_dispatch_loop = original
-    assert batched == forced, (
-        "batched ready-set drain diverged from the interleaved dispatch "
-        f"loop: {batched[:16]}... != {forced[:16]}..."
+    synchronous = run_digest(make_config(), workflow)
+    with contended_instants():
+        interleaved = run_digest(make_config(), workflow)
+    assert synchronous == interleaved, (
+        "synchronous task starts diverged from the interleaved dispatch "
+        f"path: {synchronous[:16]}... != {interleaved[:16]}..."
     )
 
 
-def test_forced_loop_knob_actually_disables_draining(monkeypatch):
-    """The test knob must force interleaved dispatch, or the property
-    above would vacuously compare the drain path against itself."""
+def test_contended_instants_disable_synchronous_starts(monkeypatch):
+    """Forcing contention must route every start through the event queue,
+    or the property above would vacuously compare a path against itself."""
     calls: list[int] = []
-    original_drain = SimulatedExecutor._drain_ready_batch
+    original_start_now = Process.start_now
 
-    def counting_drain(self, ready_view):
+    def counting_start_now(self):
         calls.append(1)
-        return original_drain(self, ready_view)
+        return original_start_now(self)
 
-    monkeypatch.setattr(SimulatedExecutor, "_drain_ready_batch", counting_drain)
+    monkeypatch.setattr(Process, "start_now", counting_start_now)
 
     def run_once() -> None:
         config = RuntimeConfig(cluster=zero_latency_cluster(), use_gpu=False)
@@ -158,8 +171,8 @@ def test_forced_loop_knob_actually_disables_draining(monkeypatch):
         runtime.run()
 
     run_once()
-    assert calls, "a zero-latency run should take the batched drain path"
+    assert calls, "a zero-latency run should start tasks synchronously"
     calls.clear()
-    monkeypatch.setattr(SimulatedExecutor, "_force_dispatch_loop", True)
-    run_once()
-    assert not calls, "the force knob must route dispatch through the loop"
+    with contended_instants():
+        run_once()
+    assert not calls, "contended instants must route every start through a yield"

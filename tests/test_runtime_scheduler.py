@@ -1,5 +1,7 @@
 """Unit tests for the scheduling policies."""
 
+import pytest
+
 from repro.runtime import DataRef, SchedulingPolicy, Task
 from repro.runtime.scheduler import (
     DataLocalityScheduler,
@@ -134,6 +136,46 @@ class TestDataLocality:
     def test_returns_none_when_cluster_full(self):
         scheduler = DataLocalityScheduler()
         assert scheduler.select([_task(0)], FakeCluster([0]), _never_gpu) is None
+
+
+class TestSelectBatch:
+    @staticmethod
+    def _setup(policy):
+        ready = [_task(i, input_homes=[i % 3]) for i in range(8)]
+        return make_scheduler(policy), ready, FakeCluster([2, 1, 2])
+
+    @staticmethod
+    def _reserve(assignment, ready, cluster):
+        cluster.free_cores[assignment.node] -= 1
+        ready.remove(assignment.task)
+        return assignment.task.task_id, assignment.node
+
+    @pytest.mark.parametrize("policy", list(SchedulingPolicy))
+    def test_generator_matches_repeated_select(self, policy):
+        scheduler, ready, cluster = self._setup(policy)
+        expected = []
+        while True:
+            assignment = scheduler.select(ready, cluster, _never_gpu)
+            if assignment is None:
+                break
+            expected.append(self._reserve(assignment, ready, cluster))
+
+        batch_scheduler, batch_ready, batch_cluster = self._setup(policy)
+        placed = [
+            self._reserve(assignment, batch_ready, batch_cluster)
+            for assignment in batch_scheduler.select_batch(
+                batch_ready, batch_cluster, _never_gpu
+            )
+        ]
+        assert placed == expected
+        assert batch_scheduler._next_node == scheduler._next_node
+        # Five cores for eight tasks: the generator stops once nothing fits.
+        assert len(placed) == 5
+        assert len(batch_ready) == 3
+        assert batch_cluster.free_cores == [0, 0, 0]
+        assert list(
+            batch_scheduler.select_batch(batch_ready, batch_cluster, _never_gpu)
+        ) == []
 
 
 class TestFactory:
