@@ -10,8 +10,11 @@ The CI ``chaos-shard`` job runs this script.  It
 2. SIGKILLs the child's whole process group once the execution ledger
    shows a few cells DONE but not all of them — the hard mid-sweep death
    the ledger exists for,
-3. replays the journal, then runs the same sweep again in-process with
-   ``resume=True`` and asserts
+3. replays the journal and asserts that every cell it calls DONE
+   already has a cache record whose metrics equal the DONE record (the
+   premise that makes the ledger redundant with the cache),
+4. runs the same sweep again in-process with ``resume=True`` and
+   asserts
 
    * every ledger-finished cell is answered from the journal
      (``stats.resumed`` == cells DONE before the kill: 100%
@@ -39,6 +42,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core import ledger as ledger_module  # noqa: E402
 from repro.core.chaos import ChaosPlan  # noqa: E402
+from repro.core.experiments.cache import SweepCache  # noqa: E402
 from repro.core.experiments.engine import (  # noqa: E402
     SweepEngine,
     cell_digest,
@@ -151,6 +155,15 @@ def main() -> int:
                 "child finished every cell before the kill; nothing to "
                 "resume — lower KILL_AFTER_DONE or slow the chaos plan"
             )
+
+        cache = SweepCache(cache_dir)
+        for digest in sorted(done_before):
+            cached = cache.get(digest)
+            assert cached is not None, f"DONE cell {digest} is no cache hit"
+            assert cached["metrics"] == before.items[digest].record, (
+                f"DONE cell {digest}: cache and journal records differ"
+            )
+        print(f"[parent] all {len(done_before)} DONE cells are cache hits")
 
         with SweepEngine(jobs=2, cache_dir=cache_dir, resume=True) as engine:
             results = engine.run_cells(cells)

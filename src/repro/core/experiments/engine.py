@@ -204,48 +204,35 @@ def cell_digest(spec: CellSpec, fingerprint: str | None = None) -> str:
 # --------------------------------------------------------------- engine
 
 
-def _execute_recorded(spec: CellSpec) -> tuple[dict[str, Any], float]:
-    """Execute one cell, return (record, wall seconds)."""
-    started = time.perf_counter()
-    metrics = execute_cell(spec)
-    return metrics_to_record(metrics), time.perf_counter() - started
-
-
-def _cache_entry(
-    digest: str,
-    fingerprint: str,
-    spec: CellSpec,
-    record: dict[str, Any],
-    wall: float,
-) -> dict[str, Any]:
-    """The on-disk record layout shared by worker and in-process writes."""
-    return {
-        "digest": digest,
-        "fingerprint": fingerprint,
-        "spec": to_jsonable(spec),
-        "wall_seconds": round(wall, 6),
-        "metrics": record,
-    }
-
-
 def _execute_to_cache(
     spec: CellSpec,
     digest: str,
     fingerprint: str,
     cache_root: str | None,
 ) -> tuple[dict[str, Any], float]:
-    """Shard-pool worker: execute one cell and persist it directly.
+    """Execute one cell and persist it; returns (record, wall seconds).
 
-    Writing from the worker keeps the result's bytes off the task queue
-    twice (the record still returns to the parent for the in-memory
-    memo, but the disk write happens where the data is) and makes cache
-    population independent of the parent surviving the batch.  The
-    atomic ``SweepCache.put`` tolerates concurrent writers.
+    Pool workers and the serial path both write each cell the moment it
+    finishes, so cache population never depends on the rest of the
+    batch, or the parent, surviving.  Writing from the worker also keeps
+    the result's bytes off the task queue twice (the record still
+    returns to the parent for the in-memory memo, but the disk write
+    happens where the data is).  The atomic ``SweepCache.put`` tolerates
+    concurrent writers.
     """
-    record, wall = _execute_recorded(spec)
+    started = time.perf_counter()
+    record = metrics_to_record(execute_cell(spec))
+    wall = time.perf_counter() - started
     if cache_root is not None:
         SweepCache(cache_root).put(
-            digest, _cache_entry(digest, fingerprint, spec, record, wall)
+            digest,
+            {
+                "digest": digest,
+                "fingerprint": fingerprint,
+                "spec": to_jsonable(spec),
+                "wall_seconds": round(wall, 6),
+                "metrics": record,
+            },
         )
     return record, wall
 
@@ -449,14 +436,14 @@ class SweepEngine:
             # spin up a second process pool inside itself (fork bombs,
             # oversubscription, and a second interpreter warm-up per cell).
             parallel = self.jobs > 1 and len(items) > 1 and not shard.in_worker()
+            # Both paths persist each cell the moment it finishes, so a
+            # batch cut short by an exception or a kill keeps them all.
+            cache_root = str(self._cache.root) if self._cache is not None else None
             if parallel:
                 if self._pool is None:
                     self._pool = shard.ShardPool(
                         self.jobs, policy=self._policy, chaos=self._chaos
                     )
-                cache_root = (
-                    str(self._cache.root) if self._cache is not None else None
-                )
                 merged = self._pool.run(
                     [
                         shard.ShardItem(
@@ -471,35 +458,27 @@ class SweepEngine:
                 outcomes = [merged[digest] for digest, _spec in items]
             else:
                 outcomes = [
-                    self._execute_journalled(digest, spec)
+                    self._execute_journalled(digest, spec, cache_root)
                     for digest, spec in items
                 ]
-            for (digest, spec), (record, wall) in zip(items, outcomes):
+            for digest, (record, wall) in zip(pending, outcomes):
                 # The fresh path round-trips through the same record
                 # encoding as a cache hit, so both are value-identical.
                 self._memo[digest] = metrics_from_record(record)
                 self.stats.executed += 1
                 self.stats.executed_wall += wall
-                if self._cache is not None and not parallel:
-                    # Workers already persisted their own results on the
-                    # parallel path; only in-process execution writes here.
-                    self._cache.put(
-                        digest,
-                        _cache_entry(
-                            digest, self._fingerprint, spec, record, wall
-                        ),
-                    )
 
         return [self._memo[digest] for digest in digests]
 
     # ------------------------------------------------------------ journal
     def _execute_journalled(
-        self, digest: str, spec: CellSpec
+        self, digest: str, spec: CellSpec, cache_root: str | None
     ) -> tuple[dict[str, Any], float]:
-        """Serial execution with the same ledger transitions as a worker."""
+        """Serial execution with the same cache write and ledger
+        transitions as a worker."""
         if self._ledger is not None:
             self._ledger.append(ledger_module.DISPATCHED, item=digest, attempt=1)
-        record, wall = _execute_recorded(spec)
+        record, wall = _execute_to_cache(spec, digest, self._fingerprint, cache_root)
         if self._ledger is not None:
             self._ledger.append(
                 ledger_module.DONE,

@@ -656,21 +656,3 @@ def _dispose_worker(worker: _Worker, grace: float = 1.0) -> None:
     if process.is_alive():
         process.kill()
         process.join(timeout=grace)
-
-
-def resolve_start_method(requested: str | None) -> str:
-    """The effective start method a pool built with ``requested`` uses."""
-    if requested is not None:
-        return requested
-    return multiprocessing.get_start_method()
-
-
-def default_workers() -> int:
-    """Worker count when the caller does not specify one."""
-    env = os.environ.get("REPRO_SHARD_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1

@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-import numpy as np
-
 from repro.hardware.specs import ClusterSpec, CpuSpec, GpuSpec
 
 
@@ -139,8 +137,7 @@ class CostModel:
     :class:`~repro.hardware.specs.ClusterSpec` constants are frozen
     dataclasses — so an entry can never go stale within one model
     instance.  Evaluating against different hardware requires a new
-    ``CostModel`` (the executor builds one per run); :meth:`clear_cache`
-    exists for long-lived models that want to bound memory.
+    ``CostModel`` (the executor builds one per run).
     """
 
     def __init__(self, cluster: ClusterSpec) -> None:
@@ -148,10 +145,6 @@ class CostModel:
         self.cpu: CpuSpec = cluster.node.cpu
         self.gpu: GpuSpec = cluster.node.gpu
         self._memo: dict = {}
-
-    def clear_cache(self) -> None:
-        """Drop all memoized stage evaluations."""
-        self._memo.clear()
 
     # ------------------------------------------------------------------ rates
     def cpu_rate(self, arithmetic_intensity: float) -> float:
@@ -274,128 +267,9 @@ class CostModel:
         costs: Sequence[TaskCost],
         use_gpu: bool,
         threads: int = 1,
-    ) -> list[StageTimes | None]:
-        """Vectorized twin of :meth:`stage_times` over a batch of costs.
-
-        Evaluates every cache miss in one set of NumPy array expressions
-        and fills the memo, so an executor prewarming the model over a
-        DAG's distinct cost profiles pays the closed-form arithmetic once
-        per *batch* instead of once per task.  Each array expression
-        performs the identical sequence of IEEE-754 float64 operations as
-        the scalar path — same operand order, same ``min``/guard
-        structure — and every :class:`StageTimes` field is converted back
-        to a Python float, so a memo entry produced here is bit-identical
-        to one produced by :meth:`stage_times` and traces cannot tell the
-        two apart.
-
-        GPU elements whose parallel fraction is non-trivial but whose
-        effective device rate is zero (the configuration
-        :meth:`parallel_fraction_time_gpu` rejects) are *not* memoized;
-        their slot in the returned list is ``None`` and the scalar path
-        raises its usual ``ValueError`` when (and if) such a task is
-        actually dispatched — a prewarm must not move that error earlier.
-        """
-        memo = self._memo
-        out: list[StageTimes | None] = [None] * len(costs)
-        miss_costs: list[TaskCost] = []
-        slot_of_key: dict = {}
-        miss_slots: list[tuple[int, int]] = []
-        for i, cost in enumerate(costs):
-            key = (cost, use_gpu, threads)
-            cached = memo.get(key, _MISS)
-            if cached is not _MISS:
-                out[i] = cached
-                continue
-            slot = slot_of_key.get(key)
-            if slot is None:
-                slot = len(miss_costs)
-                slot_of_key[key] = slot
-                miss_costs.append(cost)
-            miss_slots.append((i, slot))
-        if not miss_costs:
-            return out
-
-        as_array = np.array
-        sf = as_array([c.serial_flops for c in miss_costs], dtype=np.float64)
-        pf = as_array([c.parallel_flops for c in miss_costs], dtype=np.float64)
-        ai = as_array(
-            [c.arithmetic_intensity for c in miss_costs], dtype=np.float64
-        )
-        in_b = as_array([c.input_bytes for c in miss_costs], dtype=np.float64)
-        out_b = as_array([c.output_bytes for c in miss_costs], dtype=np.float64)
-
-        ser_bw = self.cpu.serialization_bandwidth
-        deser = in_b / ser_bw
-        ser = out_b / ser_bw
-        # 0.0 / flops_per_core is +0.0, matching the scalar early return,
-        # so the serial fraction needs no mask.
-        serial = sf / self.cpu.flops_per_core
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if use_gpu:
-                items = as_array(
-                    [c.parallel_items for c in miss_costs], dtype=np.float64
-                )
-                eff = as_array(
-                    [c.gpu_efficiency for c in miss_costs], dtype=np.float64
-                )
-                hdb = as_array(
-                    [c.host_device_bytes for c in miss_costs], dtype=np.float64
-                )
-                gpu = self.gpu
-                roof = np.where(
-                    ai <= 0,
-                    gpu.flops,
-                    np.minimum(gpu.flops, gpu.mem_bandwidth * ai),
-                )
-                util = np.where(items > 0, items / (items + gpu.saturation_items), 0.0)
-                rate = roof * util * eff
-                # launch_overhead must not leak into zero-work elements,
-                # and rate == 0 with pf > 0 is the scalar ValueError case.
-                parallel = np.where(pf > 0, gpu.launch_overhead + pf / rate, 0.0)
-                valid = ~((pf > 0) & (rate <= 0))
-                pcie = self.cluster.node.interconnect
-                comm = np.where(
-                    hdb > 0,
-                    pcie.latency + hdb / pcie.bandwidth_per_transfer,
-                    0.0,
-                )
-            else:
-                cpu_rate = np.where(
-                    ai <= 0,
-                    self.cpu.flops_per_core,
-                    np.minimum(
-                        self.cpu.flops_per_core,
-                        self.cpu.mem_bandwidth_per_core * ai,
-                    ),
-                )
-                rate = cpu_rate * threads * self.cpu_thread_efficiency(threads)
-                parallel = pf / rate
-                valid = None
-                comm = np.zeros(len(miss_costs))
-
-        deser_l = deser.tolist()
-        serial_l = serial.tolist()
-        parallel_l = parallel.tolist()
-        comm_l = comm.tolist()
-        ser_l = ser.tolist()
-        valid_l = valid.tolist() if valid is not None else None
-        computed: list[StageTimes | None] = [None] * len(miss_costs)
-        for key, slot in slot_of_key.items():
-            if valid_l is not None and not valid_l[slot]:
-                continue
-            times = StageTimes(
-                deserialization_cpu=deser_l[slot],
-                serial_fraction=serial_l[slot],
-                parallel_fraction=parallel_l[slot],
-                cpu_gpu_comm=comm_l[slot],
-                serialization_cpu=ser_l[slot],
-            )
-            memo[key] = times
-            computed[slot] = times
-        for i, slot in miss_slots:
-            out[i] = computed[slot]
-        return out
+    ) -> list[StageTimes]:
+        """:meth:`stage_times` of every cost in ``costs``, in order."""
+        return [self.stage_times(cost, use_gpu, threads) for cost in costs]
 
     def user_code_time(self, cost: TaskCost, use_gpu: bool) -> float:
         """Task user code duration (§4.2 metric)."""

@@ -127,6 +127,12 @@ _SETTLED_OR_RUNNING = _COMMITTED | _FAILED | _RUNNING
 _SETTLED = _COMMITTED | _FAILED
 
 
+def _reraise(done: SimEvent) -> None:
+    """``done`` callback of every executor process (see ``_spawn``)."""
+    if done.error is not None:
+        raise done.error
+
+
 class _ReadyView:
     """Lazy, ordered view of the ready queue as Task objects.
 
@@ -346,13 +352,15 @@ class SimulatedExecutor:
         Raises :class:`~repro.hardware.GpuOutOfMemoryError` or
         :class:`~repro.hardware.HostOutOfMemoryError` up front when any
         task's working set cannot fit, matching the paper's "GPU OOM"
-        regions (the run never starts).
+        regions (the run never starts).  An exception raised inside the
+        simulation (a cost profile the cost model rejects, say) aborts
+        the run and reaches the caller unchanged.
 
         With a fault plan, tasks whose retries are exhausted (or that
         depend on such a task, or that strand when every node is gone) end
         up in :attr:`failed_task_ids` instead of aborting the simulation.
         """
-        self._precheck_memory(graph)
+        self._check_palette(graph)
         self._rng = _np.random.default_rng(self.jitter_seed)
         self._warmed_cores: set[tuple[int, int]] = set()
         self.sim = Simulator()
@@ -456,13 +464,8 @@ class SimulatedExecutor:
         )
         if self.fault_plan is not None:
             for fault in self.fault_plan.node_faults:
-                Process(
-                    self.sim,
-                    self._node_killer(fault),
-                    name=f"nodefault{fault.node}",
-                )
-        self._prewarm_cost_model(graph)
-        Process(self.sim, self._dispatcher(), name="dispatcher")
+                self._spawn(self._node_killer(fault), f"nodefault{fault.node}")
+        self._spawn(self._dispatcher(), "dispatcher")
         self.sim.run()
         stranded = [
             t.task_id for t in tasks if not self._state[t.task_id] & _SETTLED
@@ -502,21 +505,32 @@ class SimulatedExecutor:
             peak_concurrent_shared_reads=self.cluster.shared_disk_read.peak_jobs,
         )
 
-    def _precheck_memory(self, graph: TaskGraph) -> None:
-        # Large DAGs draw their costs from small palettes: check each
-        # distinct (cost, device intent) pair once, in first-seen order,
-        # so the first violating task still raises first.
-        checked: set[tuple[TaskCost, bool]] = set()
-        for task in graph.tasks():
-            cost = task.cost or _ZERO_COST
-            check_gpu = self._gpu_intended(task) and not self.gpu_overflow
-            key = (cost, check_gpu)
-            if key in checked:
-                continue
-            checked.add(key)
+    def _check_palette(self, graph: TaskGraph) -> None:
+        """Memory checks, then stage times, of the run's distinct costs.
+
+        Large DAGs draw their costs from small palettes, so the pass
+        visits each distinct ``(cost, on_gpu)`` pair once, in first-seen
+        task order; ``on_gpu`` is the static device intent with GPU
+        overflow off (under overflow the device is chosen at dispatch,
+        where its stage times are evaluated lazily).  Every host and
+        device memory check runs before any stage time, so the first
+        violating task raises its OOM first; a GPU profile the cost
+        model rejects raises its ``ValueError`` next, also before the
+        run starts.
+        """
+        check_gpu = not self.gpu_overflow
+        palette = dict.fromkeys(
+            (task.cost or _ZERO_COST, check_gpu and self._gpu_intended(task))
+            for task in graph.tasks()
+        )
+        for cost, on_gpu in palette:
             self.cost_model.check_host_memory(cost)
-            if check_gpu:
+            if on_gpu:
                 self.cost_model.check_gpu_memory(cost)
+        for device in (False, True):
+            costs = [cost for cost, on_gpu in palette if on_gpu == device]
+            if costs:
+                self.cost_model.stage_times_batch(costs, device, self.cpu_threads)
 
     # ------------------------------------------------------ ready-set state
     def _state_view(self) -> "_np.ndarray":
@@ -615,34 +629,6 @@ class SimulatedExecutor:
                 return True
         return False
 
-    def _prewarm_cost_model(self, graph: TaskGraph) -> None:
-        """Fill the stage-time memo for the whole DAG in two batched calls.
-
-        One vectorized evaluation per device intent replaces the first
-        per-task cache miss of every distinct cost profile.  GPU profiles
-        the scalar path would reject (zero device rate with a non-trivial
-        parallel fraction) are skipped by ``stage_times_batch`` so the
-        ``ValueError`` still surfaces at dispatch time, not here.
-        """
-        cpu_costs = {}
-        gpu_costs = {}
-        for task in graph.tasks():
-            if self._gpu_intended(task):
-                gpu_costs[task.cost or _ZERO_COST] = None
-            else:
-                cpu_costs[task.cost or _ZERO_COST] = None
-        # Deduplicate via dict keys before handing off: million-task DAGs
-        # draw their costs from small palettes, and the batch evaluator's
-        # own per-element dedup loop runs in Python.
-        if cpu_costs:
-            self.cost_model.stage_times_batch(
-                list(cpu_costs), False, self.cpu_threads
-            )
-        if gpu_costs:
-            self.cost_model.stage_times_batch(
-                list(gpu_costs), True, self.cpu_threads
-            )
-
     def _reserve_assignment(self, assignment) -> tuple[Task, int, int, bool]:
         """Commit one placement (no simulated time passes).
 
@@ -665,6 +651,21 @@ class SimulatedExecutor:
         self._ready_remove(task.task_id)
         return task, node.index, core_slot, task_on_gpu
 
+    def _spawn(
+        self, generator: Generator, name: str, autostart: bool = True
+    ) -> Process:
+        """Create an executor process whose errors abort the run.
+
+        An exception raised inside a process is parked on its ``done``
+        event, where nothing waits for it; the run would then end as a
+        deadlock, or, under a fault plan, with the stranded tasks quietly
+        marked failed.  The ``done`` callback re-raises it instead, so it
+        leaves the event loop at the instant it happens.
+        """
+        process = Process(self.sim, generator, name=name, autostart=autostart)
+        process.done.add_callback(_reraise)
+        return process
+
     def _launch(
         self,
         task: Task,
@@ -677,11 +678,10 @@ class SimulatedExecutor:
         attempt number."""
         attempt = int(self._attempt_counts[task.task_id]) + 1
         self._attempt_counts[task.task_id] = attempt
-        process = Process(
-            self.sim,
+        process = self._spawn(
             self._run_task(task, node_index, core_slot, task_on_gpu, attempt),
-            name=f"task{task.task_id}",
-            autostart=autostart,
+            f"task{task.task_id}",
+            autostart,
         )
         self._running.setdefault(task.task_id, {})[attempt] = (process, node_index)
         self._state[task.task_id] |= _RUNNING
@@ -728,12 +728,11 @@ class SimulatedExecutor:
                 if policy.speculation_enabled:
                     median = self._median_duration(task.name)
                     if median is not None:
-                        Process(
-                            self.sim,
+                        self._spawn(
                             self._speculation_watchdog(
                                 task, attempt, median * policy.speculation_factor
                             ),
-                            name=f"spec{task.task_id}",
+                            f"spec{task.task_id}",
                         )
             if self._outstanding() > 0:
                 self._wake = SimEvent(name="dispatcher.wake")
@@ -974,11 +973,7 @@ class SimulatedExecutor:
                 ):
                     process.interrupt(NodeFailureError(fault.node))
         if self.retry_policy.blacklist_cooldown is not None:
-            Process(
-                self.sim,
-                self._node_rebooter(fault.node),
-                name=f"nodereboot{fault.node}",
-            )
+            self._spawn(self._node_rebooter(fault.node), f"nodereboot{fault.node}")
         self._wake_dispatcher()
 
     def _node_rebooter(self, node_index: int) -> Generator:
@@ -1046,10 +1041,9 @@ class SimulatedExecutor:
                 else None
             )
             delay = policy.backoff_delay(attempt, rng)
-            Process(
-                self.sim,
+            self._spawn(
                 self._requeue_after(task, delay, attempt, level),
-                name=f"retry{task.task_id}",
+                f"retry{task.task_id}",
             )
         else:
             self._fail_permanently(task)
@@ -1414,11 +1408,7 @@ class SimulatedExecutor:
         """
         pcie = self.cluster_spec.node.interconnect
         fill_start = self.sim.now
-        transfer = Process(
-            self.sim,
-            self._stream_h2d(node, h2d),
-            name="h2d-pipeline",
-        )
+        transfer = self._spawn(self._stream_h2d(node, h2d), "h2d-pipeline")
         fill = pcie.latency + (h2d / self.PIPELINE_STAGES) / pcie.bandwidth_per_transfer
         yield Timeout(fill)
         record(Stage.CPU_GPU_COMM, fill_start)

@@ -1,11 +1,10 @@
 """Differential harness: the batched kernel must equal the recorded oracle.
 
-The batched event core (flat heap records, batched ready-set dispatch,
-vectorized stage-time evaluation) replaced the legacy object-per-event
-``reference`` kernel.  Before that kernel was deleted, every cell of the
-kernel corpus (``tests/kernel_corpus.py``) was executed under it and the
-trace digests were frozen into
-``tests/golden/kernel_oracle_digests.json`` by
+The batched event core (flat heap records, batched ready-set dispatch)
+replaced the legacy object-per-event ``reference`` kernel.  Before that
+kernel was deleted, every cell of the kernel corpus
+(``tests/kernel_corpus.py``) was executed under it and the trace
+digests were frozen into ``tests/golden/kernel_oracle_digests.json`` by
 ``scripts/record_kernel_oracle.py``.  Those digests are the oracle: the
 batched kernel is only allowed to be *faster* than the kernel they were
 recorded under — never different (task dispatch order, per-stage times,

@@ -142,6 +142,33 @@ class TestSimulatedExecutor:
         with pytest.raises(HostOutOfMemoryError):
             self._run(use_gpu=False, cost=cost)
 
+    @pytest.mark.parametrize("overflow", [False, True], ids=["direct", "overflow"])
+    def test_zero_gpu_rate_error_reaches_caller(self, overflow):
+        # A GPU-bound profile with no work items: zero device occupancy,
+        # so the cost model rejects its parallel fraction.
+        with pytest.raises(ValueError, match="GPU rate is zero"):
+            self._run(
+                n_tasks=1,
+                use_gpu=True,
+                cost=_cost(parallel=1e9),
+                gpu_overflow_to_cpu=overflow,
+            )
+
+    def test_memory_checks_precede_stage_times(self):
+        rt = Runtime(RuntimeConfig(use_gpu=True))
+        rt.submit(
+            name="zero_rate",
+            inputs=[rt.register_input(10**6)],
+            cost=_cost(parallel=1e9),
+        )
+        rt.submit(
+            name="host_oom",
+            inputs=[rt.register_input(10**6)],
+            cost=_cost(host_mem=200 * 1024**3),
+        )
+        with pytest.raises(HostOutOfMemoryError):
+            rt.run()
+
     def test_stage_records_cover_figure4(self):
         cost = _cost(parallel=1e10, items=1e7, gpu_mem=10**7)
         result = self._run(n_tasks=4, use_gpu=True, cost=cost)

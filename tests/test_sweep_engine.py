@@ -10,6 +10,7 @@ from repro.algorithms import (
     MatmulWorkflow,
     SyntheticWorkflow,
 )
+from repro.core.experiments import engine as engine_module
 from repro.core.experiments.cache import (
     SCHEMA,
     SweepCache,
@@ -314,6 +315,33 @@ class TestSweepEngine:
             assert resumed.stats.resumed == 1
             assert resumed.stats.memo_hits == 1
             assert resumed.stats.executed == 0
+
+    def test_serial_batch_persists_each_cell_as_it_finishes(
+        self, tmp_path, monkeypatch
+    ):
+        """A serial batch cut short by an exception keeps every cell it
+        already finished in the cache, as pool workers always have."""
+        first, second = cells_product(
+            "kmeans", (4,), dataset_key="kmeans_100mb", n_clusters=10
+        )
+        real_execute = engine_module.execute_cell
+
+        def fail_on_second(spec):
+            if spec == second:
+                raise RuntimeError("cell crashed")
+            return real_execute(spec)
+
+        monkeypatch.setattr(engine_module, "execute_cell", fail_on_second)
+        with SweepEngine(jobs=1, cache_dir=tmp_path) as engine:
+            with pytest.raises(RuntimeError, match="cell crashed"):
+                engine.run_cells([first, second])
+
+        fingerprint = model_fingerprint()
+        cache = SweepCache(tmp_path)
+        record = cache.get(cell_digest(first, fingerprint))
+        assert record is not None
+        assert metrics_from_record(record["metrics"]) == execute_cell(first)
+        assert cache.get(cell_digest(second, fingerprint)) is None
 
     def test_resume_without_a_ledger_is_rejected(self):
         with pytest.raises(ValueError, match="resume requires"):
