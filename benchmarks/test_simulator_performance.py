@@ -3,13 +3,17 @@
 Regression guards, not measurements: ``bench/run.py`` is what measures
 the repo's speed.  A floor trip should mean an order-of-magnitude
 regression (e.g. synchronous task starts disengaging, or locality dispatch
-sliding back to O(ready x nodes x inputs)), so floors sit well below
-measured rates to absorb CI noise.  Two groups of cells:
+sliding back to probing every ready task on a saturated cluster), so
+floors sit well below measured rates to absorb CI noise.  Two groups of
+cells:
 
 * the workload matrix: ``matmul16`` (the heaviest figure configuration,
   7936 tasks with full storage contention), ``kmeans_deep`` (many short
-  levels: completion events and ready-set churn), ``wide_dag`` (wide
-  levels under the data-locality policy: placement scoring) and
+  levels: completion events and ready-set churn), ``wide_dag``
+  (data-locality placement scoring; its width of 64 never fills the
+  128-core cluster, so the policy never meets a saturated cluster),
+  ``locality_fig10`` (a Fig 10 data-locality cell whose ready queue
+  outgrows the cluster: the policy's cost when no node is free) and
   ``plain_replay`` (a dependency-only DAG on a zero-latency cluster: the
   batched event core);
 * the scale cells: 10^5 and 10^6 replay tasks in-process, and the same
@@ -94,7 +98,9 @@ _DATASETS = paper_datasets()
 #: name -> (config, DAG builder, tasks/s floor, pinned task count).  The
 #: task counts pin the shapes: a silent workload change would quietly
 #: re-base the floors.  ``matmul16`` ran at ~500 tasks/s before the fast
-#: dispatch path; ``plain_replay`` sits at 6x the legacy 1500 guard.
+#: dispatch path; ``plain_replay`` sits at 6x the legacy 1500 guard;
+#: ``locality_fig10`` ran at ~340 tasks/s while the data-locality policy
+#: probed every node for every ready task of a saturated cluster.
 WORKLOADS = {
     "matmul16": (
         lambda: RuntimeConfig(use_gpu=False),
@@ -113,6 +119,12 @@ WORKLOADS = {
         GeneratedDagWorkflow(width=64, depth=24, fan_in=3, block_mb=4.0,
                              seed=11).build,
         1500, 1537,
+    ),
+    "locality_fig10": (
+        lambda: RuntimeConfig(use_gpu=True, storage=StorageKind.LOCAL,
+                              scheduling=SchedulingPolicy.DATA_LOCALITY),
+        MatmulWorkflow(_DATASETS["matmul_8gb"], grid=10).build,
+        1000, 1900,
     ),
     "plain_replay": (
         replay_config,

@@ -158,9 +158,7 @@ class _ReadyView:
         # Policies never mutate the ready queue while selecting, so
         # iterating the live list directly is safe and avoids an O(ready)
         # copy on every dispatch round.
-        graph = self._executor._graph
-        for task_id in self._executor._ready:
-            yield graph.task(task_id)
+        return map(self._executor._graph.task, self._executor._ready)
 
 
 class _ClusterView:
@@ -326,7 +324,7 @@ class SimulatedExecutor:
         (GPU-intended ready tasks / total devices) x the task's own device
         time.
         """
-        if not self._gpu_intended(task):
+        if task.task_id not in self._gpu_intended_ids:
             return False
         if task.task_id in self._forced_cpu:
             return False
@@ -416,10 +414,11 @@ class SimulatedExecutor:
         #: buffer through ``_np.frombuffer`` (zero copy).
         self._state = bytearray(size)
         self._attempt_counts = _np.zeros(size, dtype=_np.int32)
-        #: Device intent is static per task (policy flags only), so the
-        #: GPU-overflow wait estimate can count ready GPU-intended tasks
-        #: with an incrementally maintained counter instead of scanning
-        #: the ready queue on every dispatch decision.
+        #: Device intent is static per task (policy flags only), so
+        #: ``_task_on_gpu`` reads it from this set, and the GPU-overflow
+        #: wait estimate counts ready GPU-intended tasks with an
+        #: incrementally maintained counter instead of scanning the ready
+        #: queue on every dispatch decision.
         self._gpu_intended_ids = {
             t.task_id for t in tasks if self._gpu_intended(t)
         }

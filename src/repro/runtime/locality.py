@@ -1,10 +1,14 @@
 """Incremental per-node locality-bytes index for ready tasks (``docs/performance.md``).
 
-``DataLocalityScheduler`` scores a ``(task, node)`` pair by the input
-bytes resident on the node.  Summing over the task's inputs on every
-dispatch round makes locality dispatch O(ready x nodes x inputs); this
-index makes the score an O(1) dictionary lookup by aggregating each
-ready task's input bytes **once**, when the task enters the ready set.
+``DataLocalityScheduler`` scores the one ready task it places, by the
+input bytes resident on each usable node.  This index hands it the
+task's per-node byte map in one dictionary lookup
+(:meth:`LocalityIndex.bytes_map`) by aggregating each ready task's
+input bytes **once**, when the task enters the ready set, rather than
+resolving the placed task's inputs on every decision.  Which nodes are
+usable is the scheduler's own concern: it probes them once per distinct
+requirement per decision, and gives up before walking the ready queue
+when the cluster is full.
 
 Correctness rests on two facts about the simulated executor:
 
@@ -15,8 +19,7 @@ Correctness rests on two facts about the simulated executor:
   the blocks it held, which :meth:`LocalityIndex.drop_node` applies to
   every affected ready task in one sweep.
 
-Scores are therefore identical to recomputing
-``sum(ref.size_bytes for ref in task.inputs if resolve(ref) == node)``
+Scores are therefore identical to recomputing :func:`bytes_by_node`
 from scratch after every completion event — the property test in
 ``tests/test_scheduler_properties.py`` asserts exactly that equivalence
 on random generated DAGs.
@@ -37,6 +40,20 @@ ResidencyResolver = Callable[[DataRef], "int | None"]
 _EMPTY: Mapping[int, int] = {}
 
 
+def bytes_by_node(task: Task, resolve: ResidencyResolver) -> dict[int, int]:
+    """Input bytes of ``task`` per node, as ``resolve`` places its inputs.
+
+    Duplicate input refs count once per occurrence; refs that resolve to
+    ``None`` count nowhere.
+    """
+    by_node: dict[int, int] = {}
+    for ref in task.inputs:
+        node = resolve(ref)
+        if node is not None:
+            by_node[node] = by_node.get(node, 0) + ref.size_bytes
+    return by_node
+
+
 class LocalityIndex:
     """Per-(ready task, node) input-byte totals, maintained incrementally."""
 
@@ -55,16 +72,8 @@ class LocalityIndex:
         return len(self._per_task)
 
     def add(self, task: Task, resolve: ResidencyResolver) -> None:
-        """Index one task entering the ready set.
-
-        Duplicate input refs count once per occurrence, matching the
-        scheduler's direct sum over ``task.inputs``.
-        """
-        by_node: dict[int, int] = {}
-        for ref in task.inputs:
-            node = resolve(ref)
-            if node is not None:
-                by_node[node] = by_node.get(node, 0) + ref.size_bytes
+        """Index one task entering the ready set (see :func:`bytes_by_node`)."""
+        by_node = bytes_by_node(task, resolve)
         self._per_task[task.task_id] = by_node
         for node in by_node:
             self._node_tasks.setdefault(node, set()).add(task.task_id)

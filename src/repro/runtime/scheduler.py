@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterator, Protocol, Sequence
+from typing import Callable, Iterator, Mapping, Protocol, Sequence
 
+from repro.runtime.data import DataRef
+from repro.runtime.locality import bytes_by_node
 from repro.runtime.task import Task
 
 #: Decides whether one task must be placed on a GPU device.
@@ -70,16 +72,23 @@ class ClusterView(Protocol):
       when the block was since evicted or moved.
     * ``locality_index`` — a
       :class:`~repro.runtime.locality.LocalityIndex` over the ready set,
-      making per-``(task, node)`` byte scores O(1) instead of a sum over
-      the task's inputs.  Index scores must equal the resolver-based
+      handing over a task's per-node byte scores in O(1) instead of a
+      sum over its inputs.  Index scores must equal the resolver-based
       recomputation; the executor maintains that invariant.
+
+    Policies rely on the view being **monotone in RAM**: asking for more
+    RAM never makes a node usable, i.e. ``has_free_slot(node, g, ram)``
+    implies ``has_free_slot(node, g, 0)``.  The data-locality policy
+    skips every RAM-bearing probe of a node that has no zero-RAM slot,
+    and gives up on a cluster where no node has one.
     """
 
     def num_nodes(self) -> int:
         """Number of nodes."""
 
     def has_free_slot(self, node: int, needs_gpu: bool, ram_bytes: int = 0) -> bool:
-        """Whether ``node`` can start one more task right now."""
+        """Whether ``node`` can start one more task right now (monotone:
+        more ``ram_bytes`` never turns ``False`` into ``True``)."""
 
 
 def node_usable(
@@ -113,6 +122,10 @@ class Scheduler:
 
     policy: SchedulingPolicy
 
+    def __init__(self) -> None:
+        #: Round-robin cursor: the node the next placement scan starts at.
+        self._next_node = 0
+
     def select(
         self,
         ready: Sequence[Task],
@@ -142,6 +155,20 @@ class Scheduler:
                 return
             yield assignment
 
+    def _place_round_robin(
+        self, task: Task, cluster: ClusterView, requires_gpu: GpuPredicate
+    ) -> Assignment | None:
+        """Place ``task`` on the first usable node from the cursor on."""
+        needs_gpu = requires_gpu(task)
+        ram_bytes = task_ram_bytes(task)
+        n = cluster.num_nodes()
+        for offset in range(n):
+            node = (self._next_node + offset) % n
+            if node_usable(cluster, node, needs_gpu, ram_bytes):
+                self._next_node = (node + 1) % n
+                return Assignment(task=task, node=node)
+        return None
+
 
 class GenerationOrderScheduler(Scheduler):
     """FIFO dispatch with round-robin node choice.
@@ -152,9 +179,6 @@ class GenerationOrderScheduler(Scheduler):
 
     policy = SchedulingPolicy.GENERATION_ORDER
 
-    def __init__(self) -> None:
-        self._next_node = 0
-
     def select(
         self,
         ready: Sequence[Task],
@@ -163,14 +187,7 @@ class GenerationOrderScheduler(Scheduler):
     ) -> Assignment | None:
         if not ready:
             return None
-        task = ready[0]
-        n = cluster.num_nodes()
-        for offset in range(n):
-            node = (self._next_node + offset) % n
-            if node_usable(cluster, node, requires_gpu(task), task_ram_bytes(task)):
-                self._next_node = (node + 1) % n
-                return Assignment(task=task, node=node)
-        return None
+        return self._place_round_robin(ready[0], cluster, requires_gpu)
 
 
 class LifoScheduler(Scheduler):
@@ -178,8 +195,50 @@ class LifoScheduler(Scheduler):
 
     policy = SchedulingPolicy.LIFO
 
-    def __init__(self) -> None:
-        self._next_node = 0
+    def select(
+        self,
+        ready: Sequence[Task],
+        cluster: ClusterView,
+        requires_gpu: GpuPredicate,
+    ) -> Assignment | None:
+        if not ready:
+            return None
+        return self._place_round_robin(ready[len(ready) - 1], cluster, requires_gpu)
+
+
+class DataLocalityScheduler(Scheduler):
+    """Place the first ready task that fits on its most data-local node.
+
+    The chosen node is the usable one holding the most of the task's
+    input bytes; when the owner is busy the task falls back to the free
+    node with the best score, so tasks never starve.  Ties — common when a
+    task's inputs live on no candidate node at all — are broken round-
+    robin rather than always picking node 0, so locality scheduling
+    degrades to generation-order spreading instead of piling tie tasks
+    onto the first node.
+
+    Nothing reserves a slot while :meth:`select` runs, so one call probes
+    the nodes once per distinct requirement ``(needs_gpu, ram_bytes)``
+    and every ready task with that requirement reuses the answer; a task
+    that fits nowhere costs one dictionary lookup.  When no node has a
+    slot for a zero-RAM task of either kind, the call returns ``None``
+    without walking the ready queue (RAM is monotone, see
+    :class:`ClusterView`).  A call therefore costs O(nodes) probes per
+    distinct requirement it meets, plus one lookup per ready task it
+    skips.
+
+    Scoring resolves each input against *current block residency*, not
+    the ref's recorded ``home_node``: a block that was lost with a failed
+    node (or otherwise evicted/moved since the ref was written) must not
+    earn its stale location any locality credit.  Only the placed task is
+    scored.  Views that maintain a
+    :class:`~repro.runtime.locality.LocalityIndex` over the ready set
+    hand over its per-node byte map; views exposing only a
+    ``resident_node`` resolver get an O(inputs) sum; bare stubs fall back
+    to ``home_node``.
+    """
+
+    policy = SchedulingPolicy.DATA_LOCALITY
 
     def select(
         self,
@@ -189,84 +248,64 @@ class LifoScheduler(Scheduler):
     ) -> Assignment | None:
         if not ready:
             return None
-        task = ready[len(ready) - 1]
         n = cluster.num_nodes()
-        for offset in range(n):
-            node = (self._next_node + offset) % n
-            if node_usable(cluster, node, requires_gpu(task), task_ram_bytes(task)):
-                self._next_node = (node + 1) % n
-                return Assignment(task=task, node=node)
-        return None
+        usable = _UsableNodes(
+            cluster, [(self._next_node + offset) % n for offset in range(n)]
+        )
+        if not usable[False, 0] and not usable[True, 0]:
+            return None
+        for task in ready:
+            nodes = usable[requires_gpu(task), task_ram_bytes(task)]
+            if nodes:
+                break
+        else:
+            return None
+        by_node = _input_bytes_by_node(task, cluster)
+        # max() keeps the first of equal scores — the first usable node
+        # from the round-robin cursor — rotating tied placements across
+        # the cluster.
+        best_node = max(nodes, key=lambda node: by_node.get(node, 0))
+        self._next_node = (best_node + 1) % n
+        return Assignment(task=task, node=best_node)
 
 
-class DataLocalityScheduler(Scheduler):
-    """Prefer the node owning the most input bytes of the head task.
+class _UsableNodes(dict):
+    """Usable nodes per requirement ``(needs_gpu, ram_bytes)``, in cursor
+    order, probed on first lookup.
 
-    Falls back to the free node with the best locality score, so tasks
-    never starve when their preferred node is busy.  Ties — common when a
-    task's inputs live on no candidate node at all — are broken round-
-    robin rather than always picking node 0, so locality scheduling
-    degrades to generation-order spreading instead of piling tie tasks
-    onto the first node.
-
-    Scoring resolves each input against *current block residency*, not
-    the ref's recorded ``home_node``: a block that was lost with a failed
-    node (or otherwise evicted/moved since the ref was written) must not
-    earn its stale location any locality credit.  Views that maintain a
-    :class:`~repro.runtime.locality.LocalityIndex` over the ready set get
-    O(1) scores per ``(task, node)`` pair; views exposing only a
-    ``resident_node`` resolver get an O(inputs) sum; bare stubs fall back
-    to ``home_node``.
+    Lives for one :meth:`DataLocalityScheduler.select` call, during which
+    nothing reserves a slot, so every answer stays valid.
     """
 
-    policy = SchedulingPolicy.DATA_LOCALITY
+    def __init__(self, cluster: ClusterView, rotation: list[int]) -> None:
+        super().__init__()
+        self._cluster = cluster
+        self._rotation = rotation
 
-    def __init__(self) -> None:
-        self._next_node = 0
+    def __missing__(self, key: tuple[bool, int]) -> list[int]:
+        needs_gpu, ram_bytes = key
+        # A node without a zero-RAM slot has none for more RAM either.
+        pool = self[needs_gpu, 0] if ram_bytes else self._rotation
+        nodes = self[key] = [
+            node
+            for node in pool
+            if node_usable(self._cluster, node, needs_gpu, ram_bytes)
+        ]
+        return nodes
 
-    def select(
-        self,
-        ready: Sequence[Task],
-        cluster: ClusterView,
-        requires_gpu: GpuPredicate,
-    ) -> Assignment | None:
-        n = cluster.num_nodes()
-        index = getattr(cluster, "locality_index", None)
-        resolve = getattr(cluster, "resident_node", None)
-        for task in ready:
-            best_node: int | None = None
-            best_bytes = -1
-            needs_gpu = requires_gpu(task)
-            ram_bytes = task_ram_bytes(task)
-            by_node = index.bytes_map(task.task_id) if index is not None else None
-            for offset in range(n):
-                # Scanning from the round-robin cursor with a strict ">"
-                # makes the first usable node win ties, rotating tied
-                # placements across the cluster.
-                node = (self._next_node + offset) % n
-                if not node_usable(cluster, node, needs_gpu, ram_bytes):
-                    continue
-                if by_node is not None:
-                    local_bytes = by_node.get(node, 0)
-                elif resolve is not None:
-                    local_bytes = sum(
-                        ref.size_bytes
-                        for ref in task.inputs
-                        if resolve(ref) == node
-                    )
-                else:
-                    local_bytes = sum(
-                        ref.size_bytes
-                        for ref in task.inputs
-                        if ref.home_node == node
-                    )
-                if local_bytes > best_bytes:
-                    best_bytes = local_bytes
-                    best_node = node
-            if best_node is not None:
-                self._next_node = (best_node + 1) % n
-                return Assignment(task=task, node=best_node)
-        return None
+
+def _input_bytes_by_node(task: Task, cluster: ClusterView) -> Mapping[int, int]:
+    """Per-node input bytes of ``task``, from the best source the view has."""
+    index = getattr(cluster, "locality_index", None)
+    by_node = index.bytes_map(task.task_id) if index is not None else None
+    if by_node is not None:
+        return by_node
+    resolve = getattr(cluster, "resident_node", None)
+    return bytes_by_node(task, resolve if resolve is not None else _recorded_home)
+
+
+def _recorded_home(ref: DataRef) -> int:
+    return ref.home_node
 
 
 def make_scheduler(policy: SchedulingPolicy) -> Scheduler:

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.runtime.scheduler as scheduler_module
 from repro.runtime import DataRef, SchedulingPolicy, Task
 from repro.runtime.scheduler import (
     DataLocalityScheduler,
@@ -136,6 +137,57 @@ class TestDataLocality:
     def test_returns_none_when_cluster_full(self):
         scheduler = DataLocalityScheduler()
         assert scheduler.select([_task(0)], FakeCluster([0]), _never_gpu) is None
+
+
+class TestLocalityProbeCount:
+    """A saturated cluster costs the locality policy a bounded number of
+    probes per call, however long the ready queue."""
+
+    class CountingIndex:
+        def __init__(self):
+            self.bytes_map_calls = 0
+
+        def bytes_map(self, task_id):
+            self.bytes_map_calls += 1
+            return {}
+
+    def _probes(self, monkeypatch, cluster, ready, requires_gpu):
+        calls = []
+        original = scheduler_module.node_usable
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler_module, "node_usable", counted)
+        index = self.CountingIndex()
+        cluster.locality_index = index
+        choice = DataLocalityScheduler().select(ready, cluster, requires_gpu)
+        assert choice is None
+        assert index.bytes_map_calls == 0
+        return len(calls)
+
+    @pytest.mark.parametrize(
+        "free_cores, free_gpus, parallel, requires_gpu",
+        [
+            pytest.param([0] * 8, [1] * 8, False, _never_gpu, id="no-free-core"),
+            pytest.param([1] * 8, [0] * 8, True, _eligible_gpu, id="no-free-gpu"),
+        ],
+    )
+    def test_probes_do_not_grow_with_ready_queue(
+        self, monkeypatch, free_cores, free_gpus, parallel, requires_gpu
+    ):
+        probes = [
+            self._probes(
+                monkeypatch,
+                FakeCluster(free_cores, free_gpus),
+                [_task(i, input_homes=[i % 8], parallel=parallel)
+                 for i in range(num_ready)],
+                requires_gpu,
+            )
+            for num_ready in (50, 500)
+        ]
+        assert probes[0] == probes[1]
 
 
 class TestSelectBatch:

@@ -11,6 +11,10 @@ contracts every policy must honour:
 * ``DataLocalityScheduler`` breaks all-zero locality ties round-robin
   instead of piling every tie onto node 0 (regression for the
   tie-breaking fix);
+* its per-call requirement memo and saturated-cluster early exit make
+  exactly the decisions of a reference that probes every
+  ``(task, node)`` pair, on stubs that honour cores, GPUs, RAM and a
+  blacklist, under index, resolver and ``home_node`` scoring;
 * the fast dispatch path's incrementally maintained state — the ready
   queue, the GPU-intended counter, and the per-node
   :class:`~repro.runtime.locality.LocalityIndex` — equals a from-scratch
@@ -20,6 +24,8 @@ contracts every policy must honour:
   residency, so a stale ``home_node`` (block moved or evicted since the
   ref was written) earns no credit.
 """
+
+import dataclasses
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,10 +38,13 @@ from repro.runtime import DataRef, Runtime, RuntimeConfig, SchedulingPolicy, Tas
 from repro.runtime.backends.simulated import SimulatedExecutor
 from repro.runtime.locality import LocalityIndex
 from repro.runtime.scheduler import (
+    Assignment,
     DataLocalityScheduler,
     GenerationOrderScheduler,
     LifoScheduler,
     make_scheduler,
+    node_usable,
+    task_ram_bytes,
 )
 
 
@@ -280,6 +289,163 @@ def test_index_scores_win_over_both_home_and_resolver():
     choice = DataLocalityScheduler().select([task], cluster, _never_gpu)
     assert choice is not None
     assert choice.node == 2
+
+
+# ------------------------------------------- data-locality decision exactness
+
+
+class ReferenceLocalityScheduler:
+    """The straightforward data-locality policy: probe every
+    ``(task, node)`` pair of the ready queue, score every usable node."""
+
+    def __init__(self):
+        self._next_node = 0
+
+    def select(self, ready, cluster, requires_gpu):
+        n = cluster.num_nodes()
+        index = getattr(cluster, "locality_index", None)
+        resolve = getattr(cluster, "resident_node", None)
+        for task in ready:
+            best_node = None
+            best_bytes = -1
+            needs_gpu = requires_gpu(task)
+            ram_bytes = task_ram_bytes(task)
+            by_node = index.bytes_map(task.task_id) if index is not None else None
+            for offset in range(n):
+                node = (self._next_node + offset) % n
+                if not node_usable(cluster, node, needs_gpu, ram_bytes):
+                    continue
+                if by_node is not None:
+                    local_bytes = by_node.get(node, 0)
+                elif resolve is not None:
+                    local_bytes = sum(
+                        ref.size_bytes for ref in task.inputs if resolve(ref) == node
+                    )
+                else:
+                    local_bytes = sum(
+                        ref.size_bytes for ref in task.inputs if ref.home_node == node
+                    )
+                if local_bytes > best_bytes:
+                    best_bytes = local_bytes
+                    best_node = node
+            if best_node is not None:
+                self._next_node = (best_node + 1) % n
+                return Assignment(task=task, node=best_node)
+        return None
+
+
+class RamCluster(FakeCluster):
+    """A stub that honours per-node cores, GPUs, RAM and a blacklist.
+
+    Like the simulated executor's view, a CPU task takes ``cpu_cores``
+    cores and a GPU task one core plus one device, so a node may have a
+    slot for one kind of task and not the other.
+    """
+
+    def __init__(self, free_cores, free_gpus, free_ram, blacklist, cpu_cores):
+        super().__init__(free_cores, free_gpus, blacklist)
+        self.free_ram = list(free_ram)
+        self.cpu_cores = cpu_cores
+
+    def has_free_slot(self, node, needs_gpu, ram_bytes=0):
+        return (
+            self.free_cores[node] >= (1 if needs_gpu else self.cpu_cores)
+            and (not needs_gpu or self.free_gpus[node] >= 1)
+            and ram_bytes <= self.free_ram[node]
+        )
+
+    def claim(self, node, needs_gpu, ram_bytes, sign=1):
+        self.free_cores[node] -= sign * (1 if needs_gpu else self.cpu_cores)
+        if needs_gpu:
+            self.free_gpus[node] -= sign
+        self.free_ram[node] -= sign * ram_bytes
+
+
+@st.composite
+def locality_runs(draw):
+    """A cluster, a task pool and a release schedule for a dispatch run."""
+    n = draw(st.integers(1, 5))
+    cluster = RamCluster(
+        free_cores=draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+        free_gpus=draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
+        free_ram=draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)),
+        blacklist=draw(st.sets(st.integers(0, n - 1), max_size=n - 1)),
+        cpu_cores=draw(st.integers(1, 2)),
+    )
+    tasks = []
+    for task_id in range(draw(st.integers(1, 14))):
+        homes = draw(st.lists(st.integers(0, n), max_size=3))  # n: off-cluster
+        cost = dataclasses.replace(
+            _task(0).cost, host_memory_bytes=draw(st.sampled_from([0, 1, 2, 4]))
+        )
+        tasks.append(
+            Task(
+                task_id=task_id,
+                name=f"t{task_id}",
+                inputs=tuple(
+                    DataRef(size_bytes=draw(st.sampled_from([50, 100])), home_node=h)
+                    for h in homes
+                ),
+                outputs=(DataRef(size_bytes=10),),
+                cost=cost,
+            )
+        )
+    gpu_ids = draw(st.sets(st.sampled_from([t.task_id for t in tasks])))
+    moved = draw(st.dictionaries(st.integers(0, 40), st.integers(0, n)))
+    releases = draw(st.lists(st.integers(0, 13), max_size=6))
+    return cluster, tasks, gpu_ids, moved, releases
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=locality_runs(), scoring=st.sampled_from(["index", "resolver", "home"]))
+def test_locality_decisions_equal_probe_every_pair_reference(run, scoring):
+    # The per-call requirement memo and the saturated-cluster early exit
+    # must not change a single decision: both policies see the same
+    # cluster at every step, each pick is reserved before the next
+    # select (so the cursors move), and after each round runs dry one
+    # running task releases its slot and RAM.
+    cluster, tasks, gpu_ids, moved, releases = run
+    n = cluster.num_nodes()
+
+    def resolve(ref):
+        # Some blocks moved (possibly off-cluster) since the ref was made.
+        node = moved.get(ref.ref_id % 41, ref.home_node)
+        return node if node < n else None
+
+    def requires_gpu(task):
+        return task.task_id in gpu_ids
+
+    if scoring == "resolver":
+        cluster.resident_node = resolve
+    if scoring == "index":
+        # The index outranks the view's resolver, so give them different
+        # answers: a policy that skips the index scores differently.
+        cluster.resident_node = lambda ref: None
+        cluster.locality_index = LocalityIndex()
+        for task in tasks:
+            cluster.locality_index.add(task, resolve)
+
+    fast, reference = DataLocalityScheduler(), ReferenceLocalityScheduler()
+    ready, running = list(tasks), []
+    for release in [None, *releases]:
+        if release is not None and running:
+            task, node = running.pop(release % len(running))
+            cluster.claim(node, requires_gpu(task), task_ram_bytes(task), sign=-1)
+        while True:
+            choice = fast.select(ready, cluster, requires_gpu)
+            expected = reference.select(ready, cluster, requires_gpu)
+            got = None if choice is None else (choice.task.task_id, choice.node)
+            want = None if expected is None else (expected.task.task_id, expected.node)
+            assert got == want
+            if choice is None:
+                break
+            cluster.claim(choice.node, requires_gpu(choice.task),
+                          task_ram_bytes(choice.task))
+            ready.remove(choice.task)
+            if scoring == "index":
+                cluster.locality_index.discard(choice.task.task_id)
+            running.append((choice.task, choice.node))
+    assert fast._next_node == reference._next_node
 
 
 # ------------------------------------------------- locality-index equivalence
