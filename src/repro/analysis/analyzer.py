@@ -83,7 +83,7 @@ def analyze(
         Whether GPU execution is planned (enables the GPU feasibility
         and performance rules).
     backend:
-        Target backend name; real-execution backends skip the
+        Target backend name; the in-process backend skips the
         missing-cost rule.  ``Backend`` enum values are accepted.
     returned:
         The refs the application keeps as results (any nesting), so the

@@ -60,8 +60,8 @@ class RuleContext:
     cluster: ClusterSpec | None = None
     cost_model: CostModel | None = None
     use_gpu: bool = False
-    #: Backend the workflow targets ("simulated", "in_process",
-    #: "threaded") or ``None`` for backend-agnostic analysis.
+    #: Backend the workflow targets ("simulated", "in_process") or
+    #: ``None`` for backend-agnostic analysis.
     backend: str | None = "simulated"
     #: Ref ids the application keeps as workflow results, or ``None``
     #: when unknown (the dead-task rule then only flags interior tasks).

@@ -217,6 +217,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _or_usage_error(parser: argparse.ArgumentParser, build, *args):
+    """Return ``build(*args)``, reporting a rejected option as a usage error.
+
+    The constructors check their own arguments; a ``ValueError`` from one
+    (or an unreadable ``--faults @file``) is the user's input, not a bug,
+    so it exits 2 with one line on stderr instead of a traceback.
+    """
+    try:
+        return build(*args)
+    except (ValueError, OSError) as error:
+        parser.error(str(error))
+
+
 def _make_workflow(args) -> object:
     dataset = paper_datasets()[args.dataset]
     if args.algorithm == "matmul":
@@ -300,18 +313,10 @@ def _load_fault_plan(spec: str):
     return FaultPlan.from_json(spec)
 
 
-def _cmd_run(args) -> int:
-    from repro.analysis import TraceSanitizerError
-    from repro.core.experiments.runners import run_workflow
+def _run_config(args):
+    """The workflow and runtime configuration ``repro run`` executes."""
     from repro.faults import CheckpointPolicy, RetryPolicy
-    from repro.runtime import Runtime, RuntimeConfig
-    from repro.tracing import (
-        data_movement_metrics,
-        fault_metrics,
-        gantt,
-        parallel_task_metrics,
-        user_code_metrics,
-    )
+    from repro.runtime import RuntimeConfig
 
     workflow = _make_workflow(args)
     storage = StorageKind.LOCAL if args.storage == "local" else StorageKind.SHARED
@@ -341,6 +346,21 @@ def _cmd_run(args) -> int:
         checkpoint_policy=checkpoint_policy,
         sanitize=args.sanitize,
     )
+    return workflow, config
+
+
+def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
+    from repro.analysis import TraceSanitizerError
+    from repro.runtime import Runtime
+    from repro.tracing import (
+        data_movement_metrics,
+        fault_metrics,
+        gantt,
+        parallel_task_metrics,
+        user_code_metrics,
+    )
+
+    workflow, config = _or_usage_error(parser, _run_config, args)
     runtime = Runtime(config)
     workflow.build(runtime)
     print(f"DAG: {runtime.graph.describe()}")
@@ -352,7 +372,7 @@ def _cmd_run(args) -> int:
     if result.sanitizer is not None:
         print(result.sanitizer.render())
     print(f"makespan: {format_seconds(result.makespan)}")
-    if fault_plan is not None:
+    if config.fault_plan is not None:
         metrics = fault_metrics(result.trace)
         status = "FAILED" if result.failed else "recovered"
         print(
@@ -459,12 +479,12 @@ def _cmd_observations() -> int:
     return 1 if failed else 0
 
 
-def _cmd_lint(args) -> int:
+def _cmd_lint(args, parser: argparse.ArgumentParser) -> int:
     from repro.analysis import analyze_runtime
     from repro.runtime import Runtime, RuntimeConfig
 
-    cluster = cluster_presets()[args.preset](args.nodes)
-    workflow = _make_workflow(args)
+    cluster = _or_usage_error(parser, cluster_presets()[args.preset], args.nodes)
+    workflow = _or_usage_error(parser, _make_workflow, args)
     runtime = Runtime(RuntimeConfig(cluster=cluster, use_gpu=args.gpu))
     returned = workflow.build(runtime)
     report = analyze_runtime(runtime, returned=returned)
@@ -531,11 +551,11 @@ def _cmd_info() -> int:
     return 0
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args, parser: argparse.ArgumentParser) -> int:
     from repro.runtime import Runtime, RuntimeConfig
     from repro.tracing import decompose_overheads
 
-    workflow = _make_workflow(args)
+    workflow = _or_usage_error(parser, _make_workflow, args)
     storage = StorageKind.LOCAL if args.storage == "local" else StorageKind.SHARED
     runtime = Runtime(RuntimeConfig(storage=storage, use_gpu=args.gpu))
     workflow.build(runtime)
@@ -561,7 +581,8 @@ def _cmd_decompose(args) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.command == "figures":
         return _cmd_figures(
             args.which,
@@ -572,19 +593,19 @@ def main(argv: Sequence[str] | None = None) -> int:
             resume=args.resume,
         )
     if args.command == "run":
-        return _cmd_run(args)
+        return _cmd_run(args, parser)
     if args.command == "advise":
         return _cmd_advise(args)
     if args.command == "observations":
         return _cmd_observations()
     if args.command == "lint":
-        return _cmd_lint(args)
+        return _cmd_lint(args, parser)
     if args.command == "devlint":
         return _cmd_devlint(args)
     if args.command == "info":
         return _cmd_info()
     if args.command == "decompose":
-        return _cmd_decompose(args)
+        return _cmd_decompose(args, parser)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

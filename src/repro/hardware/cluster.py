@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.hardware.gpu import GpuDevice
 from repro.hardware.specs import ClusterSpec
-from repro.sim import BandwidthResource, CapacityResource, Simulator
+from repro.sim import BandwidthResource, CapacityResource, SimEngine
 
 
 class _EmptyDevicePool:
@@ -35,7 +35,7 @@ class _EmptyDevicePool:
 class SimulatedNode:
     """Per-node contended resources."""
 
-    def __init__(self, sim: Simulator, spec: ClusterSpec, index: int) -> None:
+    def __init__(self, sim: SimEngine, spec: ClusterSpec, index: int) -> None:
         node = spec.node
         self.index = index
         self.spec = node
@@ -146,7 +146,7 @@ class SimulatedNode:
 class SimulatedCluster:
     """All contended resources of a cluster, bound to one simulator."""
 
-    def __init__(self, sim: Simulator, spec: ClusterSpec) -> None:
+    def __init__(self, sim: SimEngine, spec: ClusterSpec) -> None:
         self.sim = sim
         self.spec = spec
         self.nodes = [SimulatedNode(sim, spec, i) for i in range(spec.num_nodes)]

@@ -6,14 +6,9 @@
 * :class:`~repro.runtime.backends.inprocess.InProcessExecutor` — really
   executes the task functions on NumPy data, for correctness testing of
   the algorithms and the DAG machinery.
-* :class:`~repro.runtime.backends.threaded.ThreadedExecutor` — the same
-  real execution on a thread pool, overlapping independent tasks (NumPy
-  releases the GIL), which makes the runtime usable as a small local
-  dataflow engine.
 """
 
 from repro.runtime.backends.inprocess import InProcessExecutor
 from repro.runtime.backends.simulated import SimulatedExecutor
-from repro.runtime.backends.threaded import ThreadedExecutor
 
-__all__ = ["InProcessExecutor", "SimulatedExecutor", "ThreadedExecutor"]
+__all__ = ["InProcessExecutor", "SimulatedExecutor"]

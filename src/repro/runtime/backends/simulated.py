@@ -79,8 +79,8 @@ from repro.runtime.scheduler import (
 from repro.runtime.task import Task
 from repro.sim import (
     Process,
+    SimEngine,
     SimEvent,
-    Simulator,
     Timeout,
     Transfer,
     WaitEvent,
@@ -361,7 +361,7 @@ class SimulatedExecutor:
         self._check_palette(graph)
         self._rng = _np.random.default_rng(self.jitter_seed)
         self._warmed_cores: set[tuple[int, int]] = set()
-        self.sim = Simulator()
+        self.sim = SimEngine()
         self.cluster = SimulatedCluster(self.sim, self.cluster_spec)
         self.trace = Trace()
         self.scheduler: Scheduler = make_scheduler(self.scheduling)

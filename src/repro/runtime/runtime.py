@@ -38,7 +38,6 @@ class Backend(str, enum.Enum):
 
     SIMULATED = "simulated"
     IN_PROCESS = "in_process"
-    THREADED = "threaded"
 
 
 @dataclass(frozen=True)
@@ -79,8 +78,6 @@ class RuntimeConfig:
     #: CPU cores when queueing for a device is expected to be slower (a
     #: mitigation technique from the paper's §2 survey).
     gpu_overflow_to_cpu: bool = False
-    #: Worker threads of the THREADED backend.
-    thread_workers: int = 4
     #: Injected failures for resilience experiments (simulated backend
     #: only): task crashes, node failures, runtime GPU OOM, stragglers.
     #: ``None`` runs fault-free and keeps the trace bit-identical to
@@ -313,15 +310,6 @@ class Runtime:
                 raise WorkflowValidationError(report)
         if self.config.backend is Backend.IN_PROCESS:
             trace = InProcessExecutor().execute(self.graph, self._data)
-            return WorkflowResult(
-                trace=trace, graph=self.graph, config=self.config, data=self._data
-            )
-        if self.config.backend is Backend.THREADED:
-            from repro.runtime.backends.threaded import ThreadedExecutor
-
-            trace = ThreadedExecutor(self.config.thread_workers).execute(
-                self.graph, self._data
-            )
             return WorkflowResult(
                 trace=trace, graph=self.graph, config=self.config, data=self._data
             )

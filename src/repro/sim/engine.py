@@ -39,21 +39,6 @@ class ScheduledEvent(list):
 
     __slots__ = ()
 
-    @property
-    def time(self) -> float:
-        """Absolute simulated time the callback fires at."""
-        return self[0]
-
-    @property
-    def seq(self) -> int:
-        """Monotonic tie-break for same-time events."""
-        return self[1]
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether the event was cancelled."""
-        return self[2] is None
-
     def cancel(self) -> None:
         """Mark the event so the event loop skips it."""
         self[2] = None
@@ -103,11 +88,6 @@ class SimEngine:
         """Number of events executed so far (useful for diagnostics)."""
         return self._processed
 
-    @property
-    def pending_events(self) -> int:
-        """Number of events still queued (cancelled events included)."""
-        return len(self._queue)
-
     def schedule(
         self,
         delay: float,
@@ -125,15 +105,6 @@ class SimEngine:
         heapq.heappush(self._queue, event)  # repro: disable=DL003
         return event
 
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        *args: Any,
-    ) -> ScheduledEvent:
-        """Schedule ``callback(*args)`` at absolute simulated time ``time``."""
-        return self.schedule(time - self._now, callback, *args)
-
     def peek_time(self) -> float | None:
         """Time of the next pending (non-cancelled) event, ``None`` if idle.
 
@@ -149,51 +120,19 @@ class SimEngine:
             return head[0]
         return None
 
-    def run(self, until: float | None = None) -> None:
-        """Run events until the queue drains or simulated time passes ``until``.
-
-        When ``until`` is given, events scheduled after it remain queued and
-        the clock is advanced exactly to ``until``.
-        """
+    def run(self) -> None:
+        """Run events until the queue drains."""
         queue = self._queue
         heappop = heapq.heappop
         processed = self._processed
         while queue:
-            entry = queue[0]
+            entry = heappop(queue)
             callback = entry[2]
             if callback is None:
-                heappop(queue)
                 continue
-            time = entry[0]
-            if until is not None and time > until:
-                break
-            heappop(queue)
-            self._now = time
+            self._now = entry[0]
             processed += 1
             # Write back before the callback runs: callbacks may inspect
             # the engine (or raise), and the counter must stay current.
             self._processed = processed
             callback(*entry[3])
-        if until is not None and until > self._now:
-            self._now = until
-
-    def step(self) -> bool:
-        """Execute the single next pending event.
-
-        Returns ``True`` if an event ran, ``False`` if the queue was empty.
-        """
-        queue = self._queue
-        while queue:
-            entry = heapq.heappop(queue)
-            callback = entry[2]
-            if callback is None:
-                continue
-            self._now = entry[0]
-            self._processed += 1
-            callback(*entry[3])
-            return True
-        return False
-
-
-#: Backwards-compatible alias: existing call sites construct ``Simulator()``.
-Simulator = SimEngine

@@ -2,16 +2,14 @@
 
 A process is a Python generator that yields *commands*; the engine executes
 the command and resumes the generator when it completes.  This mirrors the
-SimPy programming style and keeps executor code (e.g. "acquire a CPU core,
-read the block, run the kernel, release") readable as straight-line prose.
+SimPy programming style and keeps executor code (e.g. "read the block, run
+the kernel, write the result") readable as straight-line prose.
 
 Supported commands:
 
 * :class:`Timeout` — sleep for simulated seconds.
-* :class:`Acquire` / :class:`Release` — slots on a :class:`CapacityResource`.
 * :class:`Transfer` — move bytes through a :class:`BandwidthResource`.
 * :class:`WaitEvent` — wait for a :class:`SimEvent` (receives its value).
-* :class:`AllOf` — wait for several events at once.
 
 A process finishing (or raising) fires its ``done`` event, so processes can
 wait on one another.
@@ -20,21 +18,21 @@ Processes can also be **interrupted**: :meth:`Process.interrupt` throws an
 exception into the generator at its current suspension point (modelling
 e.g. a node failure killing a resident task).  The command the process was
 waiting on is abandoned — a pending :class:`Timeout` is cancelled, and the
-completion callback of an in-flight :class:`Transfer`/:class:`Acquire`/
-:class:`WaitEvent` is ignored when it later fires.  Note that abandoning
-an :class:`Acquire` this way leaks the granted slots (the grant arrives
-after the process stopped caring); interrupt-safe code should reserve
-capacity with ``try_request`` instead, the way the simulated executor
-does.
+completion callback of an in-flight :class:`Transfer`/:class:`WaitEvent`
+is ignored when it later fires.  Cores and devices are not process
+commands: the simulated executor takes them with
+``CapacityResource.try_request`` before a task's process starts and
+releases them itself when the process ends or is interrupted, so an
+interrupt cannot leak a slot.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterable
+from typing import Any, Generator
 
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.engine import SimEngine, SimulationError
 from repro.sim.events import SimEvent
-from repro.sim.resources import BandwidthResource, CapacityResource
+from repro.sim.resources import BandwidthResource
 
 
 class Command:
@@ -52,26 +50,6 @@ class Timeout(Command):
         if delay < 0:
             raise SimulationError(f"timeout must be non-negative, got {delay}")
         self.delay = delay
-
-
-class Acquire(Command):
-    """Block until ``amount`` slots of ``resource`` are granted."""
-
-    __slots__ = ("resource", "amount")
-
-    def __init__(self, resource: CapacityResource, amount: int = 1) -> None:
-        self.resource = resource
-        self.amount = amount
-
-
-class Release(Command):
-    """Return ``amount`` slots to ``resource`` (never blocks)."""
-
-    __slots__ = ("resource", "amount")
-
-    def __init__(self, resource: CapacityResource, amount: int = 1) -> None:
-        self.resource = resource
-        self.amount = amount
 
 
 class Transfer(Command):
@@ -93,21 +71,12 @@ class WaitEvent(Command):
         self.event = event
 
 
-class AllOf(Command):
-    """Block until every event in ``events`` has fired."""
-
-    __slots__ = ("events",)
-
-    def __init__(self, events: Iterable[SimEvent]) -> None:
-        self.events = list(events)
-
-
 class Process:
     """Drives a generator of :class:`Command` objects to completion."""
 
     def __init__(
         self,
-        sim: Simulator,
+        sim: SimEngine,
         generator: Generator[Command, Any, Any],
         name: str = "",
         autostart: bool = True,
@@ -152,7 +121,7 @@ class Process:
         """Throw ``error`` into the process at its suspension point.
 
         The command the process was waiting on is abandoned (see module
-        docstring for the Acquire caveat).  Interrupting a finished
+        docstring).  Interrupting a finished
         process is a no-op; the throw is delivered as a zero-delay event
         so the interrupter's own callback completes first.
         """
@@ -213,15 +182,6 @@ class Process:
             command.event.add_callback(
                 lambda event: self._on_event(epoch, event)
             )
-        elif cls is Acquire:
-            command.resource.request(
-                command.amount, lambda: self._guarded_resume(epoch, None)
-            )
-        elif cls is Release:
-            command.resource.release(command.amount)
-            self._pending = self._sim.schedule(0.0, self._resume, None)
-        elif cls is AllOf:
-            self._wait_all(epoch, command.events)
         else:
             self._throw(SimulationError(f"unknown command: {command!r}"))
 
@@ -232,23 +192,3 @@ class Process:
             self._throw(event.error)
         else:
             self._resume(event.value)
-
-    def _wait_all(self, epoch: int, events: list[SimEvent]) -> None:
-        if not events:
-            self._pending = self._sim.schedule(0.0, self._resume, [])
-            return
-        pending = {"count": len(events)}
-        first_error: list[BaseException] = []
-
-        def on_fire(event: SimEvent) -> None:
-            if event.error is not None and not first_error:
-                first_error.append(event.error)
-            pending["count"] -= 1
-            if pending["count"] == 0 and epoch == self._epoch:
-                if first_error:
-                    self._throw(first_error[0])
-                else:
-                    self._resume([e.value for e in events])
-
-        for event in events:
-            event.add_callback(on_fire)

@@ -3,8 +3,7 @@
 Two resource flavours cover everything the cluster model needs:
 
 * :class:`CapacityResource` — a pool of identical slots acquired whole
-  (CPU cores, GPU devices).  Waiters are served FIFO, which mirrors how the
-  paper's runtime hands ready tasks to workers in generation order.
+  (CPU cores, GPU devices).
 * :class:`BandwidthResource` — an egalitarian processor-sharing channel
   (disk, network link, PCIe bus).  ``n`` concurrent jobs each progress at
   ``bandwidth / n`` (optionally capped per job), so contention effects such as
@@ -17,7 +16,7 @@ import math
 from collections import deque
 from typing import Callable
 
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.engine import SimEngine, SimulationError
 
 # Completion times within this many seconds of each other are treated as
 # simultaneous by the processor-sharing resource, absorbing floating-point
@@ -30,15 +29,19 @@ _RELATIVE_BYTE_EPSILON = 1e-9
 
 
 class CapacityResource:
-    """A pool of ``capacity`` identical slots with FIFO waiters.
+    """A pool of ``capacity`` identical slots.
 
-    Requests are granted immediately when slots are free; otherwise the
-    request callback is queued and invoked as soon as enough slots are
-    released.  A request may ask for several slots at once, but a request
-    larger than the total capacity can never be satisfied and is rejected.
+    The simulated executor uses it as a counter: :meth:`try_request`
+    takes slots only if they are free right now, and :meth:`release`
+    returns them; its scheduler decides who waits.  :meth:`request` grants
+    immediately when slots are free and otherwise queues its callback in
+    a FIFO served by :meth:`release` — waiters come only from
+    :meth:`request`.  A request may ask for several slots at once, but a
+    request larger than the total capacity can never be satisfied and is
+    rejected.
     """
 
-    def __init__(self, sim: Simulator, capacity: int, name: str = "") -> None:
+    def __init__(self, sim: SimEngine, capacity: int, name: str = "") -> None:
         if capacity <= 0:
             raise SimulationError(f"capacity must be positive, got {capacity}")
         self._sim = sim
@@ -59,17 +62,12 @@ class CapacityResource:
         return self.capacity - self._in_use
 
     @property
-    def queued(self) -> int:
-        """Number of pending requests."""
-        return len(self._waiters)
-
-    @property
     def peak_in_use(self) -> int:
         """High-water mark of concurrently held slots."""
         return self._peak_in_use
 
     def request(self, amount: int, callback: Callable[[], None]) -> None:
-        """Acquire ``amount`` slots, invoking ``callback`` once granted."""
+        """Take ``amount`` slots, invoking ``callback`` once granted."""
         if amount <= 0:
             raise SimulationError(f"request amount must be positive, got {amount}")
         if amount > self.capacity:
@@ -83,7 +81,7 @@ class CapacityResource:
             self._waiters.append((amount, callback))
 
     def try_request(self, amount: int) -> bool:
-        """Acquire ``amount`` slots immediately if free; never queues."""
+        """Take ``amount`` slots immediately if free; never queues."""
         if amount <= 0:
             raise SimulationError(f"request amount must be positive, got {amount}")
         if self._waiters or self._in_use + amount > self.capacity:
@@ -170,7 +168,7 @@ class BandwidthResource:
 
     def __init__(
         self,
-        sim: Simulator,
+        sim: SimEngine,
         bandwidth: float,
         name: str = "",
         per_job_cap: float | None = None,
@@ -192,11 +190,6 @@ class BandwidthResource:
         self._completion_event = None
         self._bytes_done = 0.0
         self._peak_jobs = 0
-
-    @property
-    def active_jobs(self) -> int:
-        """Number of transfers currently in flight."""
-        return len(self._jobs)
 
     @property
     def peak_jobs(self) -> int:

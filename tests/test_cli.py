@@ -80,6 +80,57 @@ class TestParser:
             main([])
 
 
+class TestBadArguments:
+    """A value a constructor rejects is a usage error: exit 2, one line."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param("run --grid 0", "grid dimensions must be positive",
+                         id="run-grid"),
+            pytest.param("run --clusters 0", "n_clusters must be positive",
+                         id="run-clusters"),
+            pytest.param("run --grid 4 --checkpoint-every 0",
+                         "every_levels must be >= 1", id="run-checkpoint-every"),
+            pytest.param("run --grid 4 --max-attempts 0 --recover",
+                         "max_attempts must be >= 1", id="run-max-attempts"),
+            pytest.param("run --grid 4 --faults {bad",
+                         "Expecting property name enclosed in double quotes: "
+                         "line 1 column 2 (char 1)", id="run-faults"),
+            pytest.param("lint --grid 0", "grid dimensions must be positive",
+                         id="lint-grid"),
+            pytest.param("lint --clusters 0", "n_clusters must be positive",
+                         id="lint-clusters"),
+            pytest.param("lint --nodes 0", "num_nodes must be positive",
+                         id="lint-nodes"),
+            pytest.param("decompose --grid 0",
+                         "grid dimensions must be positive", id="decompose-grid"),
+        ],
+    )
+    def test_rejected_value_exits_2_with_one_line(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv.split())
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == f"repro: error: {message}"
+        assert "Traceback" not in captured.err
+
+    def test_missing_faults_file_exits_2(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--grid", "4", "--faults", f"@{tmp_path / 'none.json'}"])
+        assert exit_info.value.code == 2
+        assert "No such file or directory" in capsys.readouterr().err
+
+    def test_failed_workflow_still_exits_1(self, capsys):
+        # Distinct from a usage error: the arguments were fine, the run failed.
+        spec = '{"task_crashes": [{"task_type": "partial_sum"}]}'
+        code = main(["run", "--grid", "4", "--iterations", "1",
+                     "--faults", spec, "--max-attempts", "1"])
+        assert code == 1
+        assert "faults: FAILED" in capsys.readouterr().out
+
+
 class TestDecompose:
     def test_decompose_kmeans(self, capsys):
         code = main(["decompose", "--algorithm", "kmeans", "--grid", "16",

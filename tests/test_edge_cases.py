@@ -3,47 +3,22 @@
 import pytest
 
 from repro.data import Blocking, DatasetSpec, GridSpec
-from repro.sim import BandwidthResource, SimulationError, Simulator
-
-
-class TestSimulatorEdges:
-    def test_schedule_at_past_rejected(self):
-        sim = Simulator()
-        sim.schedule(5.0, lambda: None)
-        sim.run()
-        with pytest.raises(SimulationError):
-            sim.schedule_at(1.0, lambda: None)
-
-    def test_run_until_skips_cancelled_head(self):
-        sim = Simulator()
-        head = sim.schedule(1.0, lambda: None)
-        seen = []
-        sim.schedule(2.0, seen.append, "x")
-        head.cancel()
-        sim.run(until=3.0)
-        assert seen == ["x"]
-        assert sim.now == 3.0
-
-    def test_pending_events_counts_cancelled(self):
-        sim = Simulator()
-        event = sim.schedule(1.0, lambda: None)
-        event.cancel()
-        assert sim.pending_events == 1
+from repro.sim import BandwidthResource, SimEngine
 
 
 class TestBandwidthResourceEdges:
     def test_current_rate_idle_is_zero(self):
-        resource = BandwidthResource(Simulator(), 100.0)
+        resource = BandwidthResource(SimEngine(), 100.0)
         assert resource.current_rate() == 0.0
 
     def test_current_rate_respects_cap(self):
-        sim = Simulator()
+        sim = SimEngine()
         resource = BandwidthResource(sim, 100.0, per_job_cap=10.0)
         resource.submit(1000.0, lambda: None)
         assert resource.current_rate() == 10.0
 
     def test_peak_jobs_tracks_concurrency(self):
-        sim = Simulator()
+        sim = SimEngine()
         resource = BandwidthResource(sim, 100.0)
         for _ in range(5):
             resource.submit(100.0, lambda: None)
@@ -51,7 +26,7 @@ class TestBandwidthResourceEdges:
         assert resource.peak_jobs == 5
 
     def test_many_tiny_jobs_all_complete(self):
-        sim = Simulator()
+        sim = SimEngine()
         resource = BandwidthResource(sim, 1e9)
         done = []
         for i in range(200):

@@ -16,7 +16,7 @@ from repro.hardware import (
     StorageKind,
     minotauro,
 )
-from repro.sim import Simulator
+from repro.sim import SimEngine
 
 
 class TestMinotauroPreset:
@@ -144,7 +144,7 @@ class TestHostMemory:
 
 class TestSimulatedCluster:
     def test_resources_match_spec(self):
-        sim = Simulator()
+        sim = SimEngine()
         cluster = SimulatedCluster(sim, minotauro())
         assert len(cluster.nodes) == 8
         assert cluster.total_cpu_cores == 128
@@ -155,7 +155,7 @@ class TestSimulatedCluster:
         assert len(node.gpu_devices) == 4
 
     def test_claim_gpu_prefers_most_free_memory(self):
-        sim = Simulator()
+        sim = SimEngine()
         cluster = SimulatedCluster(sim, minotauro())
         node = cluster.nodes[0]
         node.gpu_devices[0].allocate(2**30)
@@ -163,7 +163,7 @@ class TestSimulatedCluster:
         assert chosen is not node.gpu_devices[0]
 
     def test_node_of_core(self):
-        sim = Simulator()
+        sim = SimEngine()
         cluster = SimulatedCluster(sim, minotauro())
         assert cluster.node_of_core(0) == 0
         assert cluster.node_of_core(15) == 0

@@ -96,9 +96,9 @@ class TestRamAccounting:
 class TestNodeRamApi:
     def test_reserve_release_roundtrip(self):
         from repro.hardware import SimulatedCluster
-        from repro.sim import Simulator
+        from repro.sim import SimEngine
 
-        node = SimulatedCluster(Simulator(), minotauro()).nodes[0]
+        node = SimulatedCluster(SimEngine(), minotauro()).nodes[0]
         node.reserve_ram(GIB)
         assert node.ram_in_use == GIB
         node.release_ram(GIB)
@@ -106,16 +106,16 @@ class TestNodeRamApi:
 
     def test_over_reservation_rejected(self):
         from repro.hardware import SimulatedCluster
-        from repro.sim import Simulator
+        from repro.sim import SimEngine
 
-        node = SimulatedCluster(Simulator(), minotauro()).nodes[0]
+        node = SimulatedCluster(SimEngine(), minotauro()).nodes[0]
         with pytest.raises(ValueError):
             node.reserve_ram(200 * GIB)
 
     def test_over_release_rejected(self):
         from repro.hardware import SimulatedCluster
-        from repro.sim import Simulator
+        from repro.sim import SimEngine
 
-        node = SimulatedCluster(Simulator(), minotauro()).nodes[0]
+        node = SimulatedCluster(SimEngine(), minotauro()).nodes[0]
         with pytest.raises(ValueError):
             node.release_ram(1)

@@ -3,15 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import SimulationError, Simulator
+from repro.sim import SimEngine, SimulationError
 
 
 class TestScheduling:
     def test_clock_starts_at_zero(self):
-        assert Simulator().now == 0.0
+        assert SimEngine().now == 0.0
 
     def test_events_run_in_time_order(self):
-        sim = Simulator()
+        sim = SimEngine()
         seen = []
         sim.schedule(2.0, seen.append, "late")
         sim.schedule(1.0, seen.append, "early")
@@ -19,13 +19,13 @@ class TestScheduling:
         assert seen == ["early", "late"]
 
     def test_clock_advances_to_event_time(self):
-        sim = Simulator()
+        sim = SimEngine()
         sim.schedule(3.5, lambda: None)
         sim.run()
         assert sim.now == 3.5
 
     def test_ties_run_in_schedule_order(self):
-        sim = Simulator()
+        sim = SimEngine()
         seen = []
         for label in ("a", "b", "c"):
             sim.schedule(1.0, seen.append, label)
@@ -34,18 +34,10 @@ class TestScheduling:
 
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
-            Simulator().schedule(-0.1, lambda: None)
-
-    def test_schedule_at_absolute_time(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule_at(5.0, seen.append, "x")
-        sim.run()
-        assert seen == ["x"]
-        assert sim.now == 5.0
+            SimEngine().schedule(-0.1, lambda: None)
 
     def test_callbacks_can_schedule_more_events(self):
-        sim = Simulator()
+        sim = SimEngine()
         seen = []
 
         def chain(n):
@@ -58,10 +50,17 @@ class TestScheduling:
         assert seen == [0, 1, 2, 3]
         assert sim.now == 3.0
 
+    def test_processed_event_counter(self):
+        sim = SimEngine()
+        for _ in range(4):
+            sim.schedule(1.0, lambda: None)
+        sim.run()
+        assert sim.processed_events == 4
+
 
 class TestCancellation:
     def test_cancelled_event_does_not_run(self):
-        sim = Simulator()
+        sim = SimEngine()
         seen = []
         event = sim.schedule(1.0, seen.append, "never")
         event.cancel()
@@ -69,58 +68,12 @@ class TestCancellation:
         assert seen == []
 
     def test_cancelled_events_do_not_advance_clock(self):
-        sim = Simulator()
+        sim = SimEngine()
         event = sim.schedule(9.0, lambda: None)
         sim.schedule(1.0, lambda: None)
         event.cancel()
         sim.run()
         assert sim.now == 1.0
-
-
-class TestRunUntil:
-    def test_run_until_stops_before_later_events(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule(1.0, seen.append, "a")
-        sim.schedule(5.0, seen.append, "b")
-        sim.run(until=2.0)
-        assert seen == ["a"]
-        assert sim.now == 2.0
-
-    def test_run_until_then_resume(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule(1.0, seen.append, "a")
-        sim.schedule(5.0, seen.append, "b")
-        sim.run(until=2.0)
-        sim.run()
-        assert seen == ["a", "b"]
-        assert sim.now == 5.0
-
-    def test_run_until_advances_clock_with_empty_queue(self):
-        sim = Simulator()
-        sim.run(until=7.0)
-        assert sim.now == 7.0
-
-
-class TestStep:
-    def test_step_runs_exactly_one_event(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule(1.0, seen.append, "a")
-        sim.schedule(2.0, seen.append, "b")
-        assert sim.step() is True
-        assert seen == ["a"]
-
-    def test_step_on_empty_queue_returns_false(self):
-        assert Simulator().step() is False
-
-    def test_processed_event_counter(self):
-        sim = Simulator()
-        for _ in range(4):
-            sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert sim.processed_events == 4
 
 
 class TestKernelHeapOrder:
@@ -150,27 +103,37 @@ class TestKernelHeapOrder:
     )
     @settings(max_examples=100, deadline=None)
     def test_interleaved_push_pop_fire_order(self, batches, cancel_every):
-        sim = Simulator()
+        sim = SimEngine()
         fired: list[int] = []
         created: list[tuple[float, int]] = []  # (absolute time, label)
         cancelled: set[int] = set()
+        remaining = iter(batches)
 
         def push(delay: float) -> None:
             label = len(created)
-            event = sim.schedule(delay, fired.append, label)
+            event = sim.schedule(delay, fire, label)
             created.append((sim.now + delay, label))
             if cancel_every and label % (cancel_every + 1) == cancel_every:
                 event.cancel()
                 cancelled.add(label)
 
-        for delay in batches[0]:
-            push(delay)
-        # Interleave: one pop per remaining batch, pushing the batch's
-        # events (relative to the advanced clock) after the pop.
-        for batch in batches[1:]:
-            sim.step()
-            for delay in batch:
-                push(delay)
+        def push_next_batch() -> None:
+            # Push the next batch relative to the current clock; while no
+            # live event is queued, push the batch after it too, since
+            # nothing else would fire to do so.
+            for batch in remaining:
+                for delay in batch:
+                    push(delay)
+                if sim.peek_time() is not None:
+                    return
+
+        def fire(label: int) -> None:
+            # Interleave: each pop pushes one more batch from inside the
+            # event loop, the way executor callbacks schedule new work.
+            fired.append(label)
+            push_next_batch()
+
+        sim.schedule(0.0, push_next_batch)
         sim.run()
 
         expected = [
@@ -182,11 +145,12 @@ class TestKernelHeapOrder:
             )
         ]
         assert fired == expected
+        assert next(remaining, None) is None
 
     @given(count=st.integers(min_value=2, max_value=20))
     @settings(max_examples=50, deadline=None)
     def test_same_time_events_fire_in_schedule_order(self, count):
-        sim = Simulator()
+        sim = SimEngine()
         fired: list[int] = []
         for i in range(count):
             sim.schedule(1.0, fired.append, i)

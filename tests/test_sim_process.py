@@ -3,15 +3,11 @@
 import pytest
 
 from repro.sim import (
-    Acquire,
-    AllOf,
     BandwidthResource,
-    CapacityResource,
     Process,
-    Release,
+    SimEngine,
     SimEvent,
     SimulationError,
-    Simulator,
     Timeout,
     Transfer,
     WaitEvent,
@@ -20,7 +16,7 @@ from repro.sim import (
 
 class TestProcessBasics:
     def test_timeout_advances_clock(self):
-        sim = Simulator()
+        sim = SimEngine()
 
         def proc():
             yield Timeout(1.5)
@@ -32,7 +28,7 @@ class TestProcessBasics:
         assert sim.now == 2.0
 
     def test_return_value_propagates_through_done_event(self):
-        sim = Simulator()
+        sim = SimEngine()
 
         def proc():
             yield Timeout(1.0)
@@ -43,7 +39,7 @@ class TestProcessBasics:
         assert p.done.value == "result"
 
     def test_exception_fails_done_event(self):
-        sim = Simulator()
+        sim = SimEngine()
 
         def proc():
             yield Timeout(1.0)
@@ -57,7 +53,7 @@ class TestProcessBasics:
             _ = p.done.value
 
     def test_unknown_command_raises_inside_process(self):
-        sim = Simulator()
+        sim = SimEngine()
 
         def proc():
             yield "not a command"
@@ -68,27 +64,8 @@ class TestProcessBasics:
 
 
 class TestResourceCommands:
-    def test_acquire_release_roundtrip(self):
-        sim = Simulator()
-        res = CapacityResource(sim, 1)
-        order = []
-
-        def proc(name, hold):
-            yield Acquire(res)
-            order.append((name, "in", sim.now))
-            yield Timeout(hold)
-            yield Release(res)
-            order.append((name, "out", sim.now))
-
-        Process(sim, proc("a", 1.0))
-        Process(sim, proc("b", 1.0))
-        sim.run()
-        assert order[0][:2] == ("a", "in")
-        b_in = [o for o in order if o[:2] == ("b", "in")][0]
-        assert b_in[2] == pytest.approx(1.0)
-
     def test_transfer_through_bandwidth_resource(self):
-        sim = Simulator()
+        sim = SimEngine()
         disk = BandwidthResource(sim, 10.0)
         times = []
 
@@ -103,7 +80,7 @@ class TestResourceCommands:
 
 class TestEventCommands:
     def test_wait_event_receives_value(self):
-        sim = Simulator()
+        sim = SimEngine()
         gate = SimEvent()
         got = []
 
@@ -117,7 +94,7 @@ class TestEventCommands:
         assert got == [(42, 2.0)]
 
     def test_wait_on_already_fired_event(self):
-        sim = Simulator()
+        sim = SimEngine()
         gate = SimEvent()
         gate.succeed("early")
         got = []
@@ -131,7 +108,7 @@ class TestEventCommands:
         assert got == ["early"]
 
     def test_failed_event_raises_in_waiter(self):
-        sim = Simulator()
+        sim = SimEngine()
         gate = SimEvent()
         caught = []
 
@@ -146,35 +123,8 @@ class TestEventCommands:
         sim.run()
         assert caught == ["bad"]
 
-    def test_all_of_waits_for_every_event(self):
-        sim = Simulator()
-        gates = [SimEvent() for _ in range(3)]
-        got = []
-
-        def waiter():
-            values = yield AllOf(gates)
-            got.append((values, sim.now))
-
-        Process(sim, waiter())
-        for i, gate in enumerate(gates):
-            sim.schedule(float(i + 1), gate.succeed, i)
-        sim.run()
-        assert got == [([0, 1, 2], 3.0)]
-
-    def test_all_of_empty_completes_immediately(self):
-        sim = Simulator()
-        got = []
-
-        def waiter():
-            values = yield AllOf([])
-            got.append(values)
-
-        Process(sim, waiter())
-        sim.run()
-        assert got == [[]]
-
     def test_processes_wait_on_each_other(self):
-        sim = Simulator()
+        sim = SimEngine()
 
         def producer():
             yield Timeout(2.0)

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.sim import BandwidthResource, CapacityResource, SimulationError, Simulator
+from repro.sim import BandwidthResource, CapacityResource, SimEngine, SimulationError
 
 
 class TestCapacityResource:
     def test_grants_immediately_when_free(self):
-        sim = Simulator()
+        sim = SimEngine()
         res = CapacityResource(sim, 2)
         granted = []
         res.request(1, lambda: granted.append("a"))
@@ -15,7 +15,7 @@ class TestCapacityResource:
         assert res.in_use == 1
 
     def test_queues_when_full_and_serves_fifo(self):
-        sim = Simulator()
+        sim = SimEngine()
         res = CapacityResource(sim, 1)
         order = []
         res.request(1, lambda: order.append("first"))
@@ -28,7 +28,7 @@ class TestCapacityResource:
         assert order == ["first", "second", "third"]
 
     def test_multi_slot_request_waits_for_enough(self):
-        sim = Simulator()
+        sim = SimEngine()
         res = CapacityResource(sim, 3)
         order = []
         res.request(2, lambda: order.append("two"))
@@ -39,7 +39,7 @@ class TestCapacityResource:
 
     def test_head_of_line_blocking(self):
         # A large queued request blocks later small ones (FIFO fairness).
-        sim = Simulator()
+        sim = SimEngine()
         res = CapacityResource(sim, 2)
         order = []
         res.request(2, lambda: order.append("big"))
@@ -49,7 +49,7 @@ class TestCapacityResource:
         assert order == ["big", "big2"]
 
     def test_try_request(self):
-        sim = Simulator()
+        sim = SimEngine()
         res = CapacityResource(sim, 1)
         assert res.try_request(1) is True
         assert res.try_request(1) is False
@@ -57,19 +57,19 @@ class TestCapacityResource:
         assert res.try_request(1) is True
 
     def test_over_capacity_request_rejected(self):
-        sim = Simulator()
+        sim = SimEngine()
         res = CapacityResource(sim, 2)
         with pytest.raises(SimulationError):
             res.request(3, lambda: None)
 
     def test_over_release_rejected(self):
-        sim = Simulator()
+        sim = SimEngine()
         res = CapacityResource(sim, 2)
         with pytest.raises(SimulationError):
             res.release(1)
 
     def test_peak_in_use_tracking(self):
-        sim = Simulator()
+        sim = SimEngine()
         res = CapacityResource(sim, 4)
         res.request(3, lambda: None)
         res.release(2)
@@ -77,12 +77,12 @@ class TestCapacityResource:
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(SimulationError):
-            CapacityResource(Simulator(), 0)
+            CapacityResource(SimEngine(), 0)
 
 
 class TestBandwidthResource:
     def test_single_job_runs_at_full_bandwidth(self):
-        sim = Simulator()
+        sim = SimEngine()
         res = BandwidthResource(sim, 100.0)
         done = []
         res.submit(200.0, lambda: done.append(sim.now))
@@ -90,7 +90,7 @@ class TestBandwidthResource:
         assert done == [pytest.approx(2.0)]
 
     def test_two_equal_jobs_share_bandwidth(self):
-        sim = Simulator()
+        sim = SimEngine()
         res = BandwidthResource(sim, 100.0)
         done = []
         res.submit(100.0, lambda: done.append(sim.now))
@@ -100,7 +100,7 @@ class TestBandwidthResource:
         assert done == [pytest.approx(2.0), pytest.approx(2.0)]
 
     def test_late_joiner_slows_in_flight_job(self):
-        sim = Simulator()
+        sim = SimEngine()
         res = BandwidthResource(sim, 100.0)
         done = {}
         res.submit(100.0, lambda: done.setdefault("a", sim.now))
@@ -112,7 +112,7 @@ class TestBandwidthResource:
         assert done["b"] == pytest.approx(2.0)
 
     def test_per_job_cap_limits_single_stream(self):
-        sim = Simulator()
+        sim = SimEngine()
         res = BandwidthResource(sim, 100.0, per_job_cap=25.0)
         done = []
         res.submit(100.0, lambda: done.append(sim.now))
@@ -120,7 +120,7 @@ class TestBandwidthResource:
         assert done == [pytest.approx(4.0)]
 
     def test_per_job_cap_allows_aggregate(self):
-        sim = Simulator()
+        sim = SimEngine()
         res = BandwidthResource(sim, 100.0, per_job_cap=25.0)
         done = []
         for _ in range(4):
@@ -130,7 +130,7 @@ class TestBandwidthResource:
         assert done == [pytest.approx(1.0)] * 4
 
     def test_latency_is_added_before_transfer(self):
-        sim = Simulator()
+        sim = SimEngine()
         res = BandwidthResource(sim, 100.0, latency=0.5)
         done = []
         res.submit(100.0, lambda: done.append(sim.now))
@@ -138,7 +138,7 @@ class TestBandwidthResource:
         assert done == [pytest.approx(1.5)]
 
     def test_zero_byte_transfer_completes(self):
-        sim = Simulator()
+        sim = SimEngine()
         res = BandwidthResource(sim, 100.0)
         done = []
         res.submit(0.0, lambda: done.append(sim.now))
@@ -146,7 +146,7 @@ class TestBandwidthResource:
         assert done == [pytest.approx(0.0)]
 
     def test_bytes_transferred_accounting(self):
-        sim = Simulator()
+        sim = SimEngine()
         res = BandwidthResource(sim, 100.0)
         res.submit(30.0, lambda: None)
         res.submit(70.0, lambda: None)
@@ -154,13 +154,13 @@ class TestBandwidthResource:
         assert res.bytes_transferred == pytest.approx(100.0)
 
     def test_negative_size_rejected(self):
-        sim = Simulator()
+        sim = SimEngine()
         res = BandwidthResource(sim, 100.0)
         with pytest.raises(SimulationError):
             res.submit(-1.0, lambda: None)
 
     def test_invalid_construction(self):
-        sim = Simulator()
+        sim = SimEngine()
         with pytest.raises(SimulationError):
             BandwidthResource(sim, 0.0)
         with pytest.raises(SimulationError):
@@ -169,7 +169,7 @@ class TestBandwidthResource:
             BandwidthResource(sim, 10.0, latency=-1.0)
 
     def test_many_unequal_jobs_complete_in_size_order(self):
-        sim = Simulator()
+        sim = SimEngine()
         res = BandwidthResource(sim, 60.0)
         done = []
         for size, name in ((30.0, "s"), (60.0, "m"), (90.0, "l")):

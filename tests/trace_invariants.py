@@ -1,7 +1,7 @@
 """Shared trace invariants, asserted by the backend and fault tests.
 
-Every executor — simulated, threaded, fault-injected — must produce
-traces satisfying the same structural properties:
+Every simulated run — fault-free, fault-injected, recovered — must
+produce traces satisfying the same structural properties:
 
 * work placed on one (node, core) slot never overlaps in time;
 * a retried task's attempts are time-ordered (attempt n ends before
