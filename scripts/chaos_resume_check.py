@@ -49,7 +49,6 @@ from repro.core.experiments.engine import (  # noqa: E402
     cells_product,
     model_fingerprint,
 )
-from repro.core.supervise import SupervisionPolicy  # noqa: E402
 
 #: Kill the child once this many cells are DONE (and not all of them).
 KILL_AFTER_DONE = 3
@@ -80,22 +79,9 @@ def chaos_plan() -> ChaosPlan:
     )
 
 
-def policy() -> SupervisionPolicy:
-    return SupervisionPolicy(
-        item_deadline=30.0,
-        heartbeat_interval=1.0,
-        heartbeat_grace=5.0,
-        max_attempts=3,
-        backoff_base=0.05,
-        allow_degraded=True,
-    )
-
-
 def child_main(cache_dir: str) -> int:
     """The victim: a chaotic sharded sweep that expects to be killed."""
-    with SweepEngine(
-        jobs=2, cache_dir=cache_dir, policy=policy(), chaos=chaos_plan()
-    ) as engine:
+    with SweepEngine(jobs=2, cache_dir=cache_dir, chaos=chaos_plan()) as engine:
         engine.run_cells(sweep_cells())
         print(engine.stats.line())
     return 0

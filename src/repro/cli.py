@@ -244,26 +244,25 @@ def _make_workflow(args) -> object:
     )
 
 
-def _cmd_figures(
-    which: str,
-    save_dir: str | None = None,
-    jobs: int | None = None,
-    cache_dir: str | None = None,
-    no_cache: bool = False,
-    resume: bool = False,
-) -> int:
+def _cmd_figures(args, parser: argparse.ArgumentParser) -> int:
     from repro.core import factors_table
     from repro.core import experiments as exp
 
-    if resume and no_cache:
+    if args.resume and args.no_cache:
         print("--resume needs the execution ledger under the cache dir; "
               "drop --no-cache", file=sys.stderr)
         return 2
     # One engine for the whole invocation: cells shared between figures
     # (e.g. Figure 11's base design repeating Figures 7/9a/10) simulate
     # once, and the shard pool's workers stay warm across figures.
-    engine = exp.SweepEngine(
-        jobs=jobs, cache_dir=cache_dir, cache=not no_cache, resume=resume
+    engine = _or_usage_error(
+        parser,
+        lambda: exp.SweepEngine(
+            jobs=args.jobs,
+            cache_dir=args.cache_dir,
+            cache=not args.no_cache,
+            resume=args.resume,
+        ),
     )
     runners = {
         "fig1": lambda: exp.run_fig1(engine=engine),
@@ -277,7 +276,7 @@ def _cmd_figures(
         "fig12": lambda: exp.run_fig12(engine=engine),
         "table1": factors_table,
     }
-    targets = _FIGURES if which == "all" else (which,)
+    targets = _FIGURES if args.which == "all" else (args.which,)
     try:
         for target in targets:
             result = runners[target]()
@@ -286,14 +285,14 @@ def _cmd_figures(
             else:
                 print(result.render())
             print()
-            if save_dir and target != "table1":
+            if args.save and target != "table1":
                 from pathlib import Path
 
                 from repro.core.persistence import save_result
 
                 path = save_result(
                     result if target != "fig10" else list(result),
-                    Path(save_dir) / f"{target}.json",
+                    Path(args.save) / f"{target}.json",
                     metadata={"figure": target},
                 )
                 print(f"[saved {path}]")
@@ -584,14 +583,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "figures":
-        return _cmd_figures(
-            args.which,
-            args.save,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            no_cache=args.no_cache,
-            resume=args.resume,
-        )
+        return _cmd_figures(args, parser)
     if args.command == "run":
         return _cmd_run(args, parser)
     if args.command == "advise":

@@ -11,8 +11,8 @@ executing each instance:
   -grade death;
 * **hang** — the worker suspends its heartbeat thread and sleeps,
   impersonating a process that is alive but no longer responding (a
-  stuck C extension, a SIGSTOP); only supervision deadlines or
-  heartbeat timeouts can reclaim it;
+  stuck C extension, a SIGSTOP); only the pool's heartbeat check can
+  reclaim it;
 * **slow** — the worker sleeps briefly before running the instance,
   modelling a straggler.
 
@@ -28,14 +28,14 @@ instances.  ``tests/test_chaos.py`` holds the pool to that.
 By default faults only fire on the first attempt
 (``fault_attempts=1``), so a retried instance completes and a plan can
 never spin a pool into quarantining everything unless it is explicitly
-told to (``fault_attempts >= max_attempts``).
+told to (``fault_attempts >= 2``, the pool's attempt budget).
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 #: Exit code chaos kills use, distinguishable from real crashes in logs.
 CHAOS_EXIT_CODE = 77
@@ -70,7 +70,7 @@ class ChaosPlan:
     hang_probability: float = 0.0
     slow_probability: float = 0.0
     #: How long a hung worker sleeps; make this comfortably larger than
-    #: the supervision deadline so the hang is reclaimed, not outlived.
+    #: the pool's silence window so the hang is reclaimed, not outlived.
     hang_seconds: float = 3600.0
     #: Straggler sleep is drawn uniformly from this (min, max) range.
     slow_seconds: tuple[float, float] = (0.05, 0.25)
@@ -119,19 +119,6 @@ class ChaosPlan:
             lo, hi = self.slow_seconds
             return ChaosAction(SLOW, lo + (hi - lo) * rng.random())
         return ChaosAction(NONE)
-
-    def to_json(self) -> str:
-        """JSON form (stable key order) for logs and CLI round-trips."""
-        data = asdict(self)
-        data["slow_seconds"] = list(self.slow_seconds)
-        return json.dumps(data, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChaosPlan":
-        data = json.loads(text)
-        if "slow_seconds" in data:
-            data["slow_seconds"] = tuple(data["slow_seconds"])
-        return cls(**data)
 
 
 def _instance_key(instance_id: object) -> str:

@@ -298,8 +298,12 @@ class SweepEngine:
     first and answers every previously finished cell from its DONE
     record — no cache lookup, no simulation — so a run SIGKILLed
     mid-sweep re-executes only what was unfinished (``repro figures
-    --resume``).  ``policy`` and ``chaos`` are forwarded to the worker
-    pool (supervision rules and the deterministic fault-injection plan).
+    --resume``).
+
+    ``jobs`` is the worker count (``None`` means the CPU count; below 1
+    raises :class:`ValueError`).  ``chaos`` forwards a deterministic
+    fault-injection plan to the worker pool, which runs its one built-in
+    supervision policy.
     """
 
     def __init__(
@@ -309,16 +313,16 @@ class SweepEngine:
         cache: bool = True,
         ledger_path: str | Path | None = None,
         resume: bool = False,
-        policy=None,
         chaos=None,
     ) -> None:
-        self.jobs = jobs if jobs is not None and jobs > 0 else (os.cpu_count() or 1)
+        if jobs is not None and jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         self.stats = SweepStats()
         self._fingerprint = model_fingerprint()
         self._memo: dict[str, RunMetrics] = {}
         self._pool: shard.ShardPool | None = None
         self._cache: SweepCache | None = None
-        self._policy = policy
         self._chaos = chaos
         if cache:
             self._cache = SweepCache(
@@ -441,9 +445,7 @@ class SweepEngine:
             cache_root = str(self._cache.root) if self._cache is not None else None
             if parallel:
                 if self._pool is None:
-                    self._pool = shard.ShardPool(
-                        self.jobs, policy=self._policy, chaos=self._chaos
-                    )
+                    self._pool = shard.ShardPool(self.jobs, chaos=self._chaos)
                 merged = self._pool.run(
                     [
                         shard.ShardItem(

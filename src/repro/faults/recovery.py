@@ -30,7 +30,6 @@ through :func:`~repro.tracing.fault_metrics`.  See ``docs/faults.md``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 from repro.faults.plan import FaultError
@@ -87,34 +86,6 @@ class CheckpointPolicy:
         if (level + 1) % self.every_levels != 0:
             return False
         return self.task_types is None or task_type in self.task_types
-
-    # -------------------------------------------------------- (de)serialise
-    def to_dict(self) -> dict:
-        """JSON-ready representation (:meth:`from_dict` inverse)."""
-        return {
-            "every_levels": self.every_levels,
-            "task_types": (
-                sorted(self.task_types) if self.task_types is not None else None
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CheckpointPolicy":
-        """Build a policy from :meth:`to_dict` output (or hand-written JSON)."""
-        task_types = payload.get("task_types")
-        return cls(
-            every_levels=payload.get("every_levels", 1),
-            task_types=frozenset(task_types) if task_types is not None else None,
-        )
-
-    def to_json(self, indent: int | None = None) -> str:
-        """Serialise the policy as JSON."""
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CheckpointPolicy":
-        """Parse a policy from a JSON string."""
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass

@@ -12,7 +12,7 @@ value.
 """
 
 from repro.hardware.cluster import SimulatedCluster, SimulatedNode
-from repro.hardware.gpu import GpuDevice, GpuOutOfMemoryError
+from repro.hardware.gpu import GpuOutOfMemoryError
 from repro.hardware.memory import HostOutOfMemoryError
 from repro.hardware.presets import cluster_presets, cpu_only, fat_storage, modern
 from repro.hardware.specs import (
@@ -31,7 +31,6 @@ __all__ = [
     "ClusterSpec",
     "CpuSpec",
     "DiskSpec",
-    "GpuDevice",
     "GpuOutOfMemoryError",
     "GpuSpec",
     "HostOutOfMemoryError",

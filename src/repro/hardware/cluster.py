@@ -12,7 +12,6 @@ closed-form formulas.
 
 from __future__ import annotations
 
-from repro.hardware.gpu import GpuDevice
 from repro.hardware.specs import ClusterSpec
 from repro.sim import BandwidthResource, CapacityResource, SimEngine
 
@@ -47,10 +46,6 @@ class SimulatedNode:
             if node.gpu.devices_per_node > 0
             else _EmptyDevicePool()
         )
-        self.gpu_devices = [
-            GpuDevice(node.gpu, index=i, node=index)
-            for i in range(node.gpu.devices_per_node)
-        ]
         self.pcie = BandwidthResource(
             sim,
             node.interconnect.node_bandwidth,
@@ -133,14 +128,6 @@ class SimulatedNode:
                 f"invalid RAM release of {nbytes} (in use {self._ram_in_use})"
             )
         self._ram_in_use -= nbytes
-
-    def claim_gpu(self) -> GpuDevice:
-        """Pick the device with the most free memory (round-robin-ish).
-
-        The caller must already hold a slot from :attr:`gpus`; this only
-        selects which physical device's memory pool to charge.
-        """
-        return max(self.gpu_devices, key=lambda device: device.free)
 
 
 class SimulatedCluster:

@@ -1,15 +1,16 @@
-"""GPU device state: memory accounting and out-of-memory behaviour.
+"""GPU out-of-memory behaviour.
 
 The paper repeatedly hits the K80's 12 GB ceiling ("GPU OOM" regions in
 Figures 7-10): Matmul needs three resident blocks per task (two inputs, one
 output) so the 8192 MB block exceeds device memory, and K-means hits the
-ceiling for large blocks combined with many clusters.  This module provides
-the allocator that reproduces those failures deterministically.
+ceiling for large blocks combined with many clusters.  The simulated
+executor compares every GPU task's working set with one device's memory
+before the run starts and raises :class:`GpuOutOfMemoryError` for a task
+that cannot fit (with GPU overflow on, such a task runs on a CPU core
+instead).
 """
 
 from __future__ import annotations
-
-from repro.hardware.specs import GpuSpec
 
 
 class GpuOutOfMemoryError(MemoryError):
@@ -23,64 +24,3 @@ class GpuOutOfMemoryError(MemoryError):
             f"GPU OOM on {device or 'device'}: requested "
             f"{requested / 2**20:.0f} MiB, capacity {capacity / 2**20:.0f} MiB"
         )
-
-
-class GpuDevice:
-    """One schedulable GPU device with a simple bump allocator.
-
-    Tasks allocate their full working set up front (as dislib/CuPy kernels
-    effectively do) and free it when the task completes, so fragmentation is
-    not modelled; what matters for the paper's experiments is the hard
-    capacity ceiling.
-    """
-
-    def __init__(self, spec: GpuSpec, index: int = 0, node: int = 0) -> None:
-        self.spec = spec
-        self.index = index
-        self.node = node
-        self._allocated = 0
-        self._peak = 0
-
-    @property
-    def name(self) -> str:
-        """Human-readable device identifier."""
-        return f"node{self.node}/gpu{self.index}"
-
-    @property
-    def allocated(self) -> int:
-        """Bytes currently allocated."""
-        return self._allocated
-
-    @property
-    def free(self) -> int:
-        """Bytes currently free."""
-        return self.spec.memory_bytes - self._allocated
-
-    @property
-    def peak_allocated(self) -> int:
-        """High-water mark of allocated bytes."""
-        return self._peak
-
-    def check_fit(self, nbytes: int) -> None:
-        """Raise :class:`GpuOutOfMemoryError` if ``nbytes`` can never fit."""
-        if nbytes > self.spec.memory_bytes:
-            raise GpuOutOfMemoryError(nbytes, self.spec.memory_bytes, self.name)
-
-    def allocate(self, nbytes: int) -> None:
-        """Reserve ``nbytes`` of device memory or raise OOM."""
-        if nbytes < 0:
-            raise ValueError(f"allocation size must be non-negative, got {nbytes}")
-        if nbytes > self.free:
-            raise GpuOutOfMemoryError(nbytes, self.spec.memory_bytes, self.name)
-        self._allocated += nbytes
-        self._peak = max(self._peak, self._allocated)
-
-    def release(self, nbytes: int) -> None:
-        """Return ``nbytes`` to the device pool."""
-        if nbytes < 0:
-            raise ValueError(f"release size must be non-negative, got {nbytes}")
-        if nbytes > self._allocated:
-            raise ValueError(
-                f"releasing {nbytes} bytes but only {self._allocated} allocated"
-            )
-        self._allocated -= nbytes

@@ -1332,29 +1332,24 @@ class SimulatedExecutor:
                 task.task_id, task.name, attempt
             ):
                 raise InjectedGpuOomError(task.task_id)
-            device = node.claim_gpu()
-            device.allocate(cost.gpu_memory_bytes)
-            try:
-                d2h = min(cost.output_bytes, cost.host_device_bytes)
-                h2d = cost.host_device_bytes - d2h
-                pf = self._jitter(times.parallel_fraction) * straggle
-                if self.comm_overlap and h2d > 0 and pf > 0:
-                    yield from self._overlapped_gpu_phase(node, h2d, pf, record)
-                else:
-                    if h2d > 0:
-                        start = self.sim.now
-                        yield Transfer(node.pcie, h2d)
-                        record(Stage.CPU_GPU_COMM, start)
-                    if pf > 0:
-                        start = self.sim.now
-                        yield Timeout(pf)
-                        record(Stage.PARALLEL_FRACTION, start)
-                if d2h > 0:
+            d2h = min(cost.output_bytes, cost.host_device_bytes)
+            h2d = cost.host_device_bytes - d2h
+            pf = self._jitter(times.parallel_fraction) * straggle
+            if self.comm_overlap and h2d > 0 and pf > 0:
+                yield from self._overlapped_gpu_phase(node, h2d, pf, record)
+            else:
+                if h2d > 0:
                     start = self.sim.now
-                    yield Transfer(node.pcie, d2h)
+                    yield Transfer(node.pcie, h2d)
                     record(Stage.CPU_GPU_COMM, start)
-            finally:
-                device.release(cost.gpu_memory_bytes)
+                if pf > 0:
+                    start = self.sim.now
+                    yield Timeout(pf)
+                    record(Stage.PARALLEL_FRACTION, start)
+            if d2h > 0:
+                start = self.sim.now
+                yield Transfer(node.pcie, d2h)
+                record(Stage.CPU_GPU_COMM, start)
         else:
             pf = self._jitter(times.parallel_fraction) * straggle
             if pf > 0:

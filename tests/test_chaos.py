@@ -1,9 +1,12 @@
 """Chaos-harness contracts: keyed decisions are deterministic and
-well-distributed, and a pool under real injected kills/hangs/slowdowns
-still merges bit-identically to a serial run — with quarantine kicking
-in, not an infinite retry loop, when a plan is poisonous by design."""
+well-distributed, and the default pool under real injected
+kills/hangs/slowdowns still returns bit-identical results to a serial
+run — with quarantine kicking in, not an infinite retry loop, when a
+plan is poisonous by design."""
 
 from __future__ import annotations
+
+import threading
 
 import pytest
 
@@ -16,8 +19,8 @@ from repro.core.chaos import (
     ChaosAction,
     ChaosPlan,
 )
+from repro.core import shard
 from repro.core.shard import ShardCrashError, ShardItem, ShardPool
-from repro.core.supervise import REASON_HEARTBEAT, SupervisionPolicy
 from tests.test_shard import _SHARD_KEYS, _digest_golden_cell, _identity
 
 
@@ -61,12 +64,6 @@ class TestChaosPlan:
         hung = ChaosPlan(seed=1, hang_probability=1.0, hang_seconds=12.0)
         assert hung.decide("x", 1) == ChaosAction(HANG, 12.0)
 
-    def test_json_round_trip(self):
-        plan = ChaosPlan(seed=23, kill_probability=0.25, hang_probability=0.1,
-                         slow_probability=0.25, hang_seconds=60.0,
-                         slow_seconds=(0.05, 0.2), fault_attempts=2)
-        assert ChaosPlan.from_json(plan.to_json()) == plan
-
     def test_validation(self):
         with pytest.raises(ValueError, match="kill_probability"):
             ChaosPlan(kill_probability=1.5)
@@ -93,12 +90,8 @@ def _chaos_plan() -> ChaosPlan:
     )
 
 
-def _chaos_policy() -> SupervisionPolicy:
-    return SupervisionPolicy(max_attempts=3, kill_grace=0.5)
-
-
 def _mixed_plan() -> ChaosPlan:
-    """Kills, hangs past any deadline, and slowdowns in one run."""
+    """Kills, hangs past the silence window, and slowdowns in one run."""
     return ChaosPlan(
         seed=17,  # on _CHAOS_KEYS: a kill, a hang, a clean run, a slowdown
         kill_probability=0.25,
@@ -110,12 +103,13 @@ def _mixed_plan() -> ChaosPlan:
     )
 
 
-def _mixed_policy() -> SupervisionPolicy:
-    # Frozen heartbeats, not the 60 s sleep, must reclaim the hung worker.
-    return SupervisionPolicy(
-        heartbeat_interval=0.2, heartbeat_grace=3.0, max_attempts=3,
-        kill_grace=0.5,
-    )
+def _retried(events: list) -> dict:
+    """Dispatch count of every instance that needed more than one."""
+    attempts = {}
+    for kind, info in events:
+        if kind == "dispatch":
+            attempts[info["item"]] = info["attempt"]
+    return {item: n for item, n in attempts.items() if n > 1}
 
 
 @pytest.fixture(scope="module")
@@ -125,100 +119,119 @@ def serial_digests() -> dict[str, str]:
 
 class TestChaosBitIdentity:
     @pytest.mark.parametrize(
-        "start_method, plan, policy",
+        "start_method, plan",
         [
-            ("fork", _chaos_plan(), _chaos_policy()),
-            ("spawn", _chaos_plan(), _chaos_policy()),
-            ("fork", _mixed_plan(), _mixed_policy()),
+            ("fork", _chaos_plan()),
+            ("spawn", _chaos_plan()),
+            ("fork", _mixed_plan()),
         ],
         ids=["fork", "spawn", "mixed"],
     )
     def test_chaotic_shards_match_serial_golden_digests(
-        self, serial_digests, start_method, plan, policy
+        self, serial_digests, start_method, plan
     ):
         """Host faults may delay results but never change them: kills,
-        hangs and slowdowns leave the merged digests bit-identical to
-        serial."""
+        hangs and slowdowns leave the digests bit-identical to serial."""
         kills = [k for k in _CHAOS_KEYS if plan.decide(k, 1).kind == KILL]
         hangs = [k for k in _CHAOS_KEYS if plan.decide(k, 1).kind == HANG]
         assert kills, "seeded plan landed no kills; test would prove nothing"
-        with ShardPool(
-            workers=2,
-            start_method=start_method,
-            policy=policy,
-            chaos=plan,
-        ) as pool:
-            report = pool.run_report(
+        events = []
+        with ShardPool(workers=2, start_method=start_method, chaos=plan) as pool:
+            merged = pool.run(
                 [
                     ShardItem(instance_id=key, fn=_digest_golden_cell, args=(key,))
                     for key in _CHAOS_KEYS
-                ]
+                ],
+                on_event=lambda kind, info: events.append((kind, info)),
             )
-        assert report.ok
-        assert report.results == serial_digests
-        assert report.worker_crashes >= len(kills)
-        assert report.worker_kills >= len(hangs)
+        assert merged == serial_digests
+        # A kill is reaped as a crash, a hang ends in a heartbeat kill.
+        crashed = [
+            info["item"]
+            for kind, info in events
+            if kind == "retry" and info["reason"] == f"exit code {CHAOS_EXIT_CODE}"
+        ]
+        assert sorted(crashed) == sorted(kills)
+        assert sum(1 for kind, _ in events if kind == "kill") >= len(hangs)
         # Every killed or hung instance needed (exactly) a second dispatch.
-        assert set(report.attempts) == set(kills) | set(hangs)
-        assert all(report.attempts[k] == 2 for k in kills + hangs)
+        assert _retried(events) == {k: 2 for k in kills + hangs}
 
 
 class TestChaosFailurePaths:
     def test_poison_plan_quarantines_after_the_attempt_budget(self):
-        """fault_attempts >= max_attempts makes an instance kill every
-        worker it touches; the supervisor must quarantine it rather than
-        burn the whole respawn budget looping."""
+        """fault_attempts >= 2 makes an instance kill every worker it
+        touches; the pool must quarantine it after its two attempts
+        rather than burn the whole respawn budget looping."""
         plan = ChaosPlan(seed=0, kill_probability=1.0, fault_attempts=99)
-        with ShardPool(
-            workers=2,
-            start_method="fork",
-            policy=SupervisionPolicy(max_attempts=2, kill_grace=0.5),
-            chaos=plan,
-        ) as pool:
-            report = pool.run_report(
-                [ShardItem(instance_id="poison", fn=_identity, args=(1,))]
-            )
-        assert report.results == {}
-        assert "poison" in report.quarantined
-        reason = report.quarantined["poison"]
-        assert "killed its worker 2 time(s)" in reason
-        assert f"exit code {CHAOS_EXIT_CODE}" in reason
+        events = []
+        with ShardPool(workers=2, start_method="fork", chaos=plan) as pool:
+            with pytest.raises(ShardCrashError):
+                pool.run(
+                    [ShardItem(instance_id="poison", fn=_identity, args=(1,))],
+                    on_event=lambda kind, info: events.append((kind, info)),
+                )
+        (verdict,) = [info for kind, info in events if kind == "quarantine"]
+        assert verdict["item"] == "poison"
+        assert verdict["attempts"] == 2
+        assert "killed its worker 2 time(s)" in verdict["reason"]
+        assert f"exit code {CHAOS_EXIT_CODE}" in verdict["reason"]
+        assert not [info for kind, info in events if kind == "result"]
 
     def test_run_raises_shard_crash_error_for_quarantined_instances(self):
         plan = ChaosPlan(seed=0, kill_probability=1.0, fault_attempts=99)
-        with ShardPool(
-            workers=1,
-            start_method="fork",
-            policy=SupervisionPolicy(max_attempts=2, kill_grace=0.5),
-            chaos=plan,
-        ) as pool:
-            with pytest.raises(ShardCrashError, match="quarantined after"):
+        with ShardPool(workers=1, start_method="fork", chaos=plan) as pool:
+            with pytest.raises(ShardCrashError, match="quarantined after 2 of 2"):
                 pool.run([ShardItem(instance_id=0, fn=_identity, args=(1,))])
 
-    def test_injected_hang_is_detected_by_heartbeats(self):
-        """A chaos hang suspends the worker's beats, so the heartbeat
-        timeout — not the 60 s sleep — must reclaim the worker, and the
-        clean retry completes the instance."""
+    def test_quarantine_reason_names_every_loss_mode(self, monkeypatch):
+        """An instance that kills its first worker and freezes its
+        second is quarantined with both losses named."""
+        monkeypatch.setattr(shard, "_SILENCE_SECONDS", 1.0)
+        plan = ChaosPlan(
+            seed=2,  # instance 0: a kill on attempt 1, a hang on attempt 2
+            kill_probability=0.5,
+            hang_probability=0.5,
+            hang_seconds=60.0,
+            fault_attempts=2,
+        )
+        assert [plan.decide(0, n).kind for n in (1, 2)] == [KILL, HANG]
+        with ShardPool(workers=1, start_method="fork", chaos=plan) as pool:
+            with pytest.raises(ShardCrashError) as excinfo:
+                pool.run([ShardItem(instance_id=0, fn=_identity, args=(1,))])
+        assert str(excinfo.value) == (
+            "instance 0 froze its worker 1 time(s) and killed its worker "
+            "1 time(s) (no heartbeat for 1s); quarantined after 2 of 2 attempt(s)"
+        )
+
+    def test_injected_hang_is_detected_by_heartbeats(self, monkeypatch):
+        """The default pool reclaims a hung worker.  A chaos hang
+        suspends the worker's beats, so the silence window — not the
+        60 s sleep — must end it, and the clean retry completes the
+        instance.  The window is shortened to 1 s through the module
+        constant; fork keeps start-up well inside it.  ``run`` is driven
+        from a thread so a pool that never reclaims the worker fails the
+        join timeout instead of wedging the suite."""
+        monkeypatch.setattr(shard, "_SILENCE_SECONDS", 1.0)
         plan = ChaosPlan(
             seed=0, hang_probability=1.0, hang_seconds=60.0, fault_attempts=1
         )
-        policy = SupervisionPolicy(
-            heartbeat_interval=0.2,
-            heartbeat_grace=3.0,
-            max_attempts=3,
-            kill_grace=0.3,
-        )
         events = []
-        with ShardPool(
-            workers=1, start_method="fork", policy=policy, chaos=plan
-        ) as pool:
-            report = pool.run_report(
-                [ShardItem(instance_id="sleepy", fn=_identity, args=(5,))],
-                on_event=lambda kind, info: events.append((kind, info)),
-            )
-        assert report.ok
-        assert report.results == {"sleepy": 5}
-        assert report.worker_kills >= 1
+        merged = {}
+
+        def drive() -> None:
+            with ShardPool(workers=1, start_method="fork", chaos=plan) as pool:
+                merged.update(
+                    pool.run(
+                        [ShardItem(instance_id="sleepy", fn=_identity, args=(5,))],
+                        on_event=lambda kind, info: events.append((kind, info)),
+                    )
+                )
+
+        runner = threading.Thread(target=drive, daemon=True)
+        runner.start()
+        runner.join(timeout=30.0)
+        assert not runner.is_alive(), "the pool never reclaimed the hung worker"
+        assert merged == {"sleepy": 5}
         kills = [info for kind, info in events if kind == "kill"]
-        assert any(k["reason"] == REASON_HEARTBEAT for k in kills)
-        assert report.attempts == {"sleepy": 2}
+        assert [k["detail"] for k in kills] == ["no heartbeat for 1s"]
+        assert _retried(events) == {"sleepy": 2}

@@ -105,6 +105,8 @@ class TestBadArguments:
                          id="lint-nodes"),
             pytest.param("decompose --grid 0",
                          "grid dimensions must be positive", id="decompose-grid"),
+            pytest.param("figures fig8 --jobs 0", "jobs must be >= 1, got 0",
+                         id="figures-jobs"),
         ],
     )
     def test_rejected_value_exits_2_with_one_line(self, capsys, argv, message):

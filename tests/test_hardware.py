@@ -6,8 +6,6 @@ from repro.hardware import (
     ClusterSpec,
     CpuSpec,
     DiskSpec,
-    GpuDevice,
-    GpuOutOfMemoryError,
     GpuSpec,
     HostOutOfMemoryError,
     InterconnectSpec,
@@ -87,54 +85,6 @@ class TestSpecValidation:
             NetworkSpec("x", link_bandwidth=0.0, fabric_bandwidth=1.0, latency=0.0)
 
 
-class TestGpuDevice:
-    def _device(self):
-        return GpuDevice(minotauro().node.gpu, index=1, node=2)
-
-    def test_allocate_and_release(self):
-        device = self._device()
-        device.allocate(2**30)
-        assert device.allocated == 2**30
-        device.release(2**30)
-        assert device.allocated == 0
-
-    def test_oom_on_over_allocation(self):
-        device = self._device()
-        with pytest.raises(GpuOutOfMemoryError):
-            device.allocate(13 * 1024**3)
-
-    def test_oom_respects_existing_allocations(self):
-        device = self._device()
-        device.allocate(10 * 1024**3)
-        with pytest.raises(GpuOutOfMemoryError):
-            device.allocate(3 * 1024**3)
-
-    def test_check_fit_without_allocating(self):
-        device = self._device()
-        device.check_fit(12 * 1024**3)
-        with pytest.raises(GpuOutOfMemoryError):
-            device.check_fit(12 * 1024**3 + 1)
-        assert device.allocated == 0
-
-    def test_over_release_rejected(self):
-        device = self._device()
-        device.allocate(100)
-        with pytest.raises(ValueError):
-            device.release(200)
-
-    def test_peak_tracking(self):
-        device = self._device()
-        device.allocate(500)
-        device.release(400)
-        device.allocate(100)
-        assert device.peak_allocated == 500
-
-    def test_error_message_mentions_device(self):
-        device = self._device()
-        with pytest.raises(GpuOutOfMemoryError, match="node2/gpu1"):
-            device.allocate(2**44)
-
-
 class TestHostMemory:
     def test_error_carries_sizes(self):
         error = HostOutOfMemoryError(200 * 2**30, 128 * 2**30, "node3")
@@ -152,15 +102,6 @@ class TestSimulatedCluster:
         node = cluster.nodes[0]
         assert node.cores.capacity == 16
         assert node.gpus.capacity == 4
-        assert len(node.gpu_devices) == 4
-
-    def test_claim_gpu_prefers_most_free_memory(self):
-        sim = SimEngine()
-        cluster = SimulatedCluster(sim, minotauro())
-        node = cluster.nodes[0]
-        node.gpu_devices[0].allocate(2**30)
-        chosen = node.claim_gpu()
-        assert chosen is not node.gpu_devices[0]
 
     def test_node_of_core(self):
         sim = SimEngine()

@@ -97,16 +97,6 @@ class TestCheckpointPolicy:
         with pytest.raises(ValueError):
             CheckpointPolicy(every_levels=0)
 
-    def test_json_round_trip(self):
-        policy = CheckpointPolicy(every_levels=3, task_types={"b", "a"})
-        clone = CheckpointPolicy.from_json(policy.to_json())
-        assert clone == policy
-        assert json.loads(policy.to_json())["task_types"] == ["a", "b"]
-
-    def test_json_round_trip_all_types(self):
-        policy = CheckpointPolicy(every_levels=2)
-        assert CheckpointPolicy.from_json(policy.to_json()) == policy
-
 
 class TestRetryPolicyKnobs:
     def test_speculation_factor_must_exceed_one(self):

@@ -1,24 +1,25 @@
-"""Shard-pool contract tests: determinism, crash isolation, re-entrancy.
+"""Shard-pool contract tests: determinism, supervision, re-entrancy.
 
 The pool's promise is that sharded execution is an *implementation
 detail*: a batch fanned out across any number of workers, under any
-start method, merges to exactly what a serial run of the same instances
+start method, returns exactly what a serial run of the same instances
 produces.  These tests pin that promise against the golden-trace matrix
 (real simulations, recorded digests), then cover the failure contract —
-instance exceptions re-raise, a killed worker's instance re-runs exactly
-once, a twice-killing instance raises instead of looping — and the
-re-entrancy guard that keeps a pool worker from spawning a pool of its
-own.
+instance exceptions re-raise once the batch settles, a killed worker's
+instance re-runs exactly once, a twice-killing instance is quarantined
+instead of looping, a spent respawn budget raises — the heartbeat check
+on stub workers, and the re-entrancy guard that keeps a pool worker from
+spawning a pool of its own.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core import shard
 from repro.core.shard import (
@@ -27,7 +28,6 @@ from repro.core.shard import (
     ShardPool,
     ShardProtocolError,
     ShardTaskError,
-    merge_shard_results,
 )
 from repro.tracing import trace_digest
 from tests.golden_matrix import golden_cases
@@ -105,47 +105,6 @@ class TestShardedDeterminism:
         assert combined == {k: serial_digests[k] for k in keys}
 
 
-class TestMergeOrderInvariance:
-    @given(
-        results=st.dictionaries(
-            st.integers(min_value=0, max_value=10_000),
-            st.text(max_size=8),
-            max_size=32,
-        ),
-        cuts=st.lists(st.integers(min_value=0, max_value=32), max_size=4),
-        order_seed=st.randoms(use_true_random=False),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_any_partition_merges_identically(self, results, cuts, order_seed):
-        """The merged map is independent of how instances were sharded
-        and of shard arrival order."""
-        ids = list(results)
-        order_seed.shuffle(ids)
-        bounds = sorted({min(c, len(ids)) for c in cuts} | {0, len(ids)})
-        shards = [
-            {i: results[i] for i in ids[lo:hi]}
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
-        order_seed.shuffle(shards)
-        merged = merge_shard_results(shards)
-        assert merged == results
-        assert list(merged) == sorted(results)
-
-    def test_duplicate_ids_across_shards_raise(self):
-        with pytest.raises(ValueError, match="more than one shard"):
-            merge_shard_results([{1: "a"}, {1: "b"}])
-
-    def test_duplicate_diagnostics_name_the_shard_and_the_stakes(self):
-        """The error is a ShardProtocolError (a ValueError, so existing
-        handlers keep working) and says whether the colliding results
-        actually disagree — the case where silent overwrite would have
-        corrupted merged artifacts."""
-        with pytest.raises(ShardProtocolError, match="shard 1.*a DIFFERENT"):
-            merge_shard_results([{1: "a"}, {1: "b"}])
-        with pytest.raises(ShardProtocolError, match="shard 2.*an identical"):
-            merge_shard_results([{1: "a"}, {2: "b"}, {1: "a"}])
-
-
 # ----------------------------------------------------- crash isolation
 
 def _crash_once(marker: str) -> str:
@@ -190,14 +149,30 @@ class TestCrashIsolation:
             assert Path(marker).stat().st_size == 2
 
     def test_twice_killing_instance_raises_instead_of_looping(self):
+        """A lost instance is retried once, then quarantined: the batch
+        settles and ``run`` raises instead of respawning forever."""
+        events = []
         with ShardPool(workers=2, start_method="fork") as pool:
             with pytest.raises(ShardCrashError, match="killed its worker"):
                 pool.run(
                     [
                         ShardItem(instance_id=0, fn=_identity, args=(1,)),
                         ShardItem(instance_id=1, fn=_always_crash),
-                    ]
+                    ],
+                    on_event=lambda kind, info: events.append((kind, info)),
                 )
+        verdicts = [
+            (kind, info) for kind, info in events if kind in ("retry", "quarantine")
+        ]
+        assert verdicts == [
+            ("retry", {"item": 1, "attempt": 1, "reason": "exit code 7"}),
+            ("quarantine", {
+                "item": 1,
+                "reason": "instance 1 killed its worker 2 time(s) (exit code 7); "
+                          "quarantined after 2 of 2 attempt(s)",
+                "attempts": 2,
+            }),
+        ]
 
     def test_instance_exception_reraises_with_remote_context(self):
         with ShardPool(workers=2, start_method="fork") as pool:
@@ -213,6 +188,38 @@ class TestCrashIsolation:
         assert excinfo.value.instance_id == 1
         assert excinfo.value.kind == "ValueError"
         assert "boom" in excinfo.value.remote_message
+
+    def test_errors_reraise_after_the_batch_settles(self):
+        """An instance exception does not abandon the batch: the rest
+        still runs on the same worker before ``run`` re-raises."""
+        events = []
+        with ShardPool(workers=1, start_method="fork") as pool:
+            with pytest.raises(ShardTaskError, match="bad"):
+                pool.run(
+                    [
+                        ShardItem(instance_id=0, fn=_raise_value_error, args=("bad",)),
+                        ShardItem(instance_id=1, fn=_identity, args=(7,)),
+                    ],
+                    on_event=lambda kind, info: events.append((kind, info)),
+                )
+        results = {
+            info["item"]: (info["status"], info["payload"])
+            for kind, info in events
+            if kind == "result"
+        }
+        assert results == {0: ("error", ("ValueError", "bad")), 1: ("ok", 7)}
+
+    def test_spent_respawn_budget_raises(self):
+        with tempfile.TemporaryDirectory() as scratch:
+            marker = str(Path(scratch) / "invocations")
+            with ShardPool(workers=1, start_method="fork") as pool:
+                pool._respawn_budget = 0
+                with pytest.raises(
+                    ShardCrashError, match="respawn budget exhausted"
+                ):
+                    pool.run(
+                        [ShardItem(instance_id=0, fn=_crash_once, args=(marker,))]
+                    )
 
     def test_exception_does_not_kill_the_worker(self):
         """A Python-level error is a result, not a crash: the same pool
@@ -266,18 +273,18 @@ class TestPoolContract:
                     ]
                 )
 
-    def test_close_escalates_past_a_wedged_worker(self):
+    def test_close_escalates_past_a_wedged_worker(self, monkeypatch):
         """A worker stuck in a 1-hour task cannot hang close(): after
-        shutdown_grace the pool terminates, then kills, then joins it.
-        The wedge is injected through the worker's own task queue so the
-        public API never has to expose an 'ignore the sentinel' mode."""
-        import time
-
-        pool = ShardPool(workers=1, start_method="fork", shutdown_grace=0.2)
+        the silence window (shortened here to 0.2 s) the pool
+        terminates, then kills, then joins it.  The wedge is injected
+        through the worker's own task queue so the public API never has
+        to expose an 'ignore the sentinel' mode."""
+        pool = ShardPool(workers=1, start_method="fork")
         try:
             assert pool.run(
                 [ShardItem(instance_id=0, fn=_identity, args=(1,))]
             ) == {0: 1}
+            monkeypatch.setattr(shard, "_SILENCE_SECONDS", 0.2)
             (worker,) = pool._pool.values()
             worker.task_queue.put((1, 1, time.sleep, (3600.0,), {}))
             time.sleep(0.3)  # let the worker pick the sleep up
@@ -288,6 +295,48 @@ class TestPoolContract:
             assert elapsed < 5.0, f"close() took {elapsed:.1f}s against a wedge"
         finally:
             pool.close()
+
+
+# ------------------------------------------------------ heartbeat check
+
+class _StubProcess:
+    def __init__(self, alive: bool = True) -> None:
+        self._alive = alive
+
+    def is_alive(self) -> bool:
+        return self._alive
+
+
+class _StubWorker:
+    def __init__(self, alive: bool = True, last_beat: float = 0.0) -> None:
+        self.process = _StubProcess(alive)
+        self.last_beat = last_beat
+
+
+class TestDescribeExit:
+    def test_renders_all_exit_shapes(self):
+        assert shard._describe_exit(None) == "exit code unknown"
+        assert shard._describe_exit(-9) == "killed by signal 9"
+        assert shard._describe_exit(3) == "exit code 3"
+
+
+class TestSilentWorkers:
+    def test_silent_worker_is_flagged_even_when_idle(self, monkeypatch):
+        monkeypatch.setattr(shard, "_SILENCE_SECONDS", 1.5)
+        workers = {0: _StubWorker(last_beat=0.0), 1: _StubWorker(last_beat=1.9)}
+        assert shard._silent_workers(workers, now=2.0) == [0]
+
+    def test_a_beating_worker_is_never_flagged(self):
+        """There is no item deadline: however long a worker's instance
+        runs, it is left alone while its beats keep arriving."""
+        workers = {0: _StubWorker(last_beat=1e9 - shard._BEAT_SECONDS)}
+        assert shard._silent_workers(workers, now=1e9) == []
+
+    def test_dead_processes_are_someone_elses_problem(self):
+        """Crash reaping owns dead workers; the heartbeat check only
+        judges processes that are still alive."""
+        workers = {0: _StubWorker(alive=False, last_beat=0.0)}
+        assert shard._silent_workers(workers, now=100.0) == []
 
 
 # --------------------------------------------------- re-entrancy guard

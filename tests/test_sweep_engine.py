@@ -347,6 +347,11 @@ class TestSweepEngine:
         with pytest.raises(ValueError, match="resume requires"):
             SweepEngine(jobs=1, cache=False, resume=True)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_are_rejected(self, jobs):
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            SweepEngine(jobs=jobs, cache=False)
+
     def test_cells_product_order_is_grid_major_cpu_first(self):
         cells = cells_product("matmul", (8, 4), dataset_key="matmul_128mb")
         assert [(c.grid, c.use_gpu) for c in cells] == [
