@@ -149,6 +149,16 @@ class TestCrashIsolation:
             assert Path(marker).stat().st_size == 2
 
     def test_twice_killing_instance_raises_instead_of_looping(self):
+        with ShardPool(workers=2, start_method="fork") as pool:
+            with pytest.raises(ShardCrashError, match="killed its worker"):
+                pool.run(
+                    [
+                        ShardItem(instance_id=0, fn=_identity, args=(1,)),
+                        ShardItem(instance_id=1, fn=_always_crash),
+                    ]
+                )
+
+    def test_losses_retry_until_the_attempt_budget_then_quarantine(self):
         """A lost instance is retried once, then quarantined: the batch
         settles and ``run`` raises instead of respawning forever."""
         events = []
