@@ -13,9 +13,12 @@ cells:
   (data-locality placement scoring; its width of 64 never fills the
   128-core cluster, so the policy never meets a saturated cluster),
   ``locality_fig10`` (a Fig 10 data-locality cell whose ready queue
-  outgrows the cluster: the policy's cost when no node is free) and
-  ``plain_replay`` (a dependency-only DAG on a zero-latency cluster: the
-  batched event core);
+  outgrows the cluster: the policy's cost when no node is free),
+  ``locality_fig10_gpu16`` (the Fig 10 GPU cell at the grid the figure
+  runs: every device busy while cores are free, so the policy must not
+  walk the ready queue to learn that no task fits) and ``plain_replay``
+  (a dependency-only DAG on a zero-latency cluster: the batched event
+  core);
 * the scale cells: 10^5 and 10^6 replay tasks in-process, and the same
   task budgets split over four :class:`~repro.core.shard.ShardPool`
   workers (``_x4``).  Only ``scale_100k`` is cheap enough for every
@@ -100,7 +103,10 @@ _DATASETS = paper_datasets()
 #: re-base the floors.  ``matmul16`` ran at ~500 tasks/s before the fast
 #: dispatch path; ``plain_replay`` sits at 6x the legacy 1500 guard;
 #: ``locality_fig10`` ran at ~340 tasks/s while the data-locality policy
-#: probed every node for every ready task of a saturated cluster.
+#: probed every node for every ready task of a saturated cluster;
+#: ``locality_fig10_gpu16`` ran at ~580 tasks/s while the policy walked
+#: every ready GPU task of a GPU-bound cluster, and at ~3,500 tasks/s once
+#: it read part heads (2-vCPU VM).
 WORKLOADS = {
     "matmul16": (
         lambda: RuntimeConfig(use_gpu=False),
@@ -125,6 +131,12 @@ WORKLOADS = {
                               scheduling=SchedulingPolicy.DATA_LOCALITY),
         MatmulWorkflow(_DATASETS["matmul_8gb"], grid=10).build,
         1000, 1900,
+    ),
+    "locality_fig10_gpu16": (
+        lambda: RuntimeConfig(use_gpu=True, storage=StorageKind.SHARED,
+                              scheduling=SchedulingPolicy.DATA_LOCALITY),
+        MatmulWorkflow(_DATASETS["matmul_8gb"], grid=16).build,
+        1500, 7936,
     ),
     "plain_replay": (
         replay_config,

@@ -72,6 +72,7 @@ from repro.runtime.dag import TaskGraph
 from repro.runtime.locality import LocalityIndex
 from repro.runtime.scheduler import (
     Assignment,
+    ReadyParts,
     Scheduler,
     SchedulingPolicy,
     make_scheduler,
@@ -147,18 +148,8 @@ class _ReadyView:
     def __len__(self) -> int:
         return len(self._executor._ready)
 
-    def __getitem__(self, index):
-        ready = self._executor._ready
-        graph = self._executor._graph
-        if isinstance(index, slice):
-            return [graph.task(task_id) for task_id in ready[index]]
-        return graph.task(ready[index])
-
-    def __iter__(self):
-        # Policies never mutate the ready queue while selecting, so
-        # iterating the live list directly is safe and avoids an O(ready)
-        # copy on every dispatch round.
-        return map(self._executor._graph.task, self._executor._ready)
+    def __getitem__(self, index: int) -> Task:
+        return self._executor._graph.task(self._executor._ready[index])
 
 
 class _ClusterView:
@@ -366,11 +357,11 @@ class SimulatedExecutor:
         self.trace = Trace()
         self.scheduler: Scheduler = make_scheduler(self.scheduling)
         self._blacklist: set[int] = set()
-        self._locality_index = (
-            LocalityIndex()
-            if self.scheduling is SchedulingPolicy.DATA_LOCALITY
-            else None
-        )
+        locality = self.scheduling is SchedulingPolicy.DATA_LOCALITY
+        self._locality_index = LocalityIndex() if locality else None
+        #: The ready set split into parts for the data-locality policy,
+        #: maintained next to the locality index.
+        self._ready_parts = ReadyParts(graph.task) if locality else None
         #: Ref ids of blocks destroyed by node failures.  Tracked per ref
         #: and independently of node liveness: a node rebooted after a
         #: blacklist cooldown never resurrects the data it lost, and a
@@ -422,6 +413,17 @@ class SimulatedExecutor:
         self._gpu_intended_ids = {
             t.task_id for t in tasks if self._gpu_intended(t)
         }
+        if self._ready_parts is not None:
+            #: task id -> its part number.  A task's part key is everything
+            #: ``_task_on_gpu`` and the RAM requirement read from it: its
+            #: cost and its GPU intent after ``_forced_cpu``.  Each number
+            #: is computed once, here, so filing a task hashes nothing
+            #: (``_force_cpu`` re-files the rare forced task).
+            self._part_of = [0] * size
+            for t in tasks:
+                self._part_of[t.task_id] = self._ready_parts.part(
+                    (t.cost or _ZERO_COST, t.task_id in self._gpu_intended_ids)
+                )
         self._ready: list[int] = []
         self._ready_gpu_intended = 0
         for task_id in _np.flatnonzero(self._indegree == 0).tolist():
@@ -539,16 +541,17 @@ class SimulatedExecutor:
     def _ready_insert(self, task_id: int) -> None:
         """Add one newly runnable task, maintaining the derived state.
 
-        All derived dispatch state — the GPU-intended counter and the
-        per-node locality-bytes index — is updated here and in
-        :meth:`_ready_remove`, so it always equals a from-scratch
-        recomputation over the ready queue (the equivalence the property
-        tests assert).
+        All derived dispatch state — the GPU-intended counter, the
+        per-node locality-bytes index and the ready parts — is updated
+        here and in :meth:`_ready_remove`, so it always equals a
+        from-scratch recomputation over the ready queue (the equivalence
+        the property tests assert).
         """
         bisect.insort(self._ready, task_id)
         if task_id in self._gpu_intended_ids:
             self._ready_gpu_intended += 1
         if self._locality_index is not None:
+            self._ready_parts.add(task_id, self._part_of[task_id])
             self._locality_index.add(
                 self._graph.task(task_id), self._view.resident_node
             )
@@ -562,6 +565,7 @@ class SimulatedExecutor:
         if task_id in self._gpu_intended_ids:
             self._ready_gpu_intended -= 1
         if self._locality_index is not None:
+            self._ready_parts.remove(task_id, self._part_of[task_id])
             self._locality_index.discard(task_id)
         return True
 
@@ -688,13 +692,15 @@ class SimulatedExecutor:
 
     def _dispatcher(self) -> Generator:
         """One decision at a time, each reserved before the next is made."""
-        ready_view = _ReadyView(self)
+        ready = self._ready_parts
+        if ready is None:
+            ready = _ReadyView(self)
         policy = self.retry_policy
         sim = self.sim
         sync_starts = self._sync_start_eligible(self._graph)
         while self._outstanding() > 0:
             for assignment in self.scheduler.select_batch(
-                ready_view, self._view, self._task_on_gpu
+                ready, self._view, self._task_on_gpu
             ):
                 task = assignment.task
                 if (
@@ -1022,13 +1028,13 @@ class SimulatedExecutor:
         policy = self.retry_policy
         if policy.gpu_fallback_to_cpu and task_on_gpu:
             if isinstance(failure, InjectedGpuOomError):
-                self._forced_cpu.add(task.task_id)
+                self._force_cpu(task)
             elif isinstance(failure, NodeFailureError) and not any(
                 node.alive and node.gpus.capacity > 0
                 for node in self.cluster.nodes
             ):
                 # The last GPU-bearing node is gone: degrade to CPU.
-                self._forced_cpu.add(task.task_id)
+                self._force_cpu(task)
         if task.task_id in self._running:
             # A concurrent speculative attempt is still in flight; it
             # carries the task, so this failure needs no retry of its own.
@@ -1046,6 +1052,18 @@ class SimulatedExecutor:
             )
         else:
             self._fail_permanently(task)
+
+    def _force_cpu(self, task: Task) -> None:
+        """Run ``task`` on a CPU core from its next attempt on.
+
+        The task's attempt has just failed, so it is not ready: filing it
+        under its new part key never moves a ready task.
+        """
+        self._forced_cpu.add(task.task_id)
+        if self._ready_parts is not None:
+            self._part_of[task.task_id] = self._ready_parts.part(
+                (task.cost or _ZERO_COST, False)
+            )
 
     def _requeue_after(
         self, task: Task, delay: float, failed_attempt: int, level: int

@@ -5,10 +5,14 @@ input bytes resident on each usable node.  This index hands it the
 task's per-node byte map in one dictionary lookup
 (:meth:`LocalityIndex.bytes_map`) by aggregating each ready task's
 input bytes **once**, when the task enters the ready set, rather than
-resolving the placed task's inputs on every decision.  Which nodes are
-usable is the scheduler's own concern: it probes them once per distinct
-requirement per decision, and gives up before walking the ready queue
-when the cluster is full.
+resolving the placed task's inputs on every decision.  Which task to
+place and which nodes are usable are the scheduler's own concern: it
+reads the heads of the ready set's parts
+(:class:`~repro.runtime.scheduler.ReadyParts`, which the executor
+maintains next to this index) instead of walking the ready queue, and
+probes the nodes once per distinct requirement per decision, so a
+decision costs O(parts) lookups and one byte map, however many tasks
+are ready.
 
 Correctness rests on two facts about the simulated executor:
 

@@ -16,9 +16,18 @@ easily testable.
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Protocol, Sequence
+from typing import (
+    Callable,
+    Hashable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Protocol,
+    Sequence,
+)
 
 from repro.runtime.data import DataRef
 from repro.runtime.locality import bytes_by_node
@@ -80,7 +89,9 @@ class ClusterView(Protocol):
     RAM never makes a node usable, i.e. ``has_free_slot(node, g, ram)``
     implies ``has_free_slot(node, g, 0)``.  The data-locality policy
     skips every RAM-bearing probe of a node that has no zero-RAM slot,
-    and gives up on a cluster where no node has one.
+    and gives up on a cluster where no node has one.  It probes each
+    node at most once per distinct requirement per decision, so a view
+    costs it O(nodes) probes per requirement, never per ready task.
     """
 
     def num_nodes(self) -> int:
@@ -117,7 +128,9 @@ class Scheduler:
     """Base class: pick the next assignment from the ready queue.
 
     ``ready`` is ordered by task generation (ascending task id); policies
-    may reorder.  Returns ``None`` when no ready task fits any node.
+    may reorder.  The data-locality policy also takes the ready set as a
+    :class:`ReadyParts`.  Returns ``None`` when no ready task fits any
+    node.
     """
 
     policy: SchedulingPolicy
@@ -136,7 +149,7 @@ class Scheduler:
 
     def select_batch(
         self,
-        ready: Sequence[Task],
+        ready: Sequence[Task] | ReadyParts,
         cluster: ClusterView,
         requires_gpu: GpuPredicate,
     ) -> Iterator[Assignment]:
@@ -217,15 +230,20 @@ class DataLocalityScheduler(Scheduler):
     degrades to generation-order spreading instead of piling tie tasks
     onto the first node.
 
-    Nothing reserves a slot while :meth:`select` runs, so one call probes
-    the nodes once per distinct requirement ``(needs_gpu, ram_bytes)``
-    and every ready task with that requirement reuses the answer; a task
-    that fits nowhere costs one dictionary lookup.  When no node has a
+    The policy never walks the ready queue.  Every task of one part of a
+    :class:`ReadyParts` partition has the same requirement
+    ``(needs_gpu, ram_bytes)`` at any one instant, so the first ready
+    task that fits is the head of its part: :meth:`select` visits the
+    part heads in task-id order and places the first whose requirement
+    has a usable node.  A plain sequence is first grouped by requirement
+    in one pass, and the same rule applies to the group heads.  Nothing
+    reserves a slot while :meth:`select` runs, so one call probes the
+    nodes once per distinct requirement it meets.  When no node has a
     slot for a zero-RAM task of either kind, the call returns ``None``
-    without walking the ready queue (RAM is monotone, see
-    :class:`ClusterView`).  A call therefore costs O(nodes) probes per
-    distinct requirement it meets, plus one lookup per ready task it
-    skips.
+    before visiting a head (RAM is monotone, see :class:`ClusterView`).
+    On a :class:`ReadyParts` a call therefore costs O(nodes) probes per
+    distinct requirement it meets plus O(parts log parts) for the heads,
+    however long the ready queue.
 
     Scoring resolves each input against *current block residency*, not
     the ref's recorded ``home_node``: a block that was lost with a failed
@@ -242,7 +260,7 @@ class DataLocalityScheduler(Scheduler):
 
     def select(
         self,
-        ready: Sequence[Task],
+        ready: Sequence[Task] | ReadyParts,
         cluster: ClusterView,
         requires_gpu: GpuPredicate,
     ) -> Assignment | None:
@@ -254,7 +272,11 @@ class DataLocalityScheduler(Scheduler):
         )
         if not usable[False, 0] and not usable[True, 0]:
             return None
-        for task in ready:
+        if isinstance(ready, ReadyParts):
+            heads = ready.heads()
+        else:
+            heads = _requirement_heads(ready, requires_gpu)
+        for task in heads:
             nodes = usable[requires_gpu(task), task_ram_bytes(task)]
             if nodes:
                 break
@@ -267,6 +289,62 @@ class DataLocalityScheduler(Scheduler):
         best_node = max(nodes, key=lambda node: by_node.get(node, 0))
         self._next_node = (best_node + 1) % n
         return Assignment(task=task, node=best_node)
+
+
+class ReadyParts:
+    """A ready set split into parts, the form the data-locality policy reads.
+
+    A part holds, in task-id order, the ready tasks filed under one key.
+    The owner keys a task by everything the device decision and the RAM
+    requirement read from it, so at any one instant every task of a part
+    has the same requirement, and a task's part must not change while
+    it is ready.  :meth:`part` numbers each key once; :meth:`add` and
+    :meth:`remove` take the number, so filing a task hashes nothing.
+    ``task_of`` resolves a task id to its :class:`Task`.
+    """
+
+    def __init__(self, task_of: Callable[[int], Task]) -> None:
+        self._task_of = task_of
+        #: key -> part number.
+        self._numbers: dict[Hashable, int] = {}
+        #: part number -> ids of the part's ready tasks, ascending.
+        self._parts: list[list[int]] = []
+
+    def __len__(self) -> int:
+        return sum(map(len, self._parts))
+
+    def part(self, key: Hashable) -> int:
+        """The number of the part that holds tasks keyed ``key``."""
+        number = self._numbers.get(key)
+        if number is None:
+            number = self._numbers[key] = len(self._parts)
+            self._parts.append([])
+        return number
+
+    def add(self, task_id: int, part: int) -> None:
+        """File a task entering the ready set in part number ``part``."""
+        bisect.insort(self._parts[part], task_id)
+
+    def remove(self, task_id: int, part: int) -> None:
+        """Take a ready task out of part number ``part``, where it was filed."""
+        members = self._parts[part]
+        del members[bisect.bisect_left(members, task_id)]
+
+    def heads(self) -> Iterator[Task]:
+        """The first task of every nonempty part, earliest first."""
+        heads = [members[0] for members in self._parts if members]
+        heads.sort()
+        return map(self._task_of, heads)
+
+
+def _requirement_heads(
+    ready: Sequence[Task], requires_gpu: GpuPredicate
+) -> Iterable[Task]:
+    """The first task of every requirement in ``ready``, in queue order."""
+    heads: dict[tuple[bool, int], Task] = {}
+    for task in ready:
+        heads.setdefault((requires_gpu(task), task_ram_bytes(task)), task)
+    return heads.values()
 
 
 class _UsableNodes(dict):

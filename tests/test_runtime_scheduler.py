@@ -7,6 +7,7 @@ from repro.runtime import DataRef, SchedulingPolicy, Task
 from repro.runtime.scheduler import (
     DataLocalityScheduler,
     GenerationOrderScheduler,
+    ReadyParts,
     make_scheduler,
 )
 
@@ -140,8 +141,8 @@ class TestDataLocality:
 
 
 class TestLocalityProbeCount:
-    """A saturated cluster costs the locality policy a bounded number of
-    probes per call, however long the ready queue."""
+    """A saturated or GPU-bound cluster costs the locality policy a
+    bounded number of probes per call, however long the ready queue."""
 
     class CountingIndex:
         def __init__(self):
@@ -151,7 +152,9 @@ class TestLocalityProbeCount:
             self.bytes_map_calls += 1
             return {}
 
-    def _probes(self, monkeypatch, cluster, ready, requires_gpu):
+    @staticmethod
+    def _select(monkeypatch, cluster, ready, requires_gpu):
+        """One ``select`` call: its choice and its ``node_usable`` probes."""
         calls = []
         original = scheduler_module.node_usable
 
@@ -160,12 +163,16 @@ class TestLocalityProbeCount:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(scheduler_module, "node_usable", counted)
+        choice = DataLocalityScheduler().select(ready, cluster, requires_gpu)
+        return choice, len(calls)
+
+    def _probes(self, monkeypatch, cluster, ready, requires_gpu):
         index = self.CountingIndex()
         cluster.locality_index = index
-        choice = DataLocalityScheduler().select(ready, cluster, requires_gpu)
+        choice, probes = self._select(monkeypatch, cluster, ready, requires_gpu)
         assert choice is None
         assert index.bytes_map_calls == 0
-        return len(calls)
+        return probes
 
     @pytest.mark.parametrize(
         "free_cores, free_gpus, parallel, requires_gpu",
@@ -188,6 +195,39 @@ class TestLocalityProbeCount:
             for num_ready in (50, 500)
         ]
         assert probes[0] == probes[1]
+
+    def test_gpu_bound_cluster_costs_the_same_at_any_queue_length(
+        self, monkeypatch
+    ):
+        # Every GPU is busy and every node has a free core: N GPU tasks
+        # queue ahead of one CPU task.  The saturated-cluster exit cannot
+        # fire (the CPU task fits), so a walk of the ready queue would ask
+        # for all N GPU tasks' requirements before reaching it.  Filed the
+        # way the executor files them, by (cost, GPU intent), they are one
+        # part, and the call costs the same at any N.
+        costs = []
+        for num_gpu_tasks in (50, 500):
+            tasks = [
+                _task(i, input_homes=[i % 8], parallel=True)
+                for i in range(num_gpu_tasks)
+            ]
+            cpu_task = _task(num_gpu_tasks, input_homes=[0])
+            tasks.append(cpu_task)
+            ready = ReadyParts({task.task_id: task for task in tasks}.__getitem__)
+            for task in tasks:
+                ready.add(task.task_id, ready.part((task.cost, task.gpu_eligible)))
+            asked = []
+
+            def requires_gpu(task):
+                asked.append(task.task_id)
+                return task.gpu_eligible
+
+            choice, probes = self._select(
+                monkeypatch, FakeCluster([1] * 8, [0] * 8), ready, requires_gpu
+            )
+            assert choice.task is cpu_task
+            costs.append(len(asked) + probes)
+        assert costs[0] == costs[1]
 
 
 class TestSelectBatch:

@@ -11,15 +11,19 @@ contracts every policy must honour:
 * ``DataLocalityScheduler`` breaks all-zero locality ties round-robin
   instead of piling every tie onto node 0 (regression for the
   tie-breaking fix);
-* its per-call requirement memo and saturated-cluster early exit make
+* reading the heads of a :class:`~repro.runtime.scheduler.ReadyParts`
+  partition (or of a plain queue grouped by requirement), with its
+  per-call requirement memo and saturated-cluster early exit, it makes
   exactly the decisions of a reference that probes every
   ``(task, node)`` pair, on stubs that honour cores, GPUs, RAM and a
   blacklist, under index, resolver and ``home_node`` scoring;
 * the fast dispatch path's incrementally maintained state — the ready
-  queue, the GPU-intended counter, and the per-node
-  :class:`~repro.runtime.locality.LocalityIndex` — equals a from-scratch
-  recomputation after **every** ready-set mutation of a full simulated
-  run (random generated DAGs, with and without injected faults);
+  queue, the GPU-intended counter, the per-node
+  :class:`~repro.runtime.locality.LocalityIndex` and the ready parts —
+  equals a from-scratch recomputation after **every** ready-set
+  mutation of a full simulated run (random generated DAGs, with and
+  without injected faults, GPU overflow and GPU-to-CPU fallback), and a
+  ready task's part never changes;
 * locality scoring resolves input bytes against *current* block
   residency, so a stale ``home_node`` (block moved or evicted since the
   ref was written) earns no credit.
@@ -31,17 +35,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import GeneratedDagWorkflow
-from repro.faults import FaultPlan, NodeFault, RetryPolicy
+from repro.faults import FaultPlan, GpuOomFault, NodeFault, RetryPolicy
 from repro.hardware import StorageKind
 from repro.perfmodel import TaskCost
 from repro.runtime import DataRef, Runtime, RuntimeConfig, SchedulingPolicy, Task
-from repro.runtime.backends.simulated import SimulatedExecutor
+from repro.runtime.backends.simulated import _ZERO_COST, SimulatedExecutor
 from repro.runtime.locality import LocalityIndex
 from repro.runtime.scheduler import (
     Assignment,
     DataLocalityScheduler,
     GenerationOrderScheduler,
     LifoScheduler,
+    ReadyParts,
     make_scheduler,
     node_usable,
     task_ram_bytes,
@@ -375,8 +380,11 @@ def locality_runs(draw):
     tasks = []
     for task_id in range(draw(st.integers(1, 14))):
         homes = draw(st.lists(st.integers(0, n), max_size=3))  # n: off-cluster
+        # Two costs per (GPU, RAM) requirement: parts that share one.
         cost = dataclasses.replace(
-            _task(0).cost, host_memory_bytes=draw(st.sampled_from([0, 1, 2, 4]))
+            _task(0).cost,
+            serial_flops=draw(st.sampled_from([1.0, 2.0])),
+            host_memory_bytes=draw(st.sampled_from([0, 1, 2, 4])),
         )
         tasks.append(
             Task(
@@ -399,11 +407,15 @@ def locality_runs(draw):
 @settings(max_examples=150, deadline=None)
 @given(run=locality_runs(), scoring=st.sampled_from(["index", "resolver", "home"]))
 def test_locality_decisions_equal_probe_every_pair_reference(run, scoring):
-    # The per-call requirement memo and the saturated-cluster early exit
-    # must not change a single decision: both policies see the same
-    # cluster at every step, each pick is reserved before the next
-    # select (so the cursors move), and after each round runs dry one
-    # running task releases its slot and RAM.
+    # Reading part heads instead of the queue, the per-call requirement
+    # memo and the saturated-cluster early exit must not change a single
+    # decision.  The fast policy reads a ReadyParts kept up to date by
+    # the add and remove calls the executor makes, keyed the executor's
+    # way, by (cost, GPU intent); a second one groups the plain queue by
+    # requirement.  All three policies see the same cluster at every
+    # step, each pick is reserved before the next select (so the cursors
+    # move), and after each round runs dry one running task releases
+    # its slot and RAM.
     cluster, tasks, gpu_ids, moved, releases = run
     n = cluster.num_nodes()
 
@@ -425,27 +437,42 @@ def test_locality_decisions_equal_probe_every_pair_reference(run, scoring):
         for task in tasks:
             cluster.locality_index.add(task, resolve)
 
-    fast, reference = DataLocalityScheduler(), ReferenceLocalityScheduler()
+    parts = ReadyParts({task.task_id: task for task in tasks}.__getitem__)
+    part_of = {
+        task.task_id: parts.part((task.cost, task.task_id in gpu_ids))
+        for task in tasks
+    }
+    for task in tasks:
+        parts.add(task.task_id, part_of[task.task_id])
+
+    def decision(assignment):
+        if assignment is None:
+            return None
+        return assignment.task.task_id, assignment.node
+
+    fast, grouped = DataLocalityScheduler(), DataLocalityScheduler()
+    reference = ReferenceLocalityScheduler()
     ready, running = list(tasks), []
     for release in [None, *releases]:
         if release is not None and running:
             task, node = running.pop(release % len(running))
             cluster.claim(node, requires_gpu(task), task_ram_bytes(task), sign=-1)
         while True:
-            choice = fast.select(ready, cluster, requires_gpu)
-            expected = reference.select(ready, cluster, requires_gpu)
-            got = None if choice is None else (choice.task.task_id, choice.node)
-            want = None if expected is None else (expected.task.task_id, expected.node)
-            assert got == want
+            choice = fast.select(parts, cluster, requires_gpu)
+            want = decision(reference.select(ready, cluster, requires_gpu))
+            assert decision(choice) == want
+            assert decision(grouped.select(ready, cluster, requires_gpu)) == want
             if choice is None:
                 break
             cluster.claim(choice.node, requires_gpu(choice.task),
                           task_ram_bytes(choice.task))
             ready.remove(choice.task)
+            parts.remove(choice.task.task_id, part_of[choice.task.task_id])
             if scoring == "index":
                 cluster.locality_index.discard(choice.task.task_id)
             running.append((choice.task, choice.node))
-    assert fast._next_node == reference._next_node
+    assert len(parts) == len(ready)
+    assert fast._next_node == grouped._next_node == reference._next_node
 
 
 # ------------------------------------------------- locality-index equivalence
@@ -541,6 +568,11 @@ class CheckedExecutor(SimulatedExecutor):
 
     checks = 0
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        #: task id -> the part number it was last filed in.
+        self.filed_in: dict[int, int] = {}
+
     def _check_state(self) -> None:
         self.checks += 1
         assert self._ready == sorted(set(self._ready))
@@ -549,7 +581,33 @@ class CheckedExecutor(SimulatedExecutor):
         )
         assert self._ready_gpu_intended == expected_gpu
         if self._locality_index is None:
+            assert self._ready_parts is None
             return
+        # Every part, rebuilt from scratch: the ready tasks grouped by
+        # what the device decision and the RAM requirement read now.
+        # (``_forced_cpu`` does not exist yet while ``execute`` files the
+        # first ready tasks.)
+        forced_cpu = getattr(self, "_forced_cpu", set())
+        rebuilt: dict = {}
+        for task_id in self._ready:
+            task = self._graph.task(task_id)
+            intent = (
+                task_id in self._gpu_intended_ids
+                and task_id not in forced_cpu
+            )
+            rebuilt.setdefault((task.cost or _ZERO_COST, intent), []).append(
+                task_id
+            )
+        parts = self._ready_parts
+        kept = {
+            key: parts._parts[part]
+            for key, part in parts._numbers.items()
+            if parts._parts[part]
+        }
+        assert kept == rebuilt
+        # A ready task stays in the part it was filed in.
+        for task_id in self._ready:
+            assert self._part_of[task_id] == self.filed_in[task_id]
         expected = {
             task_id: _bytes_by_node(
                 self._graph.task(task_id), self._view.resident_node
@@ -563,6 +621,8 @@ class CheckedExecutor(SimulatedExecutor):
         }
 
     def _ready_insert(self, task_id):
+        if self._ready_parts is not None:
+            self.filed_in[task_id] = self._part_of[task_id]
         super()._ready_insert(task_id)
         self._check_state()
 
@@ -582,31 +642,40 @@ class CheckedExecutor(SimulatedExecutor):
         [SchedulingPolicy.DATA_LOCALITY, SchedulingPolicy.GENERATION_ORDER]
     ),
     use_gpu=st.booleans(),
+    gpu_overflow=st.booleans(),
     faults=st.booleans(),
+    gpu_oom_ids=st.sets(st.integers(0, 20), max_size=4),
 )
 def test_incremental_dispatch_state_equals_recompute(
-    width, depth, fan_in, seed, policy, use_gpu, faults
+    width, depth, fan_in, seed, policy, use_gpu, gpu_overflow, faults,
+    gpu_oom_ids,
 ):
     # Full simulated runs over random generated DAGs: after every
     # completion event (and every dispatch) the incrementally maintained
-    # ready set, GPU-intended counter, and locality index must equal a
-    # from-scratch recomputation — with faults, that includes node deaths
-    # purging the index mid-run.
+    # ready set, GPU-intended counter, locality index and ready parts
+    # must equal a from-scratch recomputation — with faults, that
+    # includes node deaths purging the index mid-run.  GPU overflow makes
+    # the device decision depend on cluster state; a runtime GPU OOM with
+    # GPU-to-CPU fallback forces the retry onto a CPU core, re-filing the
+    # task under a new part while it is not ready.
+    fault_plan = None
+    if faults or gpu_oom_ids:
+        fault_plan = FaultPlan(
+            node_faults=(NodeFault(node=1, at_time=0.05),) if faults else (),
+            gpu_ooms=tuple(GpuOomFault(task_id=i) for i in sorted(gpu_oom_ids)),
+            crash_probability=0.05 if faults else 0.0,
+            seed=seed % 97,
+        )
     config = RuntimeConfig(
         storage=StorageKind.LOCAL,
         scheduling=policy,
         use_gpu=use_gpu,
-        fault_plan=(
-            FaultPlan(
-                node_faults=(NodeFault(node=1, at_time=0.05),),
-                crash_probability=0.05,
-                seed=seed % 97,
-            )
-            if faults
-            else None
-        ),
+        gpu_overflow_to_cpu=gpu_overflow,
+        fault_plan=fault_plan,
         retry_policy=(
-            RetryPolicy(max_attempts=2, backoff_base=0.01) if faults else None
+            RetryPolicy(max_attempts=2, backoff_base=0.01, gpu_fallback_to_cpu=True)
+            if fault_plan is not None
+            else None
         ),
     )
     runtime = Runtime(config)
@@ -618,6 +687,7 @@ def test_incremental_dispatch_state_equals_recompute(
         storage=config.storage,
         scheduling=config.scheduling,
         use_gpu=config.use_gpu,
+        gpu_overflow=config.gpu_overflow_to_cpu,
         fault_plan=config.fault_plan,
         retry_policy=config.retry_policy,
     )
