@@ -63,12 +63,9 @@ CODES: dict[str, str] = {
     "WF302": "fault plan targets a node outside the cluster",
     "WF303": "node faults can destroy the only replica of a barrier output "
     "(no checkpoint policy)",
-    "WF304": "speculative re-execution configured on a single-node cluster",
     "WF401": "write-write race: two unordered tasks produce the same block",
     "WF402": "read-after-free: lineage recovery can walk into a "
     "permanently failed producer",
-    "WF403": "checkpointed block's producer can be speculatively "
-    "re-executed (double checkpoint writes)",
     "WF404": "checkpoint policy names task types absent from the graph",
 }
 

@@ -2,28 +2,23 @@
 
 The executor moves blocks, not just tasks: every output ref is a block
 with one authoritative replica (homed where its producer ran), node
-faults destroy replicas, lineage recovery resurrects producers, the
-checkpoint policy clones blocks to shared storage, and speculation runs
-two attempts of one producer concurrently.  Each of those mechanisms is
-individually deterministic, but their *compositions* can race on a block
-id.  These rules find the three hazard classes statically, from the DAG
-plus the fault/recovery configuration alone:
+faults destroy replicas, lineage recovery resurrects producers, and the
+checkpoint policy clones blocks to shared storage.  Each of those
+mechanisms is individually deterministic, but their *compositions* can
+race on a block id.  These rules find the hazard classes statically,
+from the DAG plus the fault/recovery configuration alone:
 
 * **WF401** — write-write: two dependency-unordered tasks produce the
   same ref id, so the surviving replica depends on scheduling order.
 * **WF402** — read-after-free: a lineage walk triggered by a lost block
   can reach a producer whose retries a crash plan provably exhausts; the
   consumer then reads a block that can never exist again.
-* **WF403** — checkpoint/lineage inconsistency: a checkpointed block
-  whose producer can be speculatively re-executed writes the durable
-  copy twice, and the loser's write may land after the winner re-homed
-  the authoritative replica.
 * **WF404** — a checkpoint policy restricted to task types the graph
   does not contain protects nothing (a typo silently disables it).
 
-All four stay quiet on the golden-trace matrix (``tests/golden_matrix.py``),
-whose fault cells retry without lineage recovery, checkpoints, or
-speculation — the interplay tests pin that down.
+All three stay quiet on the golden-trace matrix
+(``tests/golden_matrix.py``), whose fault cells retry without lineage
+recovery or checkpoints — the interplay tests pin that down.
 """
 
 from __future__ import annotations
@@ -171,55 +166,6 @@ def check_read_after_free(ctx: RuleContext) -> list[Diagnostic]:
                 task_type=name,
                 hint="raise max_attempts past the crash plan, drop the "
                 "crash entries, or checkpoint the producer's task type",
-            )
-        )
-    return findings
-
-
-@register("WF403", severity=Severity.WARNING, category="races")
-def check_checkpoint_speculation_divergence(ctx: RuleContext) -> list[Diagnostic]:
-    """WF403 — a checkpointed producer can be speculatively re-executed.
-
-    Speculation races two attempts of one task; each committing attempt
-    walks the checkpoint-write stage, so a checkpointed task type pays
-    the GPFS round-trip twice, and the losing attempt's write can land
-    *after* the winner re-homed the authoritative replica — the durable
-    copy and the live block then disagree about where the block lives
-    (and, with jitter, about its content timeline).
-    """
-    checkpoint = ctx.checkpoint_policy
-    policy = ctx.retry_policy
-    if checkpoint is None or policy is None:
-        return []
-    if getattr(policy, "speculation_factor", None) is None:
-        return []
-    try:
-        levels = ctx.graph.levels()
-    except CycleError:
-        return []
-    exposed = [
-        task
-        for task in ctx.graph.tasks()
-        if checkpoint.applies(task.name, levels[task.task_id])
-    ]
-    findings = []
-    for name, tasks in _grouped(exposed).items():
-        findings.append(
-            Diagnostic(
-                code="WF403",
-                severity=Severity.WARNING,
-                message=(
-                    f"{len(tasks)} {name!r} task(s) are both checkpointed "
-                    "and eligible for speculative re-execution; a "
-                    "speculation race checkpoints the same block twice and "
-                    "the loser's durable write can disagree with the "
-                    "winner's authoritative replica"
-                ),
-                task_ids=_ids(tasks),
-                task_type=name,
-                hint="exclude the checkpointed types from speculation "
-                "(or vice versa): set CheckpointPolicy(task_types=...) "
-                "disjoint from the straggler-prone types",
             )
         )
     return findings

@@ -721,32 +721,3 @@ def check_unprotected_barriers(ctx: RuleContext) -> list[Diagnostic]:
             "restarts from shared storage instead",
         )
     ]
-
-
-@register("WF304", severity=Severity.WARNING, category="resilience")
-def check_speculation_needs_nodes(ctx: RuleContext) -> list[Diagnostic]:
-    """WF304 — speculative re-execution needs a second node.
-
-    Backup attempts always launch on a *different* node than the watched
-    primary, so on a single-node cluster the speculation knobs are dead
-    configuration: the watchdog arms, finds no other node, and never
-    launches anything.
-    """
-    policy = ctx.retry_policy
-    if policy is None or getattr(policy, "speculation_factor", None) is None:
-        return []
-    if ctx.cluster is None or ctx.cluster.num_nodes > 1:
-        return []
-    return [
-        Diagnostic(
-            code="WF304",
-            severity=Severity.WARNING,
-            message=(
-                "speculation_factor is set but the cluster has a single "
-                "node; speculative backups must run on a different node "
-                "than the primary, so no backup can ever launch"
-            ),
-            hint="grow the cluster (num_nodes >= 2) or drop "
-            "speculation_factor",
-        )
-    ]

@@ -12,8 +12,8 @@ produced trace through five checks:
   record of each producer has ended (the DAG edge order is preserved in
   time, resurrections included);
 * **attempt state-machine legality** — attempt numbers are contiguous
-  from 1, a task commits at most once per resurrection, non-speculative
-  attempts do not overlap, and every task either committed or is in
+  from 1, a task commits at most once per resurrection, attempts of one
+  task never overlap, and every task either committed or is in
   ``failed_task_ids``;
 * **resource conservation** — per node, concurrently held CPU cores,
   GPU devices, and reserved host RAM never exceed the node's capacity,
@@ -32,11 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.tracing import (
-    ATTEMPT_SPECULATION_CANCELLED,
-    Stage,
-    Trace,
-)
+from repro.tracing import Stage, Trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.runtime.runtime import WorkflowResult
@@ -45,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
 EPS = 1e-9
 
 #: Master-side zero-duration markers occupy no core (node/core -1).
-_OFF_CORE = {Stage.FAILURE, Stage.RETRY_WAIT, Stage.RECOMPUTE, Stage.SPECULATIVE}
+_OFF_CORE = {Stage.FAILURE, Stage.RETRY_WAIT, Stage.RECOMPUTE}
 
 #: The check names, in report order.
 CHECKS = (
@@ -219,8 +215,6 @@ def _check_attempt_machine(result: "WorkflowResult", out: list[Violation]) -> No
                 )
             )
         for earlier, later in zip(attempts, attempts[1:]):
-            if ATTEMPT_SPECULATION_CANCELLED in (earlier.outcome, later.outcome):
-                continue  # a speculation race overlaps by design
             if earlier.end > later.start + EPS:
                 out.append(
                     Violation(

@@ -127,14 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="checkpoint task outputs to shared storage every N DAG levels",
     )
     run.add_argument(
-        "--speculate",
-        type=float,
-        default=None,
-        metavar="FACTOR",
-        help="launch a backup copy of any attempt running FACTOR x the "
-             "median duration of its task type",
-    )
-    run.add_argument(
         "--sanitize",
         action="store_true",
         help="replay the trace through the dynamic sanitizer afterwards; "
@@ -321,14 +313,12 @@ def _run_config(args):
     storage = StorageKind.LOCAL if args.storage == "local" else StorageKind.SHARED
     policy = SchedulingPolicy(args.policy)
     fault_plan = _load_fault_plan(args.faults) if args.faults else None
-    wants_policy = fault_plan is not None or args.recover or args.speculate
     retry_policy = (
         RetryPolicy(
             max_attempts=args.max_attempts,
             recover_lost_blocks=args.recover,
-            speculation_factor=args.speculate,
         )
-        if wants_policy
+        if fault_plan is not None or args.recover
         else None
     )
     checkpoint_policy = (
@@ -343,7 +333,6 @@ def _run_config(args):
         fault_plan=fault_plan,
         retry_policy=retry_policy,
         checkpoint_policy=checkpoint_policy,
-        sanitize=args.sanitize,
     )
     return workflow, config
 
@@ -364,7 +353,7 @@ def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
     workflow.build(runtime)
     print(f"DAG: {runtime.graph.describe()}")
     try:
-        result = runtime.run()
+        result = runtime.run(sanitize=args.sanitize)
     except TraceSanitizerError as error:
         print(error.report.render())
         return 2
@@ -383,18 +372,12 @@ def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
             shown = ", ".join(f"#{t}" for t in result.failed_task_ids[:10])
             print(f"failed tasks: {shown}")
     recovery = result.recovery_metrics
-    if (
-        recovery.tasks_resurrected
-        or recovery.checkpoint_writes
-        or recovery.speculative_launches
-    ):
+    if recovery.tasks_resurrected or recovery.checkpoint_writes:
         print(
             f"recovery: {recovery.blocks_lost} block(s) lost, "
             f"{recovery.tasks_resurrected} task(s) resurrected "
             f"({format_seconds(recovery.recompute_seconds)} recompute), "
-            f"{recovery.checkpoint_writes} checkpoint write(s), "
-            f"speculation {recovery.speculation_wins} win(s) / "
-            f"{recovery.speculation_losses} loss(es)"
+            f"{recovery.checkpoint_writes} checkpoint write(s)"
         )
 
     table = Table(

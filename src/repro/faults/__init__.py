@@ -3,14 +3,13 @@
 A :class:`FaultPlan` describes deterministic, seed-driven failures — task
 crashes at Figure-4 stages, node loss at a simulated timestamp, runtime
 GPU OOM, stragglers — and a :class:`RetryPolicy` governs recovery: retry
-with exponential backoff and jitter, per-attempt deadlines, GPU-to-CPU
-fallback, and failed-node blacklisting (optionally with a reboot
-cooldown).  :mod:`repro.faults.recovery` extends the retry path with
-lineage-based recovery — recompute blocks lost with a dead node
-(``RetryPolicy(recover_lost_blocks=True)``), bound the recomputation
-depth with a :class:`CheckpointPolicy`, and neutralize stragglers with
-speculative re-execution (``speculation_factor=``).  Wire everything
-into :class:`~repro.runtime.RuntimeConfig` (``fault_plan=``,
+with exponential backoff and jitter, and GPU-to-CPU fallback.  A failed
+node leaves the cluster for the rest of the run.
+:mod:`repro.faults.recovery` extends the retry path with lineage-based
+recovery — recompute blocks lost with a dead node
+(``RetryPolicy(recover_lost_blocks=True)``) and bound the recomputation
+depth with a :class:`CheckpointPolicy`.  Wire everything into
+:class:`~repro.runtime.RuntimeConfig` (``fault_plan=``,
 ``retry_policy=``, ``checkpoint_policy=``) and read the outcome off
 :class:`~repro.runtime.WorkflowResult` (``failed``, ``attempts``,
 ``recovered_makespan``, ``recovery_metrics``) and the trace's
@@ -27,14 +26,9 @@ from repro.faults.plan import (
     Straggler,
     TaskCrash,
     TaskCrashError,
-    TaskDeadlineError,
 )
 from repro.faults.policy import RetryPolicy
-from repro.faults.recovery import (
-    CheckpointPolicy,
-    RecoveryMetrics,
-    SpeculationCancelledError,
-)
+from repro.faults.recovery import CheckpointPolicy, RecoveryMetrics
 
 __all__ = [
     "CheckpointPolicy",
@@ -46,9 +40,7 @@ __all__ = [
     "NodeFailureError",
     "RecoveryMetrics",
     "RetryPolicy",
-    "SpeculationCancelledError",
     "Straggler",
     "TaskCrash",
     "TaskCrashError",
-    "TaskDeadlineError",
 ]

@@ -37,7 +37,7 @@ class FaultError(Exception):
 
     ``kind`` is the stable outcome label recorded in
     :class:`~repro.tracing.TaskAttempt` records ("crash", "node_failure",
-    "gpu_oom", "timeout").
+    "gpu_oom").
     """
 
     kind = "fault"
@@ -72,21 +72,6 @@ class InjectedGpuOomError(FaultError):
     def __init__(self, task_id: int) -> None:
         self.task_id = task_id
         super().__init__(f"task {task_id} hit a runtime GPU OOM")
-
-
-class TaskDeadlineError(FaultError):
-    """An attempt exceeded the retry policy's per-attempt deadline.
-
-    Deadlines are checked at stage boundaries (the master only observes a
-    task between stages), so an attempt overruns by at most one stage.
-    """
-
-    kind = "timeout"
-
-    def __init__(self, task_id: int, deadline: float) -> None:
-        self.task_id = task_id
-        self.deadline = deadline
-        super().__init__(f"task {task_id} exceeded its {deadline:g}s deadline")
 
 
 def _matches(task_id: int, task_type: str, want_id: int | None,
@@ -131,10 +116,8 @@ class TaskCrash:
 class NodeFault:
     """Node ``node`` fails at simulated time ``at_time`` (seconds).
 
-    Every task resident on the node dies with a ``node_failure`` outcome;
-    the node stops accepting work and — with
-    :attr:`~repro.faults.RetryPolicy.blacklist_failed_nodes` — is
-    blacklisted in the scheduler's cluster view.
+    Every task resident on the node dies with a ``node_failure`` outcome,
+    and the node stops accepting work for the rest of the run.
     """
 
     node: int

@@ -3,10 +3,9 @@
 The runtime treats failure handling the way a production task-based
 system (or a training/inference stack's preemption handler) does: a
 failed attempt is retried up to ``max_attempts`` times with exponential
-backoff, optionally jittered to avoid retry storms; per-attempt deadlines
-turn hangs into failures; and two degradation rules keep the workflow
-moving when resources disappear — GPU tasks fall back to CPU cores after
-a device failure, and failed nodes are blacklisted from scheduling.
+backoff, optionally jittered to avoid retry storms, and GPU tasks fall
+back to CPU cores after a device failure so the workflow keeps moving.
+A failed node simply leaves the cluster: its view reports no free slot.
 """
 
 from __future__ import annotations
@@ -38,32 +37,14 @@ class RetryPolicy:
     #: jitter stream is seeded per (plan seed, task, attempt) so it is
     #: reproducible.
     backoff_jitter: float = 0.0
-    #: Per-attempt deadline in simulated seconds (``None`` = unlimited);
-    #: checked at stage boundaries.
-    task_deadline: float | None = None
     #: After a runtime GPU OOM, retry the task on a CPU core.
     gpu_fallback_to_cpu: bool = True
-    #: Exclude failed nodes from every scheduling decision.
-    blacklist_failed_nodes: bool = True
-    #: Simulated seconds after which a blacklisted node reboots and
-    #: re-enters scheduling (``None`` = blacklisted forever).  Without a
-    #: cooldown a run can strand once every GPU-bearing node has faulted;
-    #: blocks the node held stay lost across the reboot.
-    blacklist_cooldown: float | None = None
     #: Lineage-based recovery: when a task's input block was lost with a
     #: failed node, resurrect the minimal set of committed ancestors that
     #: can recompute it instead of failing the consumer (off by default;
     #: the pre-recovery "dependencies lost" behaviour is preserved
     #: bit-for-bit when disabled).
     recover_lost_blocks: bool = False
-    #: Speculative re-execution: when a running attempt exceeds this
-    #: factor times the running median duration of its task type, launch
-    #: a backup attempt on another node and take the first finisher
-    #: (``None`` = no speculation).
-    speculation_factor: float | None = None
-    #: Committed durations of a task type needed before its running
-    #: median is trusted for speculation decisions.
-    speculation_min_samples: int = 3
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -76,24 +57,11 @@ class RetryPolicy:
             raise ValueError("backoff_max must be non-negative")
         if not 0.0 <= self.backoff_jitter < 1.0:
             raise ValueError("backoff_jitter must be within [0, 1)")
-        if self.task_deadline is not None and self.task_deadline <= 0:
-            raise ValueError("task_deadline must be positive")
-        if self.blacklist_cooldown is not None and self.blacklist_cooldown <= 0:
-            raise ValueError("blacklist_cooldown must be positive")
-        if self.speculation_factor is not None and self.speculation_factor <= 1:
-            raise ValueError("speculation_factor must be > 1")
-        if self.speculation_min_samples < 1:
-            raise ValueError("speculation_min_samples must be >= 1")
 
     @property
     def retries_enabled(self) -> bool:
         """Whether a failed attempt gets another try at all."""
         return self.max_attempts > 1
-
-    @property
-    def speculation_enabled(self) -> bool:
-        """Whether straggling attempts get speculative backups."""
-        return self.speculation_factor is not None
 
     def backoff_delay(
         self,

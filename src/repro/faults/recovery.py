@@ -1,6 +1,6 @@
-"""Lineage-based recovery: checkpoints, recovery metrics, speculation.
+"""Lineage-based recovery: checkpoints and recovery metrics.
 
-PR 2's fault layer retries *running* attempts; this module adds the
+The retry policy re-runs *failed* attempts; this module adds the
 pieces that let the simulated runtime survive losing blocks produced by
 already-*completed* tasks, the way lineage-based task runtimes (Spark,
 Dask, Ray) do:
@@ -15,42 +15,17 @@ Dask, Ray) do:
 * **:class:`CheckpointPolicy`** — barrier/interval checkpointing of
   block refs to shared storage (GPFS in the Minotauro preset) with a
   modeled write cost, cutting the recovery depth at the last checkpoint.
-* **Speculative re-execution** — when a running attempt exceeds
-  ``speculation_factor x`` the running median duration of its task type,
-  a backup copy launches on another node; the first finisher wins and
-  the loser is cancelled (outcome
-  :data:`~repro.tracing.ATTEMPT_SPECULATION_CANCELLED`).
 
 :class:`RecoveryMetrics` aggregates what recovery cost: blocks lost,
-tasks resurrected, recomputation time, checkpoint overhead, and
-speculation wins/losses.  It is surfaced on
-:class:`~repro.runtime.WorkflowResult` and mirrored (trace-derived)
-through :func:`~repro.tracing.fault_metrics`.  See ``docs/faults.md``.
+tasks resurrected, recomputation time and checkpoint overhead.  It is
+surfaced on :class:`~repro.runtime.WorkflowResult` and mirrored
+(trace-derived) through :func:`~repro.tracing.fault_metrics`.  See
+``docs/faults.md``.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-
-from repro.faults.plan import FaultError
-
-
-class SpeculationCancelledError(FaultError):
-    """A speculative race lost: a sibling attempt committed first.
-
-    Not a real failure — the task succeeded through the winning attempt
-    — so the retry path never fires for this outcome; the attempt is
-    recorded with outcome ``"speculation_cancelled"`` and its
-    core-seconds count as wasted (speculation's cost).
-    """
-
-    kind = "speculation_cancelled"
-
-    def __init__(self, task_id: int) -> None:
-        self.task_id = task_id
-        super().__init__(
-            f"task {task_id}: speculative race lost, attempt cancelled"
-        )
 
 
 @dataclass(frozen=True)
@@ -90,7 +65,7 @@ class CheckpointPolicy:
 
 @dataclass
 class RecoveryMetrics:
-    """What lineage recovery, checkpointing, and speculation cost one run.
+    """What lineage recovery and checkpointing cost one run.
 
     All counters are zero for a fault-free execution (and for any run
     with recovery features disabled), so the object is defined for every
@@ -109,12 +84,6 @@ class RecoveryMetrics:
     checkpoint_writes: int = 0
     #: Simulated seconds spent writing checkpoints to shared storage.
     checkpoint_write_seconds: float = 0.0
-    #: Speculative backup attempts launched.
-    speculative_launches: int = 0
-    #: Races a speculative backup won (backup committed the task).
-    speculation_wins: int = 0
-    #: Races a speculative backup lost (backup cancelled).
-    speculation_losses: int = 0
 
     @property
     def any_recovery(self) -> bool:

@@ -84,16 +84,6 @@ class SimulatedNode:
         """Take the node out of the cluster (fault injection)."""
         self._alive = False
 
-    def recover(self) -> None:
-        """Bring a failed node back after a reboot cooldown.
-
-        Its cores, devices, and channels become schedulable again, but
-        any blocks its local disk held remain lost — the executor tracks
-        loss per ref, independent of node liveness, so a rebooted node
-        never resurrects data.
-        """
-        self._alive = True
-
     @property
     def ram_in_use(self) -> int:
         """Host memory currently reserved by running tasks."""

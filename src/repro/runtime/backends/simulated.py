@@ -24,11 +24,12 @@ nor any overhead caused by it" (§5.3).
 With a :class:`~repro.faults.FaultPlan` the same pipeline grows a failure
 path: task attempts can crash at stage boundaries, nodes can die at a
 simulated timestamp (killing resident tasks and leaving the schedulable
-cluster), device allocations can fail at run time, and stragglers stretch
-compute stages.  A :class:`~repro.faults.RetryPolicy` governs recovery —
-re-queueing with exponential backoff, GPU-to-CPU fallback, failed-node
-blacklisting — and every try is recorded as a
-:class:`~repro.tracing.TaskAttempt`.
+cluster for good), device allocations can fail at run time, and
+stragglers stretch compute stages.  A :class:`~repro.faults.RetryPolicy`
+governs recovery — re-queueing with exponential backoff and GPU-to-CPU
+fallback — and every try is recorded as a
+:class:`~repro.tracing.TaskAttempt`.  At most one attempt of a task is in
+flight at any time.
 
 With ``RetryPolicy(recover_lost_blocks=True)`` the failure path grows
 lineage-based recovery: a node failure marks the blocks it held as lost,
@@ -38,40 +39,32 @@ recompute them, and re-enqueues those before the consumer runs.  The
 authoritative copy of a block lives with its producer node (matching the
 locality model); workflow inputs and refs persisted by a
 :class:`~repro.faults.CheckpointPolicy` are durable and terminate the
-lineage walk.  A :attr:`~repro.faults.RetryPolicy.speculation_factor`
-additionally launches backup attempts for stragglers, and a
-:attr:`~repro.faults.RetryPolicy.blacklist_cooldown` reboots blacklisted
-nodes back into scheduling.  All of it is opt-in: with the recovery knobs
-at their defaults the schedule and trace are bit-identical to the
-pre-recovery executor.
+lineage walk.  All of it is opt-in: with the recovery knobs at their
+defaults the schedule and trace are bit-identical to the pre-recovery
+executor.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Generator
+from typing import TYPE_CHECKING, Generator
 
 import numpy as _np
 
 from repro.faults import (
-    CheckpointPolicy,
     FaultError,
-    FaultPlan,
     InjectedGpuOomError,
     NodeFailureError,
     RecoveryMetrics,
     RetryPolicy,
-    SpeculationCancelledError,
     TaskCrashError,
-    TaskDeadlineError,
 )
 from repro.hardware import SimulatedCluster, StorageKind
 from repro.perfmodel import CostModel, TaskCost
 from repro.runtime.dag import TaskGraph
 from repro.runtime.locality import LocalityIndex
 from repro.runtime.scheduler import (
-    Assignment,
     ReadyParts,
     Scheduler,
     SchedulingPolicy,
@@ -87,6 +80,10 @@ from repro.sim import (
     WaitEvent,
 )
 from repro.tracing import ATTEMPT_OK, Stage, Trace
+
+if TYPE_CHECKING:
+    from repro.runtime.runtime import RuntimeConfig
+
 
 @dataclass(frozen=True)
 class ResourceStats:
@@ -159,45 +156,29 @@ class _ClusterView:
         self,
         cluster: SimulatedCluster,
         cpu_cores_per_task: int = 1,
-        blacklist: set[int] | None = None,
         locality_index: LocalityIndex | None = None,
-        lost_refs: set[int] | None = None,
     ) -> None:
         self._cluster = cluster
         self._cpu_cores_per_task = cpu_cores_per_task
-        self._blacklist = blacklist if blacklist is not None else set()
         #: O(1) per-(task, node) locality scores over the ready set; only
         #: maintained when the data-locality policy is active.
         self.locality_index = locality_index
-        #: Ref ids whose blocks died with a node; shared with the executor
-        #: so locality credit stops even if the node later reboots.
-        self._lost_refs = lost_refs if lost_refs is not None else set()
 
     def num_nodes(self) -> int:
         return len(self._cluster.nodes)
-
-    def is_blacklisted(self, node: int) -> bool:
-        """Whether recovery has excluded ``node`` from scheduling."""
-        return node in self._blacklist
 
     def resident_node(self, ref) -> int | None:
         """The node whose local disk currently holds ``ref``'s block.
 
         ``home_node`` records where the block *landed*; the block stays
         resident there until the node fails, at which point it is lost
-        (``None``) and must not earn locality credit anymore — including
-        after a :attr:`~repro.faults.RetryPolicy.blacklist_cooldown`
-        reboot, because a rebooted node never resurrects data.  A home
+        (``None``) and must not earn locality credit anymore.  A home
         outside the cluster (possible when refs were registered against a
         larger cluster) resolves to ``None`` as well.
         """
         node = ref.home_node
         nodes = self._cluster.nodes
-        if (
-            0 <= node < len(nodes)
-            and nodes[node].alive
-            and ref.ref_id not in self._lost_refs
-        ):
+        if 0 <= node < len(nodes) and nodes[node].alive:
             return node
         return None
 
@@ -221,72 +202,39 @@ class SimulatedExecutor:
     #: Chunks of the staged host-to-device pipeline when overlap is on.
     PIPELINE_STAGES = 8
 
-    def __init__(
-        self,
-        cluster_spec,
-        storage: StorageKind,
-        scheduling: SchedulingPolicy,
-        use_gpu: bool,
-        comm_overlap: bool = False,
-        cpu_threads: int = 1,
-        gpu_task_types: frozenset[str] | None = None,
-        jitter_sigma: float = 0.0,
-        jitter_seed: int = 0,
-        warmup_overhead: float = 0.0,
-        gpu_overflow: bool = False,
-        fault_plan: FaultPlan | None = None,
-        retry_policy: RetryPolicy | None = None,
-        checkpoint_policy: CheckpointPolicy | None = None,
-    ) -> None:
-        if cpu_threads < 1:
-            raise ValueError("cpu_threads must be >= 1")
-        if jitter_sigma < 0:
-            raise ValueError("jitter_sigma must be non-negative")
-        if warmup_overhead < 0:
-            raise ValueError("warmup_overhead must be non-negative")
-        if cpu_threads > cluster_spec.node.cpu.cores_per_node:
-            raise ValueError(
-                "cpu_threads cannot exceed the cores of one node"
-            )
-        if fault_plan is not None:
-            for fault in fault_plan.node_faults:
-                if fault.node >= cluster_spec.num_nodes:
-                    raise ValueError(
-                        f"fault plan kills node {fault.node} but the cluster "
-                        f"has {cluster_spec.num_nodes} nodes"
-                    )
-        self.cluster_spec = cluster_spec
-        self.storage = storage
-        self.scheduling = scheduling
-        self.use_gpu = use_gpu
-        self.comm_overlap = comm_overlap
-        self.cpu_threads = cpu_threads
+    def __init__(self, config: RuntimeConfig) -> None:
+        self.cluster_spec = config.cluster
+        self.storage = config.storage
+        self.scheduling = config.scheduling
+        self.use_gpu = config.use_gpu
+        self.comm_overlap = config.comm_overlap
+        self.cpu_threads = config.cpu_threads_per_task
         #: Hybrid mode: when set, only these task types use GPU devices
         #: (the rest run on CPU cores even in GPU mode).
-        self.gpu_task_types = gpu_task_types
-        self.jitter_sigma = jitter_sigma
-        self.jitter_seed = jitter_seed
-        self.warmup_overhead = warmup_overhead
+        self.gpu_task_types = config.gpu_task_types
+        self.jitter_sigma = config.jitter_sigma
+        self.jitter_seed = config.jitter_seed
+        self.warmup_overhead = config.warmup_overhead
         #: Heterogeneous execution (a mitigation the paper's §2 survey
         #: lists): when all GPU devices are busy, a GPU-eligible task may
         #: overflow to a free CPU core if that is expected to finish
         #: sooner than queueing for a device.
-        self.gpu_overflow = gpu_overflow
+        self.gpu_overflow = config.gpu_overflow_to_cpu
         #: Injected failures (``None`` = fault-free execution).
-        self.fault_plan = fault_plan
+        self.fault_plan = config.fault_plan
         #: Recovery rules; defaults to :class:`~repro.faults.RetryPolicy`.
-        self.retry_policy = retry_policy or RetryPolicy()
+        self.retry_policy = config.retry_policy or RetryPolicy()
         #: Barrier checkpointing of task outputs to shared storage
         #: (``None`` = no checkpoints; lineage recomputation walks all the
         #: way back to workflow inputs).
-        self.checkpoint_policy = checkpoint_policy
+        self.checkpoint_policy = config.checkpoint_policy
         #: Recovery cost accounting for the last :meth:`execute` run.
         self.recovery_metrics = RecoveryMetrics()
         #: Permanently failed task ids (retries exhausted, failed
         #: dependencies, or stranded without schedulable nodes); set by
         #: :meth:`execute`.
         self.failed_task_ids: tuple[int, ...] = ()
-        self.cost_model = CostModel(cluster_spec)
+        self.cost_model = CostModel(self.cluster_spec)
 
     def _jitter(self, duration: float) -> float:
         """Scale a compute-stage duration by the run's log-normal noise."""
@@ -356,24 +304,17 @@ class SimulatedExecutor:
         self.cluster = SimulatedCluster(self.sim, self.cluster_spec)
         self.trace = Trace()
         self.scheduler: Scheduler = make_scheduler(self.scheduling)
-        self._blacklist: set[int] = set()
         locality = self.scheduling is SchedulingPolicy.DATA_LOCALITY
         self._locality_index = LocalityIndex() if locality else None
         #: The ready set split into parts for the data-locality policy,
         #: maintained next to the locality index.
         self._ready_parts = ReadyParts(graph.task) if locality else None
-        #: Ref ids of blocks destroyed by node failures.  Tracked per ref
-        #: and independently of node liveness: a node rebooted after a
-        #: blacklist cooldown never resurrects the data it lost, and a
-        #: recomputed block leaves the set only when its producer commits
-        #: again (re-homing the ref).
+        #: Ref ids of blocks destroyed by node failures; a recomputed block
+        #: leaves the set when its producer commits again (re-homing the
+        #: ref).
         self._lost_refs: set[int] = set()
         self._view = _ClusterView(
-            self.cluster,
-            self.cpu_threads,
-            self._blacklist,
-            self._locality_index,
-            self._lost_refs,
+            self.cluster, self.cpu_threads, self._locality_index
         )
         self._graph = graph
         tasks = graph.tasks()
@@ -440,29 +381,21 @@ class SimulatedExecutor:
             self.scheduling.value
         ]
         self._forced_cpu: set[int] = set()
-        #: task_id -> {attempt -> (process, node)}.  Usually at most one
-        #: attempt per task; speculation races hold two.  Key membership
-        #: is mirrored in the ``_RUNNING`` state bit for the hot paths.
-        self._running: dict[int, dict[int, tuple[Process, int]]] = {}
-        policy = self.retry_policy
+        #: task_id -> (process, node) of its one attempt in flight.  Key
+        #: membership is mirrored in the ``_RUNNING`` state bit for the hot
+        #: paths.
+        self._running: dict[int, tuple[Process, int]] = {}
         #: Lineage recomputation of lost blocks (opt-in; all recovery
         #: state below stays empty when disabled, preserving the
         #: pre-recovery schedule bit-for-bit).
-        self._recovery_on = policy.recover_lost_blocks
+        self._recovery_on = self.retry_policy.recover_lost_blocks
         #: Ref ids persisted to shared storage by the checkpoint policy;
         #: durable against node loss, so lineage walks stop there.
         self._checkpointed_refs: set[int] = set()
         #: Resurrected tasks whose recomputation has not committed yet
         #: (their next successful attempt bills recompute_seconds).
         self._resurrected_dirty: set[int] = set()
-        #: (task_id, attempt) pairs launched as speculative backups.
-        self._speculative_attempts: set[tuple[int, int]] = set()
-        #: Sorted committed durations per task type (speculation medians).
-        self._type_durations: dict[str, list[float]] = {}
         self.recovery_metrics = RecoveryMetrics()
-        self._record_attempts = (
-            self.fault_plan is not None or policy.speculation_enabled
-        )
         if self.fault_plan is not None:
             for fault in self.fault_plan.node_faults:
                 self._spawn(self._node_killer(fault), f"nodefault{fault.node}")
@@ -588,18 +521,14 @@ class SimulatedExecutor:
         * the per-decision latency and the locality scan cost are exactly
           zero (otherwise decisions occupy distinct simulated instants),
         * no fault/recovery machinery schedules events around dispatch
-          (fault plans, speculation watchdogs, task deadlines, checkpoint
-          barriers),
+          (fault plans, checkpoint barriers),
         * staged-pipeline GPU overlap is off (its fill sub-process starts
           at the launch instant), and
         * every task's first suspension is strictly in the future
           (:meth:`_task_batch_safe`).
         """
-        policy = self.retry_policy
         return (
             self.fault_plan is None
-            and not policy.speculation_enabled
-            and policy.task_deadline is None
             and self.checkpoint_policy is None
             and self._dispatch_latency == 0.0
             and (
@@ -635,9 +564,8 @@ class SimulatedExecutor:
     def _reserve_assignment(self, assignment) -> tuple[Task, int, int, bool]:
         """Commit one placement (no simulated time passes).
 
-        The one reservation sequence — cores, GPU device slot, RAM, core
-        slot, ready-set removal — shared by dispatch decisions and
-        speculative backups, so every later decision observes it.
+        Reserves cores, a GPU device slot, RAM and a core slot, and takes
+        the task off the ready set, so every later decision observes it.
         """
         task = assignment.task
         node = self.cluster.nodes[assignment.node]
@@ -676,9 +604,8 @@ class SimulatedExecutor:
         core_slot: int,
         task_on_gpu: bool,
         autostart: bool = True,
-    ) -> tuple[Process, int]:
-        """Start the next attempt of a reserved task; returns it and its
-        attempt number."""
+    ) -> Process:
+        """Start the next attempt of a reserved task."""
         attempt = int(self._attempt_counts[task.task_id]) + 1
         self._attempt_counts[task.task_id] = attempt
         process = self._spawn(
@@ -686,16 +613,15 @@ class SimulatedExecutor:
             f"task{task.task_id}",
             autostart,
         )
-        self._running.setdefault(task.task_id, {})[attempt] = (process, node_index)
+        self._running[task.task_id] = (process, node_index)
         self._state[task.task_id] |= _RUNNING
-        return process, attempt
+        return process
 
     def _dispatcher(self) -> Generator:
         """One decision at a time, each reserved before the next is made."""
         ready = self._ready_parts
         if ready is None:
             ready = _ReadyView(self)
-        policy = self.retry_policy
         sim = self.sim
         sync_starts = self._sync_start_eligible(self._graph)
         while self._outstanding() > 0:
@@ -726,19 +652,10 @@ class SimulatedExecutor:
                     # the task to its first suspension now.  It schedules
                     # nothing at this instant (_task_batch_safe), so the
                     # rest of the activation starts synchronously too.
-                    self._launch(*placed, autostart=False)[0].start_now()
+                    self._launch(*placed, autostart=False).start_now()
                     continue
                 yield Timeout(self._dispatch_latency + self._scan_latency())
-                _process, attempt = self._launch(*placed)
-                if policy.speculation_enabled:
-                    median = self._median_duration(task.name)
-                    if median is not None:
-                        self._spawn(
-                            self._speculation_watchdog(
-                                task, attempt, median * policy.speculation_factor
-                            ),
-                            f"spec{task.task_id}",
-                        )
+                self._launch(*placed)
             if self._outstanding() > 0:
                 self._wake = SimEvent(name="dispatcher.wake")
                 yield WaitEvent(self._wake)
@@ -866,84 +783,14 @@ class SimulatedExecutor:
                 self._ready_insert(task_id)
         self._wake_dispatcher()
 
-    # ---------------------------------------------------------- speculation
-    def _note_duration(self, task_type: str, duration: float) -> None:
-        """Record a committed attempt duration for the running median."""
-        bisect.insort(self._type_durations.setdefault(task_type, []), duration)
-
-    def _median_duration(self, task_type: str) -> float | None:
-        """Running median of committed durations; ``None`` below the
-        ``speculation_min_samples`` threshold (too little evidence to
-        call anything a straggler)."""
-        durations = self._type_durations.get(task_type)
-        if (
-            durations is None
-            or len(durations) < self.retry_policy.speculation_min_samples
-        ):
-            return None
-        mid = len(durations) // 2
-        if len(durations) % 2:
-            return durations[mid]
-        return 0.5 * (durations[mid - 1] + durations[mid])
-
-    def _speculation_watchdog(
-        self, task: Task, primary_attempt: int, delay: float
-    ) -> Generator:
-        """Launch a backup attempt if the primary is still running late.
-
-        Armed at dispatch with ``speculation_factor x`` the running
-        median of the task type; when it fires and the watched attempt is
-        still the only one in flight, a backup launches on the
-        lowest-indexed other node with a free slot.  First finisher wins
-        (``_run_task`` cancels the sibling); no free slot elsewhere means
-        no speculation this round.
-        """
-        yield Timeout(delay)
-        if self._state[task.task_id] & _SETTLED:
-            return
-        attempts = self._running.get(task.task_id)
-        if attempts is None or set(attempts) != {primary_attempt}:
-            return
-        _process, primary_node = attempts[primary_attempt]
-        task_on_gpu = self._task_on_gpu(task)
-        task_ram = task.cost.host_memory_bytes if task.cost else 0
-        backup_node = None
-        for index in range(len(self.cluster.nodes)):
-            if index == primary_node or self._view.is_blacklisted(index):
-                continue
-            if self._view.has_free_slot(index, task_on_gpu, task_ram):
-                backup_node = index
-                break
-        if backup_node is None:
-            return
-        placed = self._reserve_assignment(Assignment(task, backup_node))
-        _process, backup_attempt = self._launch(*placed)
-        now = self.sim.now
-        # Zero-duration master-side marker: the speculation decision.
-        self.trace.add_stage_row(
-            task.task_id,
-            task.name,
-            Stage.SPECULATIVE,
-            now,
-            now,
-            -1,
-            -1,
-            self._levels[task.task_id],
-            task_on_gpu,
-            backup_attempt,
-        )
-        self._speculative_attempts.add((task.task_id, backup_attempt))
-        self.recovery_metrics.speculative_launches += 1
-
     # ----------------------------------------------------------- fault path
     def _node_killer(self, fault) -> Generator:
         """Fail one node at its planned timestamp.
 
         All resident task processes are interrupted (they fail with a
         ``node_failure`` outcome and re-enter the retry path), the blocks
-        the node held become lost, and the node is blacklisted from
-        scheduling when the policy says so — permanently, or until a
-        ``blacklist_cooldown`` reboot.
+        the node held become lost, and the node leaves scheduling for good
+        (a dead node has no free slot).
         """
         if fault.at_time > 0:
             yield Timeout(fault.at_time)
@@ -956,8 +803,6 @@ class SimulatedExecutor:
             # earning locality credit for them (mirrors resident_node
             # resolving to None for refs homed on a dead node).
             self._locality_index.drop_node(fault.node)
-        if self.retry_policy.blacklist_failed_nodes:
-            self._blacklist.add(fault.node)
         # Every committed output homed here is destroyed, except blocks
         # the checkpoint policy persisted to shared storage.
         for task_id in _np.flatnonzero(self._state_view() & _COMMITTED).tolist():
@@ -969,52 +814,10 @@ class SimulatedExecutor:
                 ):
                     self._lost_refs.add(ref.ref_id)
                     self.recovery_metrics.blocks_lost += 1
-        for attempts in list(self._running.values()):
-            for process, node_index in list(attempts.values()):
-                if (
-                    node_index == fault.node
-                    and process.started
-                    and not process.done.fired
-                ):
-                    process.interrupt(NodeFailureError(fault.node))
-        if self.retry_policy.blacklist_cooldown is not None:
-            self._spawn(self._node_rebooter(fault.node), f"nodereboot{fault.node}")
+        for process, node_index in list(self._running.values()):
+            if node_index == fault.node and process.started and not process.done.fired:
+                process.interrupt(NodeFailureError(fault.node))
         self._wake_dispatcher()
-
-    def _node_rebooter(self, node_index: int) -> Generator:
-        """Return a failed node to service after the blacklist cooldown.
-
-        The reboot restores schedulability only: cores and devices come
-        back cold (warm-up overhead applies again) and every block the
-        node held stays in ``_lost_refs``.
-        """
-        yield Timeout(self.retry_policy.blacklist_cooldown)
-        node = self.cluster.nodes[node_index]
-        if node.alive:
-            return
-        node.recover()
-        self._blacklist.discard(node_index)
-        self._warmed_cores = {
-            (warm_node, core)
-            for (warm_node, core) in sorted(self._warmed_cores)
-            if warm_node != node_index
-        }
-        self._wake_dispatcher()
-
-    def _check_fault(
-        self,
-        task: Task,
-        attempt: int,
-        stage: Stage,
-        planned_crash: Stage | None,
-        attempt_start: float,
-    ) -> None:
-        """Raise at a stage boundary if the attempt dies here."""
-        if planned_crash is stage:
-            raise TaskCrashError(task.task_id, stage)
-        deadline = self.retry_policy.task_deadline
-        if deadline is not None and self.sim.now - attempt_start > deadline:
-            raise TaskDeadlineError(task.task_id, deadline)
 
     def _handle_failure(
         self,
@@ -1035,10 +838,6 @@ class SimulatedExecutor:
             ):
                 # The last GPU-bearing node is gone: degrade to CPU.
                 self._force_cpu(task)
-        if task.task_id in self._running:
-            # A concurrent speculative attempt is still in flight; it
-            # carries the task, so this failure needs no retry of its own.
-            return
         if attempt < policy.max_attempts:
             rng = (
                 self.fault_plan.rng_for("backoff", task.task_id, attempt)
@@ -1140,25 +939,15 @@ class SimulatedExecutor:
             if not node.alive:
                 # Dispatched in the same instant the node died.
                 raise NodeFailureError(node_index)
-            if self._state[task.task_id] & _COMMITTED:
-                # A speculative sibling won the race before this attempt
-                # even started (an unstarted process cannot be
-                # interrupted, so the loser cancels itself here and the
-                # normal bookkeeping below returns its resources).
-                raise SpeculationCancelledError(task.task_id)
             yield from self._attempt_stages(
-                task, node, core_slot, task_on_gpu, attempt, task_start
+                task, node, core_slot, task_on_gpu, attempt
             )
         except FaultError as error:
             failure = error
 
         # --- resource bookkeeping (both outcomes) -----------------------
-        attempts = self._running.get(task.task_id)
-        if attempts is not None:
-            attempts.pop(attempt, None)
-            if not attempts:
-                del self._running[task.task_id]
-                self._state[task.task_id] &= 0xFF ^ _RUNNING
+        del self._running[task.task_id]
+        self._state[task.task_id] &= 0xFF ^ _RUNNING
         self._free_cores[node_index].append(core_slot)
         node.cores.release(1 if task_on_gpu else self.cpu_threads)
         node.release_ram(cost.host_memory_bytes if task.cost else 0)
@@ -1166,15 +955,6 @@ class SimulatedExecutor:
             node.gpus.release(1)
 
         if failure is None:
-            siblings = self._running.pop(task.task_id, None)
-            self._state[task.task_id] &= 0xFF ^ _RUNNING
-            if siblings is not None:
-                # First finisher wins the speculative race: cancel every
-                # still-running sibling attempt (an unstarted one cancels
-                # itself through the committed check above).
-                for process, _sibling_node in siblings.values():
-                    if process.started and not process.done.fired:
-                        process.interrupt(SpeculationCancelledError(task.task_id))
             for ref in task.outputs:
                 ref.home_node = node_index
             self._state[task.task_id] |= _COMMITTED
@@ -1182,13 +962,9 @@ class SimulatedExecutor:
                 # A recomputed block exists again, homed on this node.
                 for ref in task.outputs:
                     self._lost_refs.discard(ref.ref_id)
-            if (task.task_id, attempt) in self._speculative_attempts:
-                self.recovery_metrics.speculation_wins += 1
             if task.task_id in self._resurrected_dirty:
                 self._resurrected_dirty.discard(task.task_id)
                 self.recovery_metrics.recompute_seconds += self.sim.now - task_start
-            if self.retry_policy.speculation_enabled:
-                self._note_duration(task.name, self.sim.now - task_start)
             self.trace.add_task_row(
                 task.task_id,
                 task.name,
@@ -1200,7 +976,7 @@ class SimulatedExecutor:
                 task_on_gpu,
                 attempt,
             )
-            if self._record_attempts:
+            if self.fault_plan is not None:
                 self.trace.add_attempt_row(
                     task.task_id,
                     task.name,
@@ -1228,7 +1004,7 @@ class SimulatedExecutor:
                 task_on_gpu,
                 attempt,
             )
-            if self._record_attempts:
+            if self.fault_plan is not None:
                 self.trace.add_attempt_row(
                     task.task_id,
                     task.name,
@@ -1241,15 +1017,7 @@ class SimulatedExecutor:
                     task_on_gpu,
                     failure.kind,
                 )
-            if isinstance(failure, SpeculationCancelledError):
-                # Not a real failure: the task committed through a
-                # sibling attempt, so no retry — just hand the freed
-                # resources back to the dispatcher.
-                if (task.task_id, attempt) in self._speculative_attempts:
-                    self.recovery_metrics.speculation_losses += 1
-                self._wake_dispatcher()
-            else:
-                self._handle_failure(task, failure, attempt, level, task_on_gpu)
+            self._handle_failure(task, failure, attempt, level, task_on_gpu)
 
     def _attempt_stages(
         self,
@@ -1258,7 +1026,6 @@ class SimulatedExecutor:
         core_slot: int,
         task_on_gpu: bool,
         attempt: int,
-        attempt_start: float,
     ) -> Generator:
         """One attempt's walk through the Figure-4 stages."""
         node_index = node.index
@@ -1294,14 +1061,10 @@ class SimulatedExecutor:
                 attempt,
             )
 
-        #: With no planned crash and no deadline a checkpoint can never
-        #: raise; skipping the call (four per task) keeps the fault-free
-        #: hot path free of pure-overhead function calls.
-        deadline = self.retry_policy.task_deadline
-        faultable = planned_crash is not None or deadline is not None
-
-        def checkpoint(stage: Stage) -> None:
-            self._check_fault(task, attempt, stage, planned_crash, attempt_start)
+        #: Only a planned crash ends an attempt at a stage boundary.
+        #: Testing this flag first keeps the four per-task stage checks
+        #: of a fault-free run free of enum attribute lookups.
+        faultable = planned_crash is not None
 
         # --- warm-up: first task on a core loads modules / compiles -----
         if self.warmup_overhead > 0 and (node_index, core_slot) not in self._warmed_cores:
@@ -1332,8 +1095,8 @@ class SimulatedExecutor:
                 # don't log an empty stage (plain dependency-only DAGs
                 # would otherwise pay two no-op records per task).
                 record(Stage.DESERIALIZATION, start)
-            if faultable:
-                checkpoint(Stage.DESERIALIZATION)
+            if faultable and planned_crash is Stage.DESERIALIZATION:
+                raise TaskCrashError(task.task_id, planned_crash)
 
         # --- serial fraction --------------------------------------------
         serial = self._jitter(times.serial_fraction) * straggle
@@ -1341,8 +1104,8 @@ class SimulatedExecutor:
             start = self.sim.now
             yield Timeout(serial)
             record(Stage.SERIAL_FRACTION, start)
-        if faultable:
-            checkpoint(Stage.SERIAL_FRACTION)
+        if faultable and planned_crash is Stage.SERIAL_FRACTION:
+            raise TaskCrashError(task.task_id, planned_crash)
 
         # --- parallel fraction (+ CPU-GPU communication on GPU) ---------
         if task_on_gpu:
@@ -1374,8 +1137,8 @@ class SimulatedExecutor:
                 start = self.sim.now
                 yield Timeout(pf)
                 record(Stage.PARALLEL_FRACTION, start)
-        if faultable:
-            checkpoint(Stage.PARALLEL_FRACTION)
+        if faultable and planned_crash is Stage.PARALLEL_FRACTION:
+            raise TaskCrashError(task.task_id, planned_crash)
 
         # --- serialization: CPU-side encode + storage write --------------
         if not self._no_distribution:
@@ -1387,8 +1150,8 @@ class SimulatedExecutor:
                 yield from self._write_output(node_index, cost.output_bytes)
             if self.sim.now > start:
                 record(Stage.SERIALIZATION, start)
-            if faultable:
-                checkpoint(Stage.SERIALIZATION)
+            if faultable and planned_crash is Stage.SERIALIZATION:
+                raise TaskCrashError(task.task_id, planned_crash)
 
         # --- checkpoint write: persist outputs to shared storage ---------
         if (

@@ -43,7 +43,11 @@ class Backend(str, enum.Enum):
 @dataclass(frozen=True)
 class RuntimeConfig:
     """Everything that defines an execution environment (Table 1 factors
-    of the *resources* and *system* dimensions)."""
+    of the *resources* and *system* dimensions).
+
+    Out-of-range values raise ``ValueError`` when the config is built,
+    not when a run starts.
+    """
 
     cluster: ClusterSpec = field(default_factory=minotauro)
     storage: StorageKind = StorageKind.SHARED
@@ -84,28 +88,33 @@ class RuntimeConfig:
     #: earlier releases.
     fault_plan: FaultPlan | None = None
     #: Recovery rules applied when a fault plan injects failures: retry
-    #: budget, exponential backoff, GPU-to-CPU fallback, failed-node
-    #: blacklisting (optionally with a reboot cooldown), lineage-based
-    #: recomputation of lost blocks, and speculative re-execution of
-    #: stragglers.  ``None`` uses :class:`~repro.faults.RetryPolicy`'s
-    #: defaults.
+    #: budget, exponential backoff, GPU-to-CPU fallback and lineage-based
+    #: recomputation of lost blocks.  ``None`` uses
+    #: :class:`~repro.faults.RetryPolicy`'s defaults.
     retry_policy: RetryPolicy | None = None
     #: Barrier checkpointing of task outputs to shared storage (simulated
     #: backend only): bounds how deep lineage recomputation must walk at
     #: the price of modeled GPFS write time.  ``None`` = no checkpoints.
     checkpoint_policy: CheckpointPolicy | None = None
-    #: Run the static analyzer (:mod:`repro.analysis`) before dispatch and
-    #: raise :class:`~repro.analysis.WorkflowValidationError` on
-    #: error-severity findings (predicted OOM, broken DAG, ...).
-    validate: bool = False
-    #: Replay the produced trace through the dynamic sanitizer
-    #: (:mod:`repro.analysis.sanitizer`) after execution and raise
-    #: :class:`~repro.analysis.TraceSanitizerError` on any broken
-    #: invariant (happens-before, resource conservation, attempt-machine
-    #: legality, ...).  ASan-style: off by default, armed in CI on the
-    #: golden suite; simulated backend only.  Read-only — a sanitized
-    #: run's trace is bit-identical to an unsanitized one.
-    sanitize: bool = False
+
+    def __post_init__(self) -> None:
+        if self.cpu_threads_per_task < 1:
+            raise ValueError("cpu_threads_per_task must be >= 1")
+        if self.cpu_threads_per_task > self.cluster.node.cpu.cores_per_node:
+            raise ValueError(
+                "cpu_threads_per_task cannot exceed the cores of one node"
+            )
+        if self.jitter_sigma < 0:
+            raise ValueError("jitter_sigma must be non-negative")
+        if self.warmup_overhead < 0:
+            raise ValueError("warmup_overhead must be non-negative")
+        if self.fault_plan is not None:
+            for fault in self.fault_plan.node_faults:
+                if fault.node >= self.cluster.num_nodes:
+                    raise ValueError(
+                        f"fault plan kills node {fault.node} but the cluster "
+                        f"has {self.cluster.num_nodes} nodes"
+                    )
 
 
 @dataclass
@@ -129,9 +138,9 @@ class WorkflowResult:
     #: whose lineage proved unrecoverable (a lost input whose producer
     #: itself failed permanently).
     failed_task_ids: tuple[int, ...] = ()
-    #: What lineage recovery, checkpointing, and speculation cost this
-    #: run; all-zero for a fault-free execution or when the recovery
-    #: features are disabled.
+    #: What lineage recovery and checkpointing cost this run; all-zero
+    #: for a fault-free execution or when the recovery features are
+    #: disabled.
     recovery_metrics: RecoveryMetrics = field(default_factory=RecoveryMetrics)
     #: The sanitizer's report when the run was sanitized (``None``
     #: otherwise).  Present only on clean runs — a dirty trace raises
@@ -276,33 +285,29 @@ class Runtime:
 
         return analyze_runtime(self, returned=returned)
 
-    def run(
-        self,
-        validate: bool | None = None,
-        sanitize: bool | None = None,
-    ) -> WorkflowResult:
+    def run(self, validate: bool = False, sanitize: bool = False) -> WorkflowResult:
         """Execute the recorded workflow on the configured backend.
 
-        With ``validate=True`` (or ``config.validate``) the static
-        analyzer runs first and error-severity findings — predicted host
-        or device OOM, structural DAG defects — raise
+        With ``validate=True`` the static analyzer runs first and
+        error-severity findings — predicted host or device OOM,
+        structural DAG defects — raise
         :class:`~repro.analysis.WorkflowValidationError` instead of
         failing mid-execution.
 
-        With ``sanitize=True`` (or ``config.sanitize``; simulated backend
-        only) the produced trace is replayed through the dynamic
-        sanitizer afterwards, and any broken invariant raises
+        With ``sanitize=True`` (simulated backend only) the produced
+        trace is replayed through the dynamic sanitizer afterwards, and
+        any broken invariant (happens-before, resource conservation,
+        attempt-machine legality, ...) raises
         :class:`~repro.analysis.TraceSanitizerError`.  Clean runs carry
-        the report in ``result.sanitizer``.
+        the report in ``result.sanitizer``; the sanitizer only reads the
+        trace, so a sanitized run's trace is bit-identical.
         """
-        should_validate = self.config.validate if validate is None else validate
-        should_sanitize = self.config.sanitize if sanitize is None else sanitize
-        if should_sanitize and self.config.backend is not Backend.SIMULATED:
+        if sanitize and self.config.backend is not Backend.SIMULATED:
             raise ValueError(
                 "sanitize=True requires the simulated backend: only its "
                 "trace records carry node/core placements to check"
             )
-        if should_validate:
+        if validate:
             from repro.analysis import WorkflowValidationError
 
             report = self.validate()
@@ -313,22 +318,7 @@ class Runtime:
             return WorkflowResult(
                 trace=trace, graph=self.graph, config=self.config, data=self._data
             )
-        executor = SimulatedExecutor(
-            cluster_spec=self.config.cluster,
-            storage=self.config.storage,
-            scheduling=self.config.scheduling,
-            use_gpu=self.config.use_gpu,
-            comm_overlap=self.config.comm_overlap,
-            cpu_threads=self.config.cpu_threads_per_task,
-            gpu_task_types=self.config.gpu_task_types,
-            jitter_sigma=self.config.jitter_sigma,
-            jitter_seed=self.config.jitter_seed,
-            warmup_overhead=self.config.warmup_overhead,
-            gpu_overflow=self.config.gpu_overflow_to_cpu,
-            fault_plan=self.config.fault_plan,
-            retry_policy=self.config.retry_policy,
-            checkpoint_policy=self.config.checkpoint_policy,
-        )
+        executor = SimulatedExecutor(self.config)
         trace = executor.execute(self.graph)
         result = WorkflowResult(
             trace=trace,
@@ -338,7 +328,7 @@ class Runtime:
             failed_task_ids=executor.failed_task_ids,
             recovery_metrics=executor.recovery_metrics,
         )
-        if should_sanitize:
+        if sanitize:
             from repro.analysis import TraceSanitizerError, sanitize_result
 
             report = sanitize_result(result)

@@ -68,12 +68,8 @@ class SchedulingPolicy(str, enum.Enum):
 class ClusterView(Protocol):
     """What a scheduler may observe about the cluster.
 
-    Views may additionally expose ``is_blacklisted(node) -> bool`` when
-    recovery has excluded failed nodes from scheduling; policies consult
-    it through :func:`node_usable`, and views without it (e.g. test
-    stubs) are treated as having no blacklist.
-
-    Two further optional attributes feed the data-locality policy:
+    A node that left the cluster (a failed node) simply never has a free
+    slot.  Two optional attributes feed the data-locality policy:
 
     * ``resident_node(ref) -> int | None`` — the node a block currently
       resides on (``None`` = lost/off-cluster).  Without it, policies
@@ -107,12 +103,9 @@ def node_usable(
 ) -> bool:
     """Whether a policy may place a task on ``node`` right now.
 
-    Combines the resource check with the recovery blacklist, when the
-    view exposes one.
+    The one probe every policy calls, so a placement scan's cost is
+    countable in one place.
     """
-    is_blacklisted = getattr(cluster, "is_blacklisted", None)
-    if is_blacklisted is not None and is_blacklisted(node):
-        return False
     return cluster.has_free_slot(node, needs_gpu, ram_bytes)
 
 

@@ -27,7 +27,6 @@ from repro.tracing.golden import (
 )
 from repro.tracing.trace import (
     ATTEMPT_OK,
-    ATTEMPT_SPECULATION_CANCELLED,
     Stage,
     StageRecord,
     TaskAttempt,
@@ -37,7 +36,6 @@ from repro.tracing.trace import (
 
 __all__ = [
     "ATTEMPT_OK",
-    "ATTEMPT_SPECULATION_CANCELLED",
     "DataMovementMetrics",
     "FaultMetrics",
     "OverheadBreakdown",

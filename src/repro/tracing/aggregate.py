@@ -19,12 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from statistics import mean
 
-from repro.tracing.trace import (
-    ATTEMPT_SPECULATION_CANCELLED,
-    Stage,
-    StageRecord,
-    Trace,
-)
+from repro.tracing.trace import Stage, StageRecord, Trace
 
 
 @dataclass(frozen=True)
@@ -83,14 +78,13 @@ class FaultMetrics:
 
     #: Attempts across all tasks (equals task count for fault-free runs).
     num_attempts: int
-    #: Attempts that died (crash, node failure, GPU OOM, timeout).
+    #: Attempts that died (crash, node failure, GPU OOM).
     num_failures: int
     #: Tasks that needed more than one attempt.
     retried_tasks: int
     #: Core-seconds spent in attempts that completed their task.
     goodput_seconds: float
-    #: Core-seconds burned in failed attempts (cancelled speculative
-    #: backups included — losing the race is speculation's cost).
+    #: Core-seconds burned in failed attempts.
     wasted_seconds: float
     #: Simulated seconds spent in retry backoff (master-side, off-core).
     retry_wait_seconds: float
@@ -101,12 +95,6 @@ class FaultMetrics:
     checkpoint_writes: int = 0
     #: Simulated seconds spent writing checkpoints to shared storage.
     checkpoint_write_seconds: float = 0.0
-    #: Speculative backup attempts launched against stragglers.
-    speculative_launches: int = 0
-    #: Races a speculative backup won (the backup committed the task).
-    speculation_wins: int = 0
-    #: Races a speculative backup lost (the backup was cancelled).
-    speculation_losses: int = 0
 
     @property
     def goodput_ratio(self) -> float:
@@ -129,11 +117,6 @@ def fault_metrics(trace: Trace) -> FaultMetrics:
     )
     resurrected = sum(1 for r in trace.stages if r.stage is Stage.RECOMPUTE)
     checkpoints = [r for r in trace.stages if r.stage is Stage.CHECKPOINT_WRITE]
-    speculative = {
-        (r.task_id, r.attempt)
-        for r in trace.stages
-        if r.stage is Stage.SPECULATIVE
-    }
     if not trace.attempts:
         return FaultMetrics(
             num_attempts=len(trace.tasks),
@@ -159,16 +142,6 @@ def fault_metrics(trace: Trace) -> FaultMetrics:
         tasks_resurrected=resurrected,
         checkpoint_writes=len(checkpoints),
         checkpoint_write_seconds=sum(r.duration for r in checkpoints),
-        speculative_launches=len(speculative),
-        speculation_wins=sum(
-            1 for a in successes if (a.task_id, a.attempt) in speculative
-        ),
-        speculation_losses=sum(
-            1
-            for a in failures
-            if a.outcome == ATTEMPT_SPECULATION_CANCELLED
-            and (a.task_id, a.attempt) in speculative
-        ),
     )
 
 

@@ -55,15 +55,10 @@ _MOVEMENT_STAGES = (
     Stage.SERIALIZATION,
     Stage.CHECKPOINT_WRITE,
 )
-#: Fault-path records (zero-duration failure / recompute / speculation
-#: markers and master-side retry backoff) do not occupy a core and are
-#: excluded from the busy time and the core census.
-_OFF_CORE_STAGES = (
-    Stage.FAILURE,
-    Stage.RETRY_WAIT,
-    Stage.RECOMPUTE,
-    Stage.SPECULATIVE,
-)
+#: Fault-path records (zero-duration failure / recompute markers and
+#: master-side retry backoff) do not occupy a core and are excluded from
+#: the busy time and the core census.
+_OFF_CORE_STAGES = (Stage.FAILURE, Stage.RETRY_WAIT, Stage.RECOMPUTE)
 
 
 def decompose_overheads(trace: Trace) -> OverheadBreakdown:

@@ -27,7 +27,6 @@ _STAGE_GLYPHS = {
     Stage.RETRY_WAIT: "r",
     Stage.RECOMPUTE: "R",
     Stage.CHECKPOINT_WRITE: "k",
-    Stage.SPECULATIVE: "S",
 }
 
 

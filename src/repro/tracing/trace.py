@@ -30,12 +30,11 @@ class Stage(str, enum.Enum):
     ``FAILURE`` and ``RETRY_WAIT`` extend the figure with the fault path
     of :mod:`repro.faults`: a zero-duration failure marker at the instant
     an attempt dies, and the master-side backoff before the task is
-    re-queued.  The recovery path adds three more: ``RECOMPUTE`` marks a
+    re-queued.  The recovery path adds two more: ``RECOMPUTE`` marks a
     committed task being resurrected because its output blocks were lost
-    with a node, ``CHECKPOINT_WRITE`` is the modeled cost of persisting a
-    task's outputs to shared storage under a
-    :class:`~repro.faults.CheckpointPolicy`, and ``SPECULATIVE`` marks
-    the launch of a speculative backup attempt for a straggling task.
+    with a node, and ``CHECKPOINT_WRITE`` is the modeled cost of
+    persisting a task's outputs to shared storage under a
+    :class:`~repro.faults.CheckpointPolicy`.
     """
 
     SCHEDULING = "scheduling"
@@ -48,7 +47,6 @@ class Stage(str, enum.Enum):
     RETRY_WAIT = "retry_wait"
     RECOMPUTE = "recompute"
     CHECKPOINT_WRITE = "checkpoint_write"
-    SPECULATIVE = "speculative"
 
 
 #: Dense stage ids for the columnar buffers (enum order is stable).
@@ -106,14 +104,8 @@ class TaskRecord:
 
 
 #: Outcome label of a successful attempt; failures carry the fault kind
-#: ("crash", "node_failure", "gpu_oom", "timeout") and speculative
-#: attempts cancelled after losing the race carry
-#: :data:`ATTEMPT_SPECULATION_CANCELLED`.
+#: ("crash", "node_failure", "gpu_oom").
 ATTEMPT_OK = "success"
-
-#: Outcome label of a speculative attempt cancelled because a sibling
-#: attempt of the same task committed first.
-ATTEMPT_SPECULATION_CANCELLED = "speculation_cancelled"
 
 
 @dataclass(frozen=True, slots=True)

@@ -17,8 +17,8 @@ dispatch work touches:
   log-normal jitter (wide ready sets, jittered stage durations).
 
 Fault cells add deterministic task crashes, a node failure, a straggler,
-and a probabilistic crash stream, so retry/backoff, blacklisting, and
-failure bookkeeping are locked down too.
+and a probabilistic crash stream, so retry/backoff, dead-node exclusion
+and failure bookkeeping are locked down too.
 """
 
 from __future__ import annotations

@@ -177,48 +177,6 @@ class TestReadAfterFree:
         assert "WF402" not in report.codes()
 
 
-class TestCheckpointSpeculation:
-    def _graph(self):
-        producer = _task(0, name="barrier", cost=_cost())
-        consumer = _task(1, inputs=producer.outputs, cost=_cost())
-        return _graph(producer, consumer)
-
-    def test_wf403_fires_on_checkpoint_plus_speculation(self):
-        report = analyze(
-            self._graph(),
-            minotauro(),
-            retry_policy=RetryPolicy(max_attempts=3, speculation_factor=2.0),
-            checkpoint_policy=CheckpointPolicy(every_levels=1),
-        )
-        findings = [d for d in report.warnings if d.code == "WF403"]
-        assert findings
-        assert {f.task_type for f in findings} == {"barrier", "t"}
-
-    def test_wf403_quiet_without_speculation(self):
-        report = analyze(
-            self._graph(),
-            minotauro(),
-            retry_policy=RetryPolicy(max_attempts=3),
-            checkpoint_policy=CheckpointPolicy(every_levels=1),
-        )
-        assert "WF403" not in report.codes()
-
-    def test_wf403_quiet_when_policies_are_disjoint(self):
-        # Checkpointing only types that exist but never speculate-race
-        # here: restrict the checkpoint to a type not in the graph is
-        # WF404's domain; restricting to a real type still fires for it.
-        report = analyze(
-            self._graph(),
-            minotauro(),
-            retry_policy=RetryPolicy(max_attempts=3, speculation_factor=2.0),
-            checkpoint_policy=CheckpointPolicy(
-                every_levels=1, task_types=frozenset({"barrier"})
-            ),
-        )
-        [finding] = [d for d in report.warnings if d.code == "WF403"]
-        assert finding.task_type == "barrier"
-
-
 class TestCheckpointTypesExist:
     def test_wf404_all_types_missing(self):
         producer = _task(0, cost=_cost())

@@ -2,7 +2,7 @@
 agree with the recovery machinery — firing when lineage recovery /
 checkpoint barriers are armed into a hazardous combination, and staying
 quiet on every cell of the golden-trace matrix (whose fault cells retry
-without recovery, checkpoints, or speculation)."""
+without recovery or checkpoints)."""
 
 import pytest
 
@@ -95,23 +95,6 @@ class TestRecoveryArmsTheRules:
         )
         assert "WF303" not in report.codes()
 
-    def test_wf304_fires_with_speculation_on_one_node(self):
-        report = analyze(
-            _barrier_graph(),
-            minotauro(1),
-            retry_policy=RetryPolicy(max_attempts=3, speculation_factor=2.0),
-        )
-        assert "WF304" in report.codes()
-
-    def test_checkpointed_speculation_raises_wf403_alongside_wf304(self):
-        report = analyze(
-            _barrier_graph(),
-            minotauro(1),
-            retry_policy=RetryPolicy(max_attempts=3, speculation_factor=2.0),
-            checkpoint_policy=CheckpointPolicy(every_levels=1),
-        )
-        assert {"WF304", "WF403"} <= report.codes()
-
     def test_doomed_barrier_raises_read_after_free(self):
         plan = FaultPlan(
             node_faults=(NodeFault(node=1, at_time=0.2),),
@@ -148,7 +131,7 @@ class TestRecoveryArmsTheRules:
 class TestGoldenMatrixStaysQuiet:
     """The 18 golden cells are the determinism anchor: the WF4xx race
     rules must not fire on any of them (their fault cells retry without
-    lineage recovery, checkpoints, or speculation)."""
+    lineage recovery or checkpoints)."""
 
     @pytest.mark.parametrize(
         "case", golden_cases(), ids=lambda case: case.key

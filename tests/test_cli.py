@@ -97,6 +97,11 @@ class TestBadArguments:
             pytest.param("run --grid 4 --faults {bad",
                          "Expecting property name enclosed in double quotes: "
                          "line 1 column 2 (char 1)", id="run-faults"),
+            pytest.param("run --algorithm matmul --dataset matmul_128mb "
+                         '--grid 4 --faults {"node_faults":[{"node":64,'
+                         '"at_time":1.0}]}',
+                         "fault plan kills node 64 but the cluster has 8 "
+                         "nodes", id="run-ghost-node"),
             pytest.param("lint --grid 0", "grid dimensions must be positive",
                          id="lint-grid"),
             pytest.param("lint --clusters 0", "n_clusters must be positive",

@@ -162,8 +162,6 @@ class TestRetryPolicy:
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
             RetryPolicy(backoff_jitter=1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(task_deadline=0.0)
 
     def test_backoff_grows_exponentially_and_caps(self):
         policy = RetryPolicy(
@@ -238,21 +236,6 @@ class TestCrashRecovery:
         result = _run(plan)
         assert not result.failed
         assert all(result.attempts[i] == 2 for i in range(8))
-
-    def test_deadline_kills_slow_attempts(self):
-        # The straggler makes first attempts exceed the deadline; retries
-        # land on non-straggler nodes... every node straggles, so the
-        # task fails after its budget.
-        plan = FaultPlan(stragglers=[Straggler(factor=50.0)])
-        policy = RetryPolicy(
-            max_attempts=2, backoff_base=0.01, task_deadline=1.0
-        )
-        result = _run(plan, policy)
-        assert result.failed
-        timeouts = {
-            a.outcome for a in result.trace.attempts if a.outcome != ATTEMPT_OK
-        }
-        assert timeouts == {"timeout"}
 
 
 class TestNodeFailure:
@@ -443,26 +426,21 @@ class TestAnalysisRules:
 
     def test_analyze_runtime_reads_fault_config(self):
         config = RuntimeConfig(
-            fault_plan=FaultPlan(node_faults=[NodeFault(node=64, at_time=1.0)]),
+            fault_plan=FaultPlan(task_crashes=[TaskCrash(task_id=0)]),
+            retry_policy=RetryPolicy(max_attempts=1),
         )
         rt = Runtime(config)
         ref = rt.register_input(100, name="a")
         rt.submit("t", [ref], cost=_cost())
         report = analyze_runtime(rt)
-        assert "WF302" in report.codes()
+        assert "WF301" in report.codes()
 
     def test_validate_refuses_ghost_node_plan(self):
-        from repro.analysis import WorkflowValidationError
-
-        config = RuntimeConfig(
-            fault_plan=FaultPlan(node_faults=[NodeFault(node=64, at_time=1.0)]),
-            validate=True,
-        )
-        rt = Runtime(config)
-        ref = rt.register_input(100, name="a")
-        rt.submit("t", [ref], cost=_cost())
-        with pytest.raises(WorkflowValidationError):
-            rt.run()
+        # The config itself refuses a plan that kills a node the cluster
+        # lacks, before any workflow is built.
+        plan = FaultPlan(node_faults=[NodeFault(node=64, at_time=1.0)])
+        with pytest.raises(ValueError, match="kills node 64"):
+            RuntimeConfig(fault_plan=plan)
 
 
 class TestCli:

@@ -17,7 +17,7 @@ Two layers:
   synchronous task starts (zero-latency clusters, where a whole
   same-instant ready set starts in one dispatcher activation), every
   configuration whose dispatcher yields before each launch (fault plans,
-  lineage recovery, speculation, checkpoint barriers, nonzero dispatch
+  lineage recovery, stragglers, checkpoint barriers, nonzero dispatch
   latency), GPU mode, and the same-instant completion-cascade shape that
   exposed the original bug in the synchronous path;
 * a Hypothesis property comparing synchronous starts against runs where

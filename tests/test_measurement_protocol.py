@@ -45,8 +45,8 @@ class TestJitter:
         assert jittered == pytest.approx(nominal, rel=0.15)
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            _simple_runtime(jitter_sigma=-0.1).run()
+        with pytest.raises(ValueError, match="jitter_sigma"):
+            RuntimeConfig(jitter_sigma=-0.1)
 
 
 class TestWarmup:
@@ -62,8 +62,8 @@ class TestWarmup:
         assert len(warmups) == len(cores_used)
 
     def test_negative_warmup_rejected(self):
-        with pytest.raises(ValueError):
-            _simple_runtime(warmup_overhead=-1.0).run()
+        with pytest.raises(ValueError, match="warmup_overhead"):
+            RuntimeConfig(warmup_overhead=-1.0)
 
 
 class TestProtocol:

@@ -53,42 +53,27 @@ class TestRamAccounting:
         assert two_waves.makespan >= 2.0
 
     def test_peak_ram_tracked(self):
-        from repro.hardware import SimulatedCluster
         from repro.runtime.backends.simulated import SimulatedExecutor
-        from repro.hardware import StorageKind
-        from repro.runtime import SchedulingPolicy
 
         rt = Runtime(RuntimeConfig())
         cost = _fat_task_cost(40.0)
         for i in range(8):
             ref = rt.register_input(0, name=f"in{i}")
             rt.submit(name="fat", inputs=[ref], cost=cost)
-        executor = SimulatedExecutor(
-            cluster_spec=minotauro(),
-            storage=StorageKind.SHARED,
-            scheduling=SchedulingPolicy.GENERATION_ORDER,
-            use_gpu=False,
-        )
+        executor = SimulatedExecutor(rt.config)
         executor.execute(rt.graph)
         peaks = [node.peak_ram for node in executor.cluster.nodes]
         assert max(peaks) <= minotauro().node.ram_bytes
         assert max(peaks) >= 40 * GIB
 
     def test_ram_fully_released_after_run(self):
-        from repro.hardware import StorageKind
-        from repro.runtime import SchedulingPolicy
         from repro.runtime.backends.simulated import SimulatedExecutor
 
         rt = Runtime(RuntimeConfig())
         for i in range(12):
             ref = rt.register_input(0, name=f"in{i}")
             rt.submit(name="fat", inputs=[ref], cost=_fat_task_cost(10.0))
-        executor = SimulatedExecutor(
-            cluster_spec=minotauro(),
-            storage=StorageKind.SHARED,
-            scheduling=SchedulingPolicy.GENERATION_ORDER,
-            use_gpu=False,
-        )
+        executor = SimulatedExecutor(rt.config)
         executor.execute(rt.graph)
         assert all(node.ram_in_use == 0 for node in executor.cluster.nodes)
 

@@ -1,14 +1,12 @@
-"""Lineage recovery, checkpointing, speculation, and cooldown tests.
+"""Lineage recovery and checkpointing tests.
 
 Covers the recovery layer end to end:
 
-* unit contracts of :class:`CheckpointPolicy` and the new
-  :class:`RetryPolicy` knobs;
-* lineage recomputation after a node failure (the tentpole), with and
-  without checkpoints bounding the recovery depth;
-* blacklist cooldown reboots, speculative re-execution races, and the
-  executor-vs-trace metrics consistency;
-* the WF303/WF304 analyzer rules;
+* unit contracts of :class:`CheckpointPolicy`;
+* lineage recomputation after a node failure, with and without
+  checkpoints bounding the recovery depth, and the executor-vs-trace
+  metrics consistency;
+* the WF303 analyzer rule;
 * a Hypothesis property — any single node fault on a generated DAG with
   recovery enabled and a surviving node must complete ``failed=False``;
 * the determinism contract — every golden-matrix cell still reproduces
@@ -28,16 +26,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.algorithms import GeneratedDagWorkflow, KMeansWorkflow, MatmulWorkflow
 from repro.analysis import analyze
 from repro.data import paper_datasets
-from repro.faults import (
-    CheckpointPolicy,
-    FaultPlan,
-    NodeFault,
-    RetryPolicy,
-    Straggler,
-)
+from repro.faults import CheckpointPolicy, FaultPlan, NodeFault, RetryPolicy
 from repro.hardware import minotauro
 from repro.perfmodel import TaskCost
-from repro.runtime import Runtime, RuntimeConfig, SchedulingPolicy
+from repro.runtime import Runtime, RuntimeConfig
 from repro.tracing import Stage, fault_metrics
 from tests.golden_matrix import golden_cases
 from tests.trace_invariants import assert_result_invariants
@@ -96,22 +88,6 @@ class TestCheckpointPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
             CheckpointPolicy(every_levels=0)
-
-
-class TestRetryPolicyKnobs:
-    def test_speculation_factor_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(speculation_factor=1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(speculation_min_samples=0)
-
-    def test_cooldown_must_be_positive(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(blacklist_cooldown=0.0)
-
-    def test_speculation_enabled(self):
-        assert not RetryPolicy().speculation_enabled
-        assert RetryPolicy(speculation_factor=2.0).speculation_enabled
 
 
 class TestLineageRecovery:
@@ -199,6 +175,10 @@ class TestLineageRecovery:
             shallow.recovery_metrics.tasks_resurrected
             < deep.recovery_metrics.tasks_resurrected
         )
+        # The executor's counters agree with the trace-derived ones.
+        derived = fault_metrics(shallow.trace)
+        assert derived.tasks_resurrected == shallow.recovery_metrics.tasks_resurrected
+        assert derived.checkpoint_writes == shallow.recovery_metrics.checkpoint_writes
         assert_result_invariants(shallow)
 
     def test_checkpoint_writes_without_faults_are_pure_overhead(self):
@@ -210,84 +190,6 @@ class TestLineageRecovery:
         assert checkpointed.recovery_metrics.checkpoint_writes > 0
         assert checkpointed.makespan >= clean.makespan
         assert_result_invariants(checkpointed)
-
-
-class TestBlacklistCooldown:
-    def test_rebooted_node_rejoins_scheduling(self):
-        clean = _run_generated(nodes=2)
-        plan = FaultPlan(
-            node_faults=(NodeFault(node=1, at_time=0.2 * clean.makespan),)
-        )
-        policy = dataclasses.replace(
-            RECOVERY, blacklist_cooldown=0.1 * clean.makespan
-        )
-        result = _run_generated(plan=plan, policy=policy, nodes=2)
-        assert not result.failed
-        reboot_time = 0.2 * clean.makespan + policy.blacklist_cooldown
-        reused = [
-            t
-            for t in result.trace.tasks
-            if t.node == 1 and t.start >= reboot_time
-        ]
-        assert reused, "node 1 never used again after its cooldown reboot"
-        assert_result_invariants(result)
-
-    def test_without_cooldown_node_stays_blacklisted(self):
-        clean = _run_generated(nodes=2)
-        plan = FaultPlan(
-            node_faults=(NodeFault(node=1, at_time=0.2 * clean.makespan),)
-        )
-        result = _run_generated(plan=plan, policy=RECOVERY, nodes=2)
-        fault_at = 0.2 * clean.makespan
-        assert not any(
-            t.node == 1 and t.start > fault_at for t in result.trace.tasks
-        )
-
-
-class TestSpeculation:
-    def _straggler_run(self, factor=1.5):
-        plan = FaultPlan(stragglers=(Straggler(factor=40.0, node=1),))
-        policy = RetryPolicy(
-            max_attempts=3,
-            recover_lost_blocks=True,
-            speculation_factor=factor,
-        )
-        return _run_generated(
-            plan=plan,
-            policy=policy,
-            width=12,
-            depth=4,
-            scheduling=SchedulingPolicy.GENERATION_ORDER,
-        )
-
-    def test_backups_rescue_stragglers(self):
-        result = self._straggler_run()
-        metrics = result.recovery_metrics
-        assert not result.failed
-        assert metrics.speculative_launches > 0
-        assert metrics.speculation_wins > 0
-        assert (
-            metrics.speculation_wins + metrics.speculation_losses
-            == metrics.speculative_launches
-        )
-        assert_result_invariants(result)
-
-    def test_speculative_markers_recorded(self):
-        result = self._straggler_run()
-        markers = [
-            s for s in result.trace.stages if s.stage is Stage.SPECULATIVE
-        ]
-        assert len(markers) == result.recovery_metrics.speculative_launches
-
-    def test_trace_metrics_match_executor_metrics(self):
-        result = self._straggler_run()
-        derived = fault_metrics(result.trace)
-        metrics = result.recovery_metrics
-        assert derived.tasks_resurrected == metrics.tasks_resurrected
-        assert derived.checkpoint_writes == metrics.checkpoint_writes
-        assert derived.speculative_launches == metrics.speculative_launches
-        assert derived.speculation_wins == metrics.speculation_wins
-        assert derived.speculation_losses == metrics.speculation_losses
 
 
 class TestAnalyzerRules:
@@ -339,22 +241,6 @@ class TestAnalyzerRules:
             retry_policy=RECOVERY,
         )
         assert "WF303" not in report.codes()
-
-    def test_wf304_fires_on_single_node(self):
-        graph = self._barrier_graph()
-        report = analyze(
-            graph, minotauro(num_nodes=1),
-            retry_policy=RetryPolicy(speculation_factor=2.0),
-        )
-        assert "WF304" in report.codes()
-
-    def test_wf304_quiet_on_multi_node(self):
-        graph = self._barrier_graph()
-        report = analyze(
-            graph, minotauro(num_nodes=4),
-            retry_policy=RetryPolicy(speculation_factor=2.0),
-        )
-        assert "WF304" not in report.codes()
 
 
 class TestRecoveryProperty:

@@ -82,15 +82,11 @@ class TestCpuThreads:
 
         assert makespan(1) < makespan(4) < makespan(16)
 
-    def test_threads_validated(self, datasets):
-        rt = Runtime(RuntimeConfig(cpu_threads_per_task=0))
-        KMeansWorkflow(datasets["kmeans_10gb"], grid_rows=8).build(rt)
+    def test_threads_validated(self):
         with pytest.raises(ValueError):
-            rt.run()
-        rt = Runtime(RuntimeConfig(cpu_threads_per_task=17))
-        KMeansWorkflow(datasets["kmeans_10gb"], grid_rows=8).build(rt)
+            RuntimeConfig(cpu_threads_per_task=0)
         with pytest.raises(ValueError, match="cores of one node"):
-            rt.run()
+            RuntimeConfig(cpu_threads_per_task=17)
 
     def test_gpu_tasks_unaffected_by_thread_setting(self, datasets):
         def gpu_makespan(threads):

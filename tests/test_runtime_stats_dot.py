@@ -4,19 +4,13 @@ import pytest
 
 from repro.algorithms import KMeansWorkflow, MatmulWorkflow
 from repro.data import DatasetSpec, paper_datasets
-from repro.hardware import StorageKind, minotauro
+from repro.hardware import StorageKind
 from repro.runtime import Runtime, RuntimeConfig
 from repro.runtime.backends.simulated import SimulatedExecutor
-from repro.runtime.scheduler import SchedulingPolicy
 
 
 def _run_and_stats(storage, use_gpu=False, grid_rows=64):
-    executor = SimulatedExecutor(
-        cluster_spec=minotauro(),
-        storage=storage,
-        scheduling=SchedulingPolicy.GENERATION_ORDER,
-        use_gpu=use_gpu,
-    )
+    executor = SimulatedExecutor(RuntimeConfig(storage=storage, use_gpu=use_gpu))
     rt = Runtime(RuntimeConfig())
     KMeansWorkflow(
         paper_datasets()["kmeans_10gb"], grid_rows=grid_rows, n_clusters=10,

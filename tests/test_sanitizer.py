@@ -56,10 +56,6 @@ class TestCleanRuns:
         assert "clean" in result.sanitizer.render()
         assert result.sanitizer.events_checked > 0
 
-    def test_config_flag_equivalent(self):
-        result = _chain_runtime(RuntimeConfig(sanitize=True)).run()
-        assert result.sanitizer is not None and result.sanitizer.ok
-
     def test_unsanitized_run_has_no_report(self):
         assert _chain_runtime().run().sanitizer is None
 
@@ -194,6 +190,30 @@ class TestTamperedTraces:
         )
         found = _violations(result, "attempt_machine")
         assert any("resurrection" in v.message for v in found)
+
+    @pytest.mark.parametrize("outcome", ["crash", "speculation_cancelled"])
+    def test_overlapping_attempts(self, outcome):
+        # Attempt 2 starts before attempt 1 ends: two attempts of one task
+        # in flight at once, whatever outcome the earlier one records.
+        config = RuntimeConfig(
+            fault_plan=FaultPlan(
+                task_crashes=(
+                    TaskCrash(
+                        task_id=0, stage=Stage.SERIAL_FRACTION, attempts=(1,)
+                    ),
+                ),
+            ),
+            retry_policy=RetryPolicy(max_attempts=3, backoff_base=0.01),
+        )
+        result = _chain_runtime(config).run()
+        trace = result.trace
+        first, second = trace.attempts_of(0)
+        index = trace.attempts.index(first)
+        trace.attempts[index] = dataclasses.replace(
+            first, outcome=outcome, end=second.start + 1.0
+        )
+        found = _violations(result, "attempt_machine")
+        assert any("before attempt 1 ended" in v.message for v in found)
 
     def test_backwards_record(self):
         result = _chain_runtime().run()

@@ -13,7 +13,6 @@ Two properties at once, over all 18 cells of the golden matrix:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -35,10 +34,10 @@ def recorded() -> dict:
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: case.key)
 def test_sanitized_run_is_clean_and_bit_identical(case, recorded):
-    config = dataclasses.replace(case.config, sanitize=True)
-    runtime = Runtime(config)
+    runtime = Runtime(case.config)
     case.build(runtime)
-    result = runtime.run()  # raises TraceSanitizerError on any violation
+    # Raises TraceSanitizerError on any violation.
+    result = runtime.run(sanitize=True)
     assert result.sanitizer is not None
     assert result.sanitizer.ok
     assert result.sanitizer.violations == []

@@ -1,11 +1,11 @@
 """Property-based tests for the scheduling policies.
 
 Rather than enumerating cluster states by hand, Hypothesis generates
-random ready queues, node capacities, and blacklists, and asserts the
+random ready queues, node capacities, and dead nodes, and asserts the
 contracts every policy must honour:
 
 * an :class:`Assignment` always targets a node with a free slot;
-* a blacklisted node is never chosen, whatever the policy;
+* a dead node is never chosen, whatever the policy;
 * ``GenerationOrderScheduler`` always dispatches the head of the queue;
 * round-robin node choice wraps around and spreads consecutive picks;
 * ``DataLocalityScheduler`` breaks all-zero locality ties round-robin
@@ -15,8 +15,8 @@ contracts every policy must honour:
   partition (or of a plain queue grouped by requirement), with its
   per-call requirement memo and saturated-cluster early exit, it makes
   exactly the decisions of a reference that probes every
-  ``(task, node)`` pair, on stubs that honour cores, GPUs, RAM and a
-  blacklist, under index, resolver and ``home_node`` scoring;
+  ``(task, node)`` pair, on stubs that honour cores, GPUs, RAM and dead
+  nodes, under index, resolver and ``home_node`` scoring;
 * the fast dispatch path's incrementally maintained state — the ready
   queue, the GPU-intended counter, the per-node
   :class:`~repro.runtime.locality.LocalityIndex` and the ready parts —
@@ -54,21 +54,22 @@ from repro.runtime.scheduler import (
 
 
 class FakeCluster:
-    """A ClusterView stub with per-node availability and a blacklist."""
+    """A ClusterView stub with per-node availability and dead nodes.
 
-    def __init__(self, free_cores, free_gpus=None, blacklist=()):
+    Like the simulated executor's view, a dead node never has a free
+    slot, whatever its cores and devices.
+    """
+
+    def __init__(self, free_cores, free_gpus=None, dead=()):
         self.free_cores = list(free_cores)
         self.free_gpus = list(free_gpus or [1] * len(free_cores))
-        self.blacklist = set(blacklist)
+        self.dead = set(dead)
 
     def num_nodes(self):
         return len(self.free_cores)
 
-    def is_blacklisted(self, node):
-        return node in self.blacklist
-
     def has_free_slot(self, node, needs_gpu, ram_bytes=0):
-        if self.free_cores[node] < 1:
+        if node in self.dead or self.free_cores[node] < 1:
             return False
         if needs_gpu and self.free_gpus[node] < 1:
             return False
@@ -107,8 +108,8 @@ def cluster_and_ready(draw):
         st.lists(st.integers(0, 3), min_size=n, max_size=n)
     )
     free_gpus = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    blacklist = draw(st.sets(st.integers(0, n - 1), max_size=n))
-    cluster = FakeCluster(free_cores, free_gpus, blacklist)
+    dead = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    cluster = FakeCluster(free_cores, free_gpus, dead)
     num_ready = draw(st.integers(0, 8))
     ready = [
         _task(i, input_homes=draw(st.lists(st.integers(0, n - 1), max_size=3)))
@@ -130,7 +131,7 @@ def test_assignment_targets_free_non_blacklisted_node(state, policy):
         return
     assert choice.task in ready
     assert cluster.has_free_slot(choice.node, False)
-    assert not cluster.is_blacklisted(choice.node)
+    assert choice.node not in cluster.dead
 
 
 @settings(max_examples=60, deadline=None)
@@ -143,7 +144,7 @@ def test_none_only_when_no_placement_exists(state, policy):
     usable = [
         node
         for node in range(cluster.num_nodes())
-        if cluster.has_free_slot(node, False) and not cluster.is_blacklisted(node)
+        if cluster.has_free_slot(node, False)
     ]
     scheduler = make_scheduler(policy)
     choice = scheduler.select(ready, cluster, _never_gpu)
@@ -213,35 +214,18 @@ def test_locality_still_prefers_owner_over_rotation(state):
         task = _task(99, input_homes=[owner, owner])
         scheduler = DataLocalityScheduler()
         choice = scheduler.select([task], cluster, _never_gpu)
-        if (
-            cluster.has_free_slot(owner, False)
-            and not cluster.is_blacklisted(owner)
-        ):
+        if cluster.has_free_slot(owner, False):
             assert choice is not None and choice.node == owner
 
 
 def test_blacklisted_preferred_owner_falls_back():
-    # Deterministic regression: the owner node is blacklisted, so the
-    # locality policy must place the task elsewhere.
+    # Deterministic regression: the owner node is dead, so the locality
+    # policy must place the task elsewhere.
     scheduler = DataLocalityScheduler()
-    cluster = FakeCluster([1, 1, 1], blacklist={2})
+    cluster = FakeCluster([1, 1, 1], dead={2})
     choice = scheduler.select([_task(0, input_homes=[2])], cluster, _never_gpu)
     assert choice is not None
     assert choice.node != 2
-
-
-def test_stub_without_blacklist_still_works():
-    # ClusterViews that predate the blacklist (plain stubs) keep working.
-    class Bare:
-        def num_nodes(self):
-            return 2
-
-        def has_free_slot(self, node, needs_gpu, ram_bytes=0):
-            return True
-
-    for policy in ALL_POLICIES:
-        choice = make_scheduler(policy).select([_task(0)], Bare(), _never_gpu)
-        assert choice is not None
 
 
 # ------------------------------------------------------- residency resolution
@@ -340,21 +324,22 @@ class ReferenceLocalityScheduler:
 
 
 class RamCluster(FakeCluster):
-    """A stub that honours per-node cores, GPUs, RAM and a blacklist.
+    """A stub that honours per-node cores, GPUs, RAM and dead nodes.
 
     Like the simulated executor's view, a CPU task takes ``cpu_cores``
     cores and a GPU task one core plus one device, so a node may have a
     slot for one kind of task and not the other.
     """
 
-    def __init__(self, free_cores, free_gpus, free_ram, blacklist, cpu_cores):
-        super().__init__(free_cores, free_gpus, blacklist)
+    def __init__(self, free_cores, free_gpus, free_ram, dead, cpu_cores):
+        super().__init__(free_cores, free_gpus, dead)
         self.free_ram = list(free_ram)
         self.cpu_cores = cpu_cores
 
     def has_free_slot(self, node, needs_gpu, ram_bytes=0):
         return (
-            self.free_cores[node] >= (1 if needs_gpu else self.cpu_cores)
+            node not in self.dead
+            and self.free_cores[node] >= (1 if needs_gpu else self.cpu_cores)
             and (not needs_gpu or self.free_gpus[node] >= 1)
             and ram_bytes <= self.free_ram[node]
         )
@@ -374,7 +359,7 @@ def locality_runs(draw):
         free_cores=draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
         free_gpus=draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
         free_ram=draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)),
-        blacklist=draw(st.sets(st.integers(0, n - 1), max_size=n - 1)),
+        dead=draw(st.sets(st.integers(0, n - 1), max_size=n - 1)),
         cpu_cores=draw(st.integers(1, 2)),
     )
     tasks = []
@@ -682,14 +667,6 @@ def test_incremental_dispatch_state_equals_recompute(
     GeneratedDagWorkflow(
         width=width, depth=depth, fan_in=fan_in, block_mb=1.0, seed=seed
     ).build(runtime)
-    executor = CheckedExecutor(
-        cluster_spec=config.cluster,
-        storage=config.storage,
-        scheduling=config.scheduling,
-        use_gpu=config.use_gpu,
-        gpu_overflow=config.gpu_overflow_to_cpu,
-        fault_plan=config.fault_plan,
-        retry_policy=config.retry_policy,
-    )
+    executor = CheckedExecutor(config)
     executor.execute(runtime.graph)
     assert executor.checks >= width * depth

@@ -5,8 +5,7 @@ produce traces satisfying the same structural properties:
 
 * work placed on one (node, core) slot never overlaps in time;
 * a retried task's attempts are time-ordered (attempt n ends before
-  attempt n+1 starts) — except speculative races, whose whole point is
-  two concurrently running attempts;
+  attempt n+1 starts);
 * ``Trace.makespan`` spans exactly the successful task records;
 * every on-core stage record lies within the overall recovered span.
 
@@ -17,14 +16,14 @@ trace; :func:`assert_result_invariants` adds the
 
 from __future__ import annotations
 
-from repro.tracing import ATTEMPT_SPECULATION_CANCELLED, Stage, Trace
+from repro.tracing import Stage, Trace
 
 #: Slack for floating-point timestamp comparisons.
 EPS = 1e-9
 
-#: Records on node/core -1 (master-side markers: retry waits, failure,
-#: recompute, and speculation-launch events) occupy no core.
-_OFF_CORE = {Stage.FAILURE, Stage.RETRY_WAIT, Stage.RECOMPUTE, Stage.SPECULATIVE}
+#: Records on node/core -1 (master-side markers: retry waits, failure
+#: and recompute events) occupy no core.
+_OFF_CORE = {Stage.FAILURE, Stage.RETRY_WAIT, Stage.RECOMPUTE}
 
 
 def _assert_non_overlapping(intervals: list[tuple[float, float, str]]) -> None:
@@ -60,11 +59,6 @@ def assert_trace_invariants(trace: Trace) -> None:
             f"task {task_id} has duplicate attempt numbers {numbers}"
         )
         for earlier, later in zip(attempts, attempts[1:]):
-            if ATTEMPT_SPECULATION_CANCELLED in (earlier.outcome, later.outcome):
-                # A speculative race: the backup runs concurrently with
-                # the primary by design, so ordering does not apply to
-                # any pair involving the cancelled loser.
-                continue
             assert earlier.end <= later.start + EPS, (
                 f"task {task_id} attempt {later.attempt} started before "
                 f"attempt {earlier.attempt} ended"
