@@ -7,12 +7,13 @@ barely moves with block size; the GPU OOM region widens with K, reaching
 """
 
 from repro.core.experiments import run_fig9a
-from repro.core.experiments.fig9 import FIG9A_CLUSTERS, FIG9A_GRIDS
+from repro.core.experiments.engine import KMEANS_GRIDS
+from repro.core.experiments.fig9 import FIG9A_CLUSTERS
 from repro.core.observations import check_o4
 
 
 def test_fig9a_clusters(once):
-    result = once(run_fig9a, "kmeans_10gb", FIG9A_CLUSTERS, FIG9A_GRIDS)
+    result = once(run_fig9a, "kmeans_10gb", FIG9A_CLUSTERS, KMEANS_GRIDS)
     print()
     print(result.render())
     print()

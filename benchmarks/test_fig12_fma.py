@@ -8,11 +8,11 @@ same parallel-fraction and CPU-GPU communication behaviour.
 import pytest
 
 from repro.core.experiments import run_fig8, run_fig12
-from repro.core.experiments.fig12 import FIG12_GRIDS
+from repro.core.experiments.engine import MATMUL_GRIDS
 
 
 def test_fig12_fma_generalizability(once):
-    result = once(run_fig12, "matmul_8gb", FIG12_GRIDS)
+    result = once(run_fig12, "matmul_8gb", MATMUL_GRIDS)
     print()
     print(result.render())
     speedups = {k: v for k, v in result.speedups().items() if v is not None}
@@ -20,6 +20,6 @@ def test_fig12_fma_generalizability(once):
     assert ordered == sorted(ordered)
     assert 17.0 <= max(ordered) <= 26.0
     # Trends match the dislib Matmul within a quarter at each block size.
-    reference = run_fig8(grids=FIG12_GRIDS[:-1])
+    reference = run_fig8(grids=MATMUL_GRIDS[:-1])
     for block_mb, value in reference.speedups("matmul_func").items():
         assert speedups[block_mb] == pytest.approx(value, rel=0.25)

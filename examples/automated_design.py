@@ -17,7 +17,7 @@ Run:  python examples/automated_design.py
 
 from repro import KMeansWorkflow, paper_datasets
 from repro.core.advisor import WorkflowAdvisor
-from repro.core.experiments.fig11 import SamplePlan, run_fig11
+from repro.core.experiments import cells_product, run_fig11
 from repro.core.predictor import PerformancePredictor, samples_from_columns
 from repro.core.report import Table, format_seconds
 from repro.hardware import StorageKind
@@ -29,17 +29,12 @@ QUERY_GRIDS = (128, 32, 8, 2)
 
 def training_design():
     """K-means samples the query grids are deliberately excluded from."""
-    plans = []
+    cells = []
     for dataset in ("kmeans_100mb", "kmeans_10gb"):
-        for grid in TRAIN_GRIDS:
-            for gpu in (False, True):
-                plans.append(
-                    SamplePlan(
-                        "kmeans", dataset, grid, 10, gpu,
-                        StorageKind.SHARED, SchedulingPolicy.GENERATION_ORDER,
-                    )
-                )
-    return plans
+        cells += cells_product(
+            "kmeans", TRAIN_GRIDS, dataset_key=dataset, n_clusters=10
+        )
+    return cells
 
 
 def main():

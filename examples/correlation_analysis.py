@@ -8,7 +8,7 @@ behind the paper's Figure 11, usable on any workload mix.
 Run:  python examples/correlation_analysis.py
 """
 
-from repro.core.experiments.fig11 import SamplePlan, run_fig11
+from repro.core.experiments import CellSpec, run_fig11
 from repro.core.report import Table
 from repro.hardware import StorageKind
 from repro.runtime import SchedulingPolicy
@@ -16,7 +16,7 @@ from repro.runtime import SchedulingPolicy
 
 def small_design():
     """A ~60-sample design that runs in a few seconds."""
-    plans = []
+    cells = []
     shared = StorageKind.SHARED
     local = StorageKind.LOCAL
     gen = SchedulingPolicy.GENERATION_ORDER
@@ -24,18 +24,18 @@ def small_design():
     for grid in (8, 4, 2):
         for gpu in (False, True):
             for storage, sched in ((shared, gen), (local, gen), (shared, loc)):
-                plans.append(
-                    SamplePlan("matmul", "matmul_8gb", grid, 0, gpu, storage, sched)
+                cells.append(
+                    CellSpec("matmul", grid, dataset_key="matmul_8gb",
+                             use_gpu=gpu, storage=storage, scheduling=sched)
                 )
     for grid in (128, 32, 8, 2):
         for gpu in (False, True):
             for clusters in (10, 100):
-                plans.append(
-                    SamplePlan(
-                        "kmeans", "kmeans_10gb", grid, clusters, gpu, shared, gen
-                    )
+                cells.append(
+                    CellSpec("kmeans", grid, dataset_key="kmeans_10gb",
+                             n_clusters=clusters, use_gpu=gpu)
                 )
-    return plans
+    return cells
 
 
 def main():

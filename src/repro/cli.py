@@ -23,9 +23,13 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.algorithms import KMeansWorkflow, MatmulFmaWorkflow, MatmulWorkflow
+from repro.core.experiments.engine import (
+    KMEANS_GRIDS,
+    MATMUL_GRIDS,
+    CellSpec,
+    build_workflow,
+)
 from repro.core.report import Table, format_seconds
-from repro.data import paper_datasets
 from repro.hardware import StorageKind, cluster_presets, minotauro
 from repro.runtime import SchedulingPolicy
 
@@ -223,16 +227,10 @@ def _or_usage_error(parser: argparse.ArgumentParser, build, *args):
 
 
 def _make_workflow(args) -> object:
-    dataset = paper_datasets()[args.dataset]
-    if args.algorithm == "matmul":
-        return MatmulWorkflow(dataset, grid=args.grid)
-    if args.algorithm == "matmul_fma":
-        return MatmulFmaWorkflow(dataset, grid=args.grid)
-    return KMeansWorkflow(
-        dataset,
-        grid_rows=args.grid,
-        n_clusters=args.clusters,
-        iterations=args.iterations,
+    """The workflow of ``run``, ``lint`` and ``decompose``."""
+    return build_workflow(
+        CellSpec(args.algorithm, args.grid, dataset_key=args.dataset,
+                 n_clusters=args.clusters, iterations=args.iterations)
     )
 
 
@@ -241,9 +239,8 @@ def _cmd_figures(args, parser: argparse.ArgumentParser) -> int:
     from repro.core import experiments as exp
 
     if args.resume and args.no_cache:
-        print("--resume needs the execution ledger under the cache dir; "
-              "drop --no-cache", file=sys.stderr)
-        return 2
+        parser.error("--resume needs the execution ledger under the cache "
+                     "dir; drop --no-cache")
     # One engine for the whole invocation: cells shared between figures
     # (e.g. Figure 11's base design repeating Figures 7/9a/10) simulate
     # once, and the shard pool's workers stay warm across figures.
@@ -410,22 +407,32 @@ def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
     return 1 if result.failed else 0
 
 
-def _cmd_advise(args) -> int:
+def _advise_cells(args) -> dict[int, CellSpec]:
+    """One cell per ``--grids`` size, each workflow built once to check it."""
+    try:
+        grids = [int(grid) for grid in args.grids.split(",")]
+    except ValueError:
+        raise ValueError(
+            f"--grids takes comma-separated integers, got {args.grids!r}"
+        ) from None
+    cells = {
+        grid: CellSpec(args.algorithm, grid, dataset_key=args.dataset,
+                       n_clusters=args.clusters)
+        for grid in grids
+    }
+    for cell in cells.values():
+        build_workflow(cell)
+    return cells
+
+
+def _cmd_advise(args, parser: argparse.ArgumentParser) -> int:
     from repro.core.advisor import WorkflowAdvisor
 
-    datasets = paper_datasets()
-    dataset = datasets[args.dataset]
-    if args.algorithm == "matmul":
-        def family(grid: int):
-            return MatmulWorkflow(dataset, grid=grid)
-    else:
-        def family(grid: int):
-            return KMeansWorkflow(
-                dataset, grid_rows=grid, n_clusters=args.clusters, iterations=3
-            )
-    grids = tuple(int(g) for g in args.grids.split(","))
+    cells = _or_usage_error(parser, _advise_cells, args)
     advisor = WorkflowAdvisor()
-    recommendation = advisor.recommend(family, grids=grids)
+    recommendation = advisor.recommend(
+        lambda grid: build_workflow(cells[grid]), grids=tuple(cells)
+    )
     print(recommendation.render())
     best = recommendation.best
     print(f"\nrecommended: {best.label} "
@@ -439,12 +446,10 @@ def _cmd_observations() -> int:
 
     print("running the figure subsets behind O1-O6 (takes a few minutes)...")
     kmeans7 = exp.run_fig7_for("kmeans", "kmeans_10gb", (256, 128, 64, 16, 4))
-    fig8 = exp.run_fig8(grids=(16, 8, 4, 2))
-    fig9a = exp.run_fig9a(clusters=(10, 100, 1000), grids=(256, 64, 16))
-    matmul10 = exp.run_fig10_for("matmul", "matmul_8gb", (16, 8, 4, 2, 1))
-    kmeans10 = exp.run_fig10_for(
-        "kmeans", "kmeans_10gb", (256, 128, 64, 32, 16, 8, 4, 2, 1)
-    )
+    fig8 = exp.run_fig8()
+    fig9a = exp.run_fig9a(grids=(256, 64, 16))
+    matmul10 = exp.run_fig10_for("matmul", "matmul_8gb", MATMUL_GRIDS)
+    kmeans10 = exp.run_fig10_for("kmeans", "kmeans_10gb", KMEANS_GRIDS)
     checks = [
         obs.check_o1(kmeans7),
         obs.check_o2(kmeans7),
@@ -570,7 +575,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "run":
         return _cmd_run(args, parser)
     if args.command == "advise":
-        return _cmd_advise(args)
+        return _cmd_advise(args, parser)
     if args.command == "observations":
         return _cmd_observations()
     if args.command == "lint":

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from repro.core.experiments.fig11 import feature_row
 from repro.core.experiments.runners import RunMetrics, run_workflow
 from repro.core.report import Table, format_seconds
 from repro.hardware import ClusterSpec, StorageKind, minotauro
@@ -154,7 +155,6 @@ class WorkflowAdvisor:
         storage: StorageKind = StorageKind.SHARED,
         scheduling: SchedulingPolicy = SchedulingPolicy.GENERATION_ORDER,
         n_clusters: int = 0,
-        dataset_size: int | None = None,
     ) -> list[tuple[int, float]]:
         """Rank grid sizes by a fitted :class:`PerformancePredictor`.
 
@@ -176,8 +176,6 @@ class WorkflowAdvisor:
                     self.cost_model.check_gpu_memory(cost)
                 except GpuOutOfMemoryError:
                     continue
-            blocking = workflow.blocking
-            if use_gpu:
                 parallel_time = self.cost_model.parallel_fraction_time_gpu(cost)
             else:
                 parallel_time = self.cost_model.parallel_fraction_time_cpu(cost)
@@ -185,30 +183,16 @@ class WorkflowAdvisor:
             # match what the training samples measured.
             probe = Runtime(RuntimeConfig())
             workflow.build(probe)
-            sample = {
-                "block_size": float(blocking.block_bytes),
-                "grid_dimension": float(blocking.grid.num_blocks),
-                "parallel_fraction": parallel_time,
-                "computational_complexity": cost.parallel_flops,
-                "dag_max_width": float(probe.graph.width),
-                "dag_max_height": float(probe.graph.height),
-                "dataset_size": float(
-                    dataset_size or blocking.dataset.size_bytes
-                ),
-                "algorithm_specific_param": float(n_clusters),
-                "gpu": 1.0 if use_gpu else 0.0,
-                "cpu": 0.0 if use_gpu else 1.0,
-                "shared_disk_storage": 1.0 if storage is StorageKind.SHARED else 0.0,
-                "local_disk_storage": 1.0 if storage is StorageKind.LOCAL else 0.0,
-                "data_locality_scheduling": (
-                    1.0 if scheduling is SchedulingPolicy.DATA_LOCALITY else 0.0
-                ),
-                "task_gen_order_scheduling": (
-                    1.0
-                    if scheduling is SchedulingPolicy.GENERATION_ORDER
-                    else 0.0
-                ),
-            }
+            sample = feature_row(
+                workflow,
+                n_clusters=n_clusters,
+                use_gpu=use_gpu,
+                storage=storage,
+                scheduling=scheduling,
+                parallel_fraction=parallel_time,
+                dag_width=probe.graph.width,
+                dag_height=probe.graph.height,
+            )
             ranking.append((grid, predictor.predict(sample)))
         ranking.sort(key=lambda pair: pair[1])
         return ranking

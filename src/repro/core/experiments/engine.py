@@ -95,6 +95,12 @@ class CellSpec:
             raise ValueError(
                 "exactly one of dataset_key / dataset_spec must be given"
             )
+        known = paper_datasets()
+        if self.dataset_key is not None and self.dataset_key not in known:
+            raise ValueError(
+                f"unknown dataset_key {self.dataset_key!r}; known keys: "
+                + ", ".join(sorted(known))
+            )
 
     def dataset(self) -> DatasetSpec:
         """Resolve the cell's dataset specification."""
@@ -104,7 +110,12 @@ class CellSpec:
 
 
 def build_workflow(spec: CellSpec):
-    """Construct the cell's workflow object (also used for metadata)."""
+    """Construct the cell's workflow object.
+
+    The one constructor behind every simulated cell, every figure's
+    blocking metadata (block size, task count, primary task type) and the
+    CLI's workloads.
+    """
     dataset = spec.dataset()
     if spec.algorithm == "matmul":
         return MatmulWorkflow(dataset, grid=spec.grid)
@@ -472,6 +483,17 @@ class SweepEngine:
 
         return [self._memo[digest] for digest in digests]
 
+    def run_pairs(
+        self, cells: Sequence[CellSpec]
+    ) -> list[tuple[CellSpec, RunMetrics, RunMetrics]]:
+        """Execute :func:`cells_product` batches as CPU/GPU pairs.
+
+        Returns one ``(cpu cell, cpu metrics, gpu metrics)`` per pair; the
+        cell is what the caller reads the pair's workflow metadata from.
+        """
+        results = self.run_cells(cells)
+        return list(zip(cells[::2], results[::2], results[1::2]))
+
     # ------------------------------------------------------------ journal
     def _execute_journalled(
         self, digest: str, spec: CellSpec, cache_root: str | None
@@ -528,18 +550,22 @@ class SweepEngine:
             )
 
 
+#: Grid sizes of §4.4.5: square grids for Matmul, row grids for K-means.
+MATMUL_GRIDS = (16, 8, 4, 2, 1)
+KMEANS_GRIDS = (256, 128, 64, 32, 16, 8, 4, 2, 1)
+
+
 def cells_product(
     algorithm: str,
     grids: Sequence[int],
     dataset_key: str | None = None,
     dataset_spec: DatasetSpec | None = None,
-    processors: Sequence[bool] = (False, True),
     **common: Any,
 ) -> list[CellSpec]:
-    """The common sweep shape: ``grids x processors`` for one workload.
+    """The common sweep shape: every grid on the CPU, then on the GPU.
 
-    Cells are ordered grid-major, CPU before GPU — the iteration order the
-    figure runners pair results back up with.
+    Cells are ordered grid-major, CPU before GPU — the order
+    :meth:`SweepEngine.run_pairs` pairs results back up in.
     """
     return [
         CellSpec(
@@ -551,5 +577,5 @@ def cells_product(
             **common,
         )
         for grid in grids
-        for use_gpu in processors
+        for use_gpu in (False, True)
     ]

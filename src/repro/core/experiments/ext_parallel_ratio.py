@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.algorithms import SyntheticWorkflow
-from repro.core.experiments.engine import SweepEngine, cells_product
-from repro.core.experiments.runners import speedup
+from repro.core.experiments.engine import SweepEngine, build_workflow, cells_product
+from repro.core.experiments.runners import CpuGpuPair
 from repro.core.report import Table, format_speedup
 from repro.data import DatasetSpec
 from repro.hardware import minotauro
@@ -101,35 +100,27 @@ def run_parallel_ratio_sweep(
     dataset = DatasetSpec("synthetic_sweep", rows=rows, cols=cols)
     model = CostModel(minotauro())
     result = ParallelRatioResult(dataset=dataset.name, grid_rows=grid_rows)
-    cells = []
-    for ratio in ratios:
-        cells.extend(
-            cells_product(
-                "synthetic",
-                (grid_rows,),
-                dataset_spec=dataset,
-                parallel_ratio=ratio,
-            )
+    cells = [
+        cell
+        for ratio in ratios
+        for cell in cells_product(
+            "synthetic", (grid_rows,), dataset_spec=dataset, parallel_ratio=ratio
         )
-    results = engine.run_cells(cells)
-    for index, ratio in enumerate(ratios):
-        workflow = SyntheticWorkflow(dataset, grid_rows, parallel_ratio=ratio)
-        cost = workflow.task_costs()["synthetic_stage"]
+    ]
+    for cell, cpu, gpu in engine.run_pairs(cells):
+        workflow = build_workflow(cell)
+        task_type = workflow.primary_task_type
+        cost = workflow.task_costs()[task_type]
         if cost.parallel_flops > 0:
             predicted = predict(cost, model).user_code_speedup
         else:
             predicted = None
-        cpu, gpu = results[2 * index], results[2 * index + 1]
-        measured = None
-        if cpu.ok and gpu.ok and "synthetic_stage" in gpu.user_code:
-            measured = speedup(
-                cpu.user_code["synthetic_stage"].user_code,
-                gpu.user_code["synthetic_stage"].user_code,
-            )
         result.points.append(
             RatioPoint(
-                parallel_ratio=ratio,
-                measured_user_code_speedup=measured,
+                parallel_ratio=cell.parallel_ratio,
+                measured_user_code_speedup=CpuGpuPair(cpu, gpu).stage_speedup(
+                    task_type, "user_code"
+                ),
                 predicted_user_code_speedup=predicted,
             )
         )

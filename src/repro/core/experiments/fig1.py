@@ -14,37 +14,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.experiments.engine import SweepEngine, cells_product
-from repro.core.experiments.runners import RunMetrics, speedup
+from repro.core.experiments.runners import CpuGpuPair
 from repro.core.report import Table, format_seconds, format_speedup
 
 
 @dataclass
-class Fig1Result:
+class Fig1Result(CpuGpuPair):
     """Stage-level GPU-over-CPU speedups at the Figure 1 operating point."""
-
-    cpu: RunMetrics
-    gpu: RunMetrics
 
     @property
     def parallel_fraction_speedup(self) -> float | None:
         """Speedup on the parallel fraction of the task user code alone."""
-        return speedup(
-            self.cpu.user_code["partial_sum"].parallel_fraction,
-            self.gpu.user_code["partial_sum"].parallel_fraction,
-        )
+        return self.stage_speedup("partial_sum", "parallel_fraction")
 
     @property
     def user_code_speedup(self) -> float | None:
         """Speedup on the total task user code (serial + comm included)."""
-        return speedup(
-            self.cpu.user_code["partial_sum"].user_code,
-            self.gpu.user_code["partial_sum"].user_code,
-        )
-
-    @property
-    def parallel_tasks_speedup(self) -> float | None:
-        """Speedup at the distributed (parallel tasks) level."""
-        return speedup(self.cpu.parallel_task_time, self.gpu.parallel_task_time)
+        return self.stage_speedup("partial_sum", "user_code")
 
     def render(self) -> str:
         """Figure 1 as a table."""

@@ -14,16 +14,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.algorithms import KMeansWorkflow, MatmulWorkflow
-from repro.core.experiments.engine import CellSpec, SweepEngine
+from repro.core.experiments.engine import (
+    KMEANS_GRIDS,
+    MATMUL_GRIDS,
+    SweepEngine,
+    build_workflow,
+    cells_product,
+)
 from repro.core.experiments.runners import RunMetrics
 from repro.core.report import Table, format_seconds
-from repro.data import paper_datasets
 from repro.hardware import StorageKind
 from repro.runtime import SchedulingPolicy
-
-MATMUL_GRIDS = (16, 8, 4, 2, 1)
-KMEANS_GRIDS = (256, 128, 64, 32, 16, 8, 4, 2, 1)
 
 _COMBOS: tuple[tuple[StorageKind, SchedulingPolicy], ...] = (
     (StorageKind.LOCAL, SchedulingPolicy.GENERATION_ORDER),
@@ -134,42 +135,27 @@ def run_fig10_for(
 ) -> Fig10Result:
     """Sweep one algorithm over the storage x scheduler combinations."""
     engine = engine if engine is not None else SweepEngine.serial()
-    dataset = paper_datasets()[dataset_key]
-
-    def make(grid: int):
-        if algorithm == "matmul":
-            return MatmulWorkflow(dataset, grid=grid)
-        return KMeansWorkflow(dataset, grid_rows=grid, n_clusters=10, iterations=3)
-
-    # Blocking metadata once per grid; executions rebuild from the spec.
-    block_mbs = {grid: make(grid).block_mb for grid in grids}
     result = Fig10Result(algorithm=algorithm, dataset=dataset_key)
-    cells = []
-    meta = []
-    for storage, policy in combos:
-        for grid in grids:
-            for use_gpu in (False, True):
-                cells.append(
-                    CellSpec(
-                        algorithm=algorithm,
-                        grid=grid,
-                        dataset_key=dataset_key,
-                        n_clusters=10 if algorithm == "kmeans" else 0,
-                        use_gpu=use_gpu,
-                        storage=storage,
-                        scheduling=policy,
-                    )
-                )
-                meta.append((storage, policy, grid, use_gpu))
-    results = engine.run_cells(cells)
-    for (storage, policy, grid, use_gpu), metrics in zip(meta, results):
+    cells = [
+        cell
+        for storage, policy in combos
+        for cell in cells_product(
+            algorithm,
+            grids,
+            dataset_key=dataset_key,
+            n_clusters=10 if algorithm == "kmeans" else 0,
+            storage=storage,
+            scheduling=policy,
+        )
+    ]
+    for cell, metrics in zip(cells, engine.run_cells(cells)):
         result.cells.append(
             Fig10Cell(
-                storage=storage,
-                scheduling=policy,
-                grid=grid,
-                block_mb=block_mbs[grid],
-                use_gpu=use_gpu,
+                storage=cell.storage,
+                scheduling=cell.scheduling,
+                grid=cell.grid,
+                block_mb=build_workflow(cell).block_mb,
+                use_gpu=cell.use_gpu,
                 metrics=metrics,
             )
         )

@@ -31,11 +31,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.algorithms import KMeansWorkflow, MatmulWorkflow
 from repro.core.correlation import CorrelationMatrix, spearman_matrix
-from repro.core.experiments.engine import CellSpec, SweepEngine
+from repro.core.experiments.engine import (
+    KMEANS_GRIDS,
+    MATMUL_GRIDS,
+    CellSpec,
+    SweepEngine,
+    build_workflow,
+    cells_product,
+)
 from repro.core.report import Table
-from repro.data import paper_datasets
 from repro.hardware import StorageKind
 from repro.runtime import SchedulingPolicy
 
@@ -72,64 +77,86 @@ PAPER_REFERENCE = {
 }
 
 
-@dataclass(frozen=True)
-class SamplePlan:
-    """One planned execution in the factorial design."""
-
-    algorithm: str
-    dataset_key: str
-    grid: int
-    n_clusters: int
-    use_gpu: bool
-    storage: StorageKind
-    scheduling: SchedulingPolicy
-
-
-def default_design() -> list[SamplePlan]:
+def default_design() -> list[CellSpec]:
     """The 192-sample factorial design mirroring §5.4.
 
     Base sweeps on shared disk + generation order (both algorithms, three
     dataset sizes each), the Figure 10 storage/scheduler extras, and the
-    Figure 9a cluster-count extras.
+    Figure 9a cluster-count extras.  The base and extra cells are the
+    Figure 7/9a/10 cells verbatim, so a shared engine dedupes them.
     """
-    plans: list[SamplePlan] = []
-    matmul_grids = (16, 8, 4, 2, 1)
-    kmeans_grids = (256, 128, 64, 32, 16, 8, 4, 2, 1)
-    shared = StorageKind.SHARED
-    local = StorageKind.LOCAL
-    gen = SchedulingPolicy.GENERATION_ORDER
-    loc = SchedulingPolicy.DATA_LOCALITY
-
-    def add(algorithm, dataset_key, grid, clusters, gpu, storage, sched) -> None:
-        plans.append(
-            SamplePlan(algorithm, dataset_key, grid, clusters, gpu, storage, sched)
-        )
-
+    design: list[CellSpec] = []
     # Base sweeps: shared disk, generation order.
     for dataset_key in ("matmul_128mb", "matmul_8gb", "matmul_32gb"):
-        for grid in matmul_grids:
-            for gpu in (False, True):
-                add("matmul", dataset_key, grid, 0, gpu, shared, gen)
+        design += cells_product("matmul", MATMUL_GRIDS, dataset_key=dataset_key)
     for dataset_key in ("kmeans_100mb", "kmeans_10gb", "kmeans_100gb"):
-        for grid in kmeans_grids:
-            for gpu in (False, True):
-                add("kmeans", dataset_key, grid, 10, gpu, shared, gen)
+        design += cells_product(
+            "kmeans", KMEANS_GRIDS, dataset_key=dataset_key, n_clusters=10
+        )
 
     # Storage x scheduler extras (Figure 10 design).
-    for storage, sched in ((local, gen), (local, loc), (shared, loc)):
-        for grid in matmul_grids:
-            for gpu in (False, True):
-                add("matmul", "matmul_8gb", grid, 0, gpu, storage, sched)
-        for grid in kmeans_grids:
-            for gpu in (False, True):
-                add("kmeans", "kmeans_10gb", grid, 10, gpu, storage, sched)
+    for storage, scheduling in (
+        (StorageKind.LOCAL, SchedulingPolicy.GENERATION_ORDER),
+        (StorageKind.LOCAL, SchedulingPolicy.DATA_LOCALITY),
+        (StorageKind.SHARED, SchedulingPolicy.DATA_LOCALITY),
+    ):
+        design += cells_product(
+            "matmul", MATMUL_GRIDS, dataset_key="matmul_8gb",
+            storage=storage, scheduling=scheduling,
+        )
+        design += cells_product(
+            "kmeans", KMEANS_GRIDS, dataset_key="kmeans_10gb", n_clusters=10,
+            storage=storage, scheduling=scheduling,
+        )
 
     # Cluster-count extras (Figure 9a design).
     for clusters in (100, 1000):
-        for grid in (256, 128, 64, 32, 16, 8):
-            for gpu in (False, True):
-                add("kmeans", "kmeans_10gb", grid, clusters, gpu, shared, gen)
-    return plans
+        design += cells_product(
+            "kmeans", (256, 128, 64, 32, 16, 8), dataset_key="kmeans_10gb",
+            n_clusters=clusters,
+        )
+    return design
+
+
+def feature_row(
+    workflow,
+    *,
+    n_clusters: int,
+    use_gpu: bool,
+    storage: StorageKind,
+    scheduling: SchedulingPolicy,
+    parallel_fraction: float,
+    dag_width: int,
+    dag_height: int,
+) -> dict[str, float]:
+    """One sample's Table-1 factor features (every column but the time).
+
+    The blocking and complexity features come from ``workflow``; the
+    parallel fraction and DAG dimensions are inputs, because Figure 11
+    measures them while the advisor derives them without simulating.
+    """
+    blocking = workflow.blocking
+    cost = workflow.task_costs()[workflow.primary_task_type]
+    return {
+        "block_size": float(blocking.block_bytes),
+        "grid_dimension": float(blocking.grid.num_blocks),
+        "parallel_fraction": parallel_fraction,
+        "algorithm_specific_param": float(n_clusters),
+        "computational_complexity": cost.parallel_flops,
+        "dag_max_width": float(dag_width),
+        "dag_max_height": float(dag_height),
+        "dataset_size": float(blocking.dataset.size_bytes),
+        "cpu": float(not use_gpu),
+        "gpu": float(use_gpu),
+        "shared_disk_storage": float(storage is StorageKind.SHARED),
+        "local_disk_storage": float(storage is StorageKind.LOCAL),
+        "task_gen_order_scheduling": float(
+            scheduling is SchedulingPolicy.GENERATION_ORDER
+        ),
+        "data_locality_scheduling": float(
+            scheduling is SchedulingPolicy.DATA_LOCALITY
+        ),
+    }
 
 
 @dataclass
@@ -165,82 +192,44 @@ class Fig11Result:
         return "\n".join(parts)
 
 
-def _make_workflow(plan: SamplePlan, datasets) -> object:
-    dataset = datasets[plan.dataset_key]
-    if plan.algorithm == "matmul":
-        return MatmulWorkflow(dataset, grid=plan.grid)
-    return KMeansWorkflow(
-        dataset, grid_rows=plan.grid, n_clusters=plan.n_clusters, iterations=3
-    )
-
-
-def plan_cell(plan: SamplePlan) -> CellSpec:
-    """The sweep-engine cell equivalent of one sample plan.
-
-    The mapping is exact: base-design plans produce the same cells as the
-    Figure 7/9a/10 sweeps, so a shared engine dedupes them for free.
-    """
-    return CellSpec(
-        algorithm=plan.algorithm,
-        grid=plan.grid,
-        dataset_key=plan.dataset_key,
-        n_clusters=plan.n_clusters,
-        use_gpu=plan.use_gpu,
-        storage=plan.storage,
-        scheduling=plan.scheduling,
-    )
-
-
 def run_fig11(
-    plans: Sequence[SamplePlan] | None = None,
+    plans: Sequence[CellSpec] | None = None,
     engine: SweepEngine | None = None,
 ) -> Fig11Result:
-    """Execute the factorial design and build the Spearman matrix."""
+    """Execute the factorial design and build the Spearman matrix.
+
+    ``plans`` lists the cells to sample (:func:`default_design` if
+    ``None``).
+    """
     engine = engine if engine is not None else SweepEngine.serial()
-    datasets = paper_datasets()
-    plans = list(plans) if plans is not None else default_design()
+    cells = list(plans) if plans is not None else default_design()
     columns: dict[str, list[float]] = {feature: [] for feature in FEATURES}
     n_oom = 0
-    results = engine.run_cells([plan_cell(plan) for plan in plans])
-    for plan, metrics in zip(plans, results):
-        # One workflow per plan, for blocking/cost metadata only.
-        workflow = _make_workflow(plan, datasets)
+    for cell, metrics in zip(cells, engine.run_cells(cells)):
         if not metrics.ok:
             n_oom += 1
             continue
-        blocking = workflow.blocking
-        primary = workflow.primary_task_type
-        cost = workflow.task_costs()[primary]
-        columns["parallel_task_exec_time"].append(metrics.parallel_task_time)
-        columns["block_size"].append(float(blocking.block_bytes))
-        columns["grid_dimension"].append(float(blocking.grid.num_blocks))
-        columns["parallel_fraction"].append(
-            metrics.user_code[primary].parallel_fraction
+        workflow = build_workflow(cell)
+        row = feature_row(
+            workflow,
+            n_clusters=cell.n_clusters,
+            use_gpu=cell.use_gpu,
+            storage=cell.storage,
+            scheduling=cell.scheduling,
+            parallel_fraction=(
+                metrics.user_code[workflow.primary_task_type].parallel_fraction
+            ),
+            dag_width=metrics.dag_width,
+            dag_height=metrics.dag_height,
         )
-        columns["algorithm_specific_param"].append(float(plan.n_clusters))
-        columns["computational_complexity"].append(cost.parallel_flops)
-        columns["dag_max_width"].append(float(metrics.dag_width))
-        columns["dag_max_height"].append(float(metrics.dag_height))
-        columns["dataset_size"].append(float(blocking.dataset.size_bytes))
-        columns["cpu"].append(0.0 if plan.use_gpu else 1.0)
-        columns["gpu"].append(1.0 if plan.use_gpu else 0.0)
-        columns["shared_disk_storage"].append(
-            1.0 if plan.storage is StorageKind.SHARED else 0.0
-        )
-        columns["local_disk_storage"].append(
-            1.0 if plan.storage is StorageKind.LOCAL else 0.0
-        )
-        columns["task_gen_order_scheduling"].append(
-            1.0 if plan.scheduling is SchedulingPolicy.GENERATION_ORDER else 0.0
-        )
-        columns["data_locality_scheduling"].append(
-            1.0 if plan.scheduling is SchedulingPolicy.DATA_LOCALITY else 0.0
-        )
+        row["parallel_task_exec_time"] = metrics.parallel_task_time
+        for feature, column in columns.items():
+            column.append(row[feature])
     matrix = spearman_matrix(columns)
     return Fig11Result(
         matrix=matrix,
         n_samples=len(columns["parallel_task_exec_time"]),
-        n_planned=len(plans),
+        n_planned=len(cells),
         n_oom=n_oom,
         columns=columns,
     )

@@ -12,48 +12,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.algorithms import MatmulFmaWorkflow
-from repro.core.experiments.engine import SweepEngine, cells_product
-from repro.core.experiments.runners import RunMetrics, speedup
+from repro.core.experiments.engine import (
+    MATMUL_GRIDS,
+    SweepEngine,
+    build_workflow,
+    cells_product,
+)
+from repro.core.experiments.runners import CpuGpuPair
 from repro.core.report import Table, format_seconds, format_speedup
-from repro.data import paper_datasets
-
-FIG12_GRIDS = (16, 8, 4, 2, 1)
 
 
 @dataclass
-class Fig12Point:
+class Fig12Point(CpuGpuPair):
     """fma_func stage times at one block size."""
 
     block_mb: float
     grid: int
-    cpu: RunMetrics
-    gpu: RunMetrics
-
-    @property
-    def status(self) -> str:
-        """'ok' unless either processor run hit an OOM condition."""
-        for metrics in (self.cpu, self.gpu):
-            if not metrics.ok:
-                return metrics.status
-        return "ok"
 
     @property
     def user_code_speedup(self) -> float | None:
         """GPU-over-CPU user-code speedup of fma_func."""
-        if not (self.cpu.ok and self.gpu.ok):
-            return None
-        return speedup(
-            self.cpu.user_code["fma_func"].user_code,
-            self.gpu.user_code["fma_func"].user_code,
-        )
-
-    def stage(self, use_gpu: bool, attr: str) -> float | None:
-        """An averaged fma_func stage duration."""
-        metrics = self.gpu if use_gpu else self.cpu
-        if not metrics.ok:
-            return None
-        return getattr(metrics.user_code["fma_func"], attr)
+        return self.stage_speedup("fma_func", "user_code")
 
 
 @dataclass
@@ -84,9 +63,9 @@ class Fig12Result:
             table.add_row(
                 f"{p.block_mb:.0f}",
                 format_speedup(p.user_code_speedup),
-                format_seconds(p.stage(False, "parallel_fraction")),
-                format_seconds(p.stage(True, "parallel_fraction")),
-                format_seconds(p.stage(True, "cpu_gpu_comm")),
+                format_seconds(p.stage(False, "fma_func", "parallel_fraction")),
+                format_seconds(p.stage(True, "fma_func", "parallel_fraction")),
+                format_seconds(p.stage(True, "fma_func", "cpu_gpu_comm")),
                 p.status,
             )
         return table.render()
@@ -94,24 +73,20 @@ class Fig12Result:
 
 def run_fig12(
     dataset_key: str = "matmul_8gb",
-    grids: tuple[int, ...] = FIG12_GRIDS,
+    grids: tuple[int, ...] = MATMUL_GRIDS,
     engine: SweepEngine | None = None,
 ) -> Fig12Result:
     """Sweep Matmul FMA block sizes with the Figure 8 parameters."""
     engine = engine if engine is not None else SweepEngine.serial()
-    dataset = paper_datasets()[dataset_key]
     result = Fig12Result(dataset=dataset_key)
-    block_mbs = [MatmulFmaWorkflow(dataset, grid=grid).block_mb for grid in grids]
-    results = engine.run_cells(
-        cells_product("matmul_fma", grids, dataset_key=dataset_key)
-    )
-    for index, (grid, block_mb) in enumerate(zip(grids, block_mbs)):
+    cells = cells_product("matmul_fma", grids, dataset_key=dataset_key)
+    for cell, cpu, gpu in engine.run_pairs(cells):
         result.points.append(
             Fig12Point(
-                block_mb=block_mb,
-                grid=grid,
-                cpu=results[2 * index],
-                gpu=results[2 * index + 1],
+                block_mb=build_workflow(cell).block_mb,
+                grid=cell.grid,
+                cpu=cpu,
+                gpu=gpu,
             )
         )
     return result

@@ -11,66 +11,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.algorithms import KMeansWorkflow, MatmulWorkflow
-from repro.core.experiments.engine import SweepEngine, cells_product
-from repro.core.experiments.runners import RunMetrics, speedup
+from repro.core.experiments.engine import (
+    KMEANS_GRIDS,
+    MATMUL_GRIDS,
+    SweepEngine,
+    build_workflow,
+    cells_product,
+)
+from repro.core.experiments.runners import CpuGpuPair, RunMetrics
 from repro.core.report import Table, format_seconds, format_speedup
-from repro.data import paper_datasets
-
-#: Grid sizes of §4.4.5 (square for Matmul, rows for K-means).
-MATMUL_GRIDS = (16, 8, 4, 2, 1)
-KMEANS_GRIDS = (256, 128, 64, 32, 16, 8, 4, 2, 1)
 
 
 @dataclass
-class Fig7Point:
+class Fig7Point(CpuGpuPair):
     """One block-dimension configuration of one dataset."""
 
     grid_label: str
     block_mb: float
     num_tasks: int
-    cpu: RunMetrics
-    gpu: RunMetrics
     primary_task_type: str
-
-    @property
-    def status(self) -> str:
-        """'ok' unless either processor run hit an OOM condition."""
-        if not self.cpu.ok:
-            return self.cpu.status
-        if not self.gpu.ok:
-            return self.gpu.status
-        return "ok"
-
-    def _stage(self, metrics: RunMetrics, attr: str) -> float | None:
-        if not metrics.ok:
-            return None
-        return getattr(metrics.user_code[self.primary_task_type], attr)
 
     @property
     def parallel_fraction_speedup(self) -> float | None:
         """GPU speedup of the parallel fraction (primary task type)."""
-        cpu = self._stage(self.cpu, "parallel_fraction")
-        gpu = self._stage(self.gpu, "parallel_fraction")
-        if cpu is None or gpu is None:
-            return None
-        return speedup(cpu, gpu)
+        return self.stage_speedup(self.primary_task_type, "parallel_fraction")
 
     @property
     def user_code_speedup(self) -> float | None:
         """GPU speedup of the full task user code (primary task type)."""
-        cpu = self._stage(self.cpu, "user_code")
-        gpu = self._stage(self.gpu, "user_code")
-        if cpu is None or gpu is None:
-            return None
-        return speedup(cpu, gpu)
-
-    @property
-    def parallel_tasks_speedup(self) -> float | None:
-        """GPU speedup of the distributed parallel-task execution."""
-        if not (self.cpu.ok and self.gpu.ok):
-            return None
-        return speedup(self.cpu.parallel_task_time, self.gpu.parallel_task_time)
+        return self.stage_speedup(self.primary_task_type, "user_code")
 
     @property
     def user_code_speedup_decrease(self) -> float | None:
@@ -169,14 +138,6 @@ class Fig7Result:
         return "\n\n".join(series.render() for series in self.panels)
 
 
-def _matmul_workflow(dataset, grid: int):
-    return MatmulWorkflow(dataset, grid=grid)
-
-
-def _kmeans_workflow(dataset, grid: int):
-    return KMeansWorkflow(dataset, grid_rows=grid, n_clusters=10, iterations=3)
-
-
 def run_fig7_for(
     algorithm: str,
     dataset_key: str,
@@ -190,29 +151,18 @@ def run_fig7_for(
     sweep ``engine`` (a private serial engine when ``None``).
     """
     engine = engine if engine is not None else SweepEngine.serial()
-    datasets = paper_datasets()
-    dataset = datasets[dataset_key]
-    make = _matmul_workflow if algorithm == "matmul" else _kmeans_workflow
     series = Fig7Series(algorithm=algorithm, dataset=dataset_key)
-    # One workflow per grid point, built solely for its blocking metadata;
-    # the executions themselves reconstruct it from the cell spec.
-    workflows = [make(dataset, grid) for grid in grids]
-    results = engine.run_cells(
-        cells_product(
-            algorithm,
-            grids,
-            dataset_key=dataset_key,
-            n_clusters=10 if algorithm == "kmeans" else 0,
-        )
+    cells = cells_product(
+        algorithm,
+        grids,
+        dataset_key=dataset_key,
+        n_clusters=10 if algorithm == "kmeans" else 0,
     )
-    for index, (grid, workflow) in enumerate(zip(grids, workflows)):
-        cpu, gpu = results[2 * index], results[2 * index + 1]
-        grid_label = (
-            f"{grid} x {grid}" if algorithm == "matmul" else f"{grid} x 1"
-        )
+    for cell, cpu, gpu in engine.run_pairs(cells):
+        workflow = build_workflow(cell)
         series.points.append(
             Fig7Point(
-                grid_label=grid_label,
+                grid_label=str(workflow.blocking.grid),
                 block_mb=workflow.block_mb,
                 num_tasks=workflow.blocking.num_tasks,
                 cpu=cpu,

@@ -16,49 +16,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.algorithms import MatmulWorkflow
-from repro.core.experiments.engine import SweepEngine, cells_product
-from repro.core.experiments.runners import RunMetrics, speedup
+from repro.core.experiments.engine import SweepEngine, build_workflow, cells_product
+from repro.core.experiments.runners import CpuGpuPair
 from repro.core.report import Table, format_seconds, format_speedup
-from repro.data import paper_datasets
 
 FIG8_GRIDS = (16, 8, 4, 2)
 
 
 @dataclass
-class Fig8Point:
+class Fig8Point(CpuGpuPair):
     """Per-task-type stage times at one block size."""
 
     block_mb: float
     grid: int
-    cpu: RunMetrics
-    gpu: RunMetrics
-
-    @property
-    def status(self) -> str:
-        """'ok' unless either processor run hit an OOM condition."""
-        for metrics in (self.cpu, self.gpu):
-            if not metrics.ok:
-                return metrics.status
-        return "ok"
 
     def user_code_speedup(self, task_type: str) -> float | None:
         """GPU-over-CPU user-code speedup of one task type."""
-        if not (self.cpu.ok and self.gpu.ok):
-            return None
-        if task_type not in self.cpu.user_code:
-            return None
-        return speedup(
-            self.cpu.user_code[task_type].user_code,
-            self.gpu.user_code[task_type].user_code,
-        )
-
-    def stage_time(self, task_type: str, use_gpu: bool, attr: str) -> float | None:
-        """One averaged stage duration for one task type."""
-        metrics = self.gpu if use_gpu else self.cpu
-        if not metrics.ok or task_type not in metrics.user_code:
-            return None
-        return getattr(metrics.user_code[task_type], attr)
+        return self.stage_speedup(task_type, "user_code")
 
 
 @dataclass
@@ -105,12 +79,12 @@ class Fig8Result:
                     task_type,
                     format_speedup(point.user_code_speedup(task_type)),
                     format_seconds(
-                        point.stage_time(task_type, False, "parallel_fraction")
+                        point.stage(False, task_type, "parallel_fraction")
                     ),
                     format_seconds(
-                        point.stage_time(task_type, True, "parallel_fraction")
+                        point.stage(True, task_type, "parallel_fraction")
                     ),
-                    format_seconds(point.stage_time(task_type, True, "cpu_gpu_comm")),
+                    format_seconds(point.stage(True, task_type, "cpu_gpu_comm")),
                     point.status,
                 )
         return table.render()
@@ -123,19 +97,15 @@ def run_fig8(
 ) -> Fig8Result:
     """Sweep Matmul block sizes and profile both task types."""
     engine = engine if engine is not None else SweepEngine.serial()
-    dataset = paper_datasets()[dataset_key]
     result = Fig8Result(dataset=dataset_key)
-    block_mbs = [MatmulWorkflow(dataset, grid=grid).block_mb for grid in grids]
-    results = engine.run_cells(
-        cells_product("matmul", grids, dataset_key=dataset_key)
-    )
-    for index, (grid, block_mb) in enumerate(zip(grids, block_mbs)):
+    cells = cells_product("matmul", grids, dataset_key=dataset_key)
+    for cell, cpu, gpu in engine.run_pairs(cells):
         result.points.append(
             Fig8Point(
-                block_mb=block_mb,
-                grid=grid,
-                cpu=results[2 * index],
-                gpu=results[2 * index + 1],
+                block_mb=build_workflow(cell).block_mb,
+                grid=cell.grid,
+                cpu=cpu,
+                gpu=gpu,
             )
         )
     return result

@@ -18,51 +18,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.algorithms import KMeansWorkflow
-from repro.core.experiments.engine import SweepEngine, cells_product
-from repro.core.experiments.runners import RunMetrics, speedup
+from repro.core.experiments.engine import (
+    KMEANS_GRIDS,
+    SweepEngine,
+    build_workflow,
+    cells_product,
+)
+from repro.core.experiments.runners import CpuGpuPair
 from repro.core.report import Table, format_seconds, format_speedup
 from repro.data import DatasetSpec, paper_datasets
 
 FIG9A_CLUSTERS = (10, 100, 1000)
-FIG9A_GRIDS = (256, 128, 64, 32, 16, 8, 4, 2, 1)
 
 
 @dataclass
-class Fig9aPoint:
-    """One (clusters, block size) configuration."""
+class Fig9aPoint(CpuGpuPair):
+    """One (clusters, block size) configuration.
+
+    A ``status`` of 'cpu_oom' is the paper's 'CPU GPU OOM'.
+    """
 
     n_clusters: int
     block_mb: float
     grid: int
-    cpu: RunMetrics
-    gpu: RunMetrics
-
-    @property
-    def status(self) -> str:
-        """'ok', 'gpu_oom', or 'cpu_oom' (the paper's 'CPU GPU OOM')."""
-        if not self.cpu.ok:
-            return self.cpu.status
-        if not self.gpu.ok:
-            return self.gpu.status
-        return "ok"
 
     @property
     def user_code_speedup(self) -> float | None:
         """GPU-over-CPU user-code speedup of partial_sum."""
-        if not (self.cpu.ok and self.gpu.ok):
-            return None
-        return speedup(
-            self.cpu.user_code["partial_sum"].user_code,
-            self.gpu.user_code["partial_sum"].user_code,
-        )
-
-    def stage(self, use_gpu: bool, attr: str) -> float | None:
-        """An averaged partial_sum stage duration."""
-        metrics = self.gpu if use_gpu else self.cpu
-        if not metrics.ok:
-            return None
-        return getattr(metrics.user_code["partial_sum"], attr)
+        return self.stage_speedup("partial_sum", "user_code")
 
 
 @dataclass
@@ -119,10 +102,10 @@ class Fig9aResult:
                 p.n_clusters,
                 f"{p.block_mb:.0f}",
                 format_speedup(p.user_code_speedup),
-                format_seconds(p.stage(False, "parallel_fraction")),
-                format_seconds(p.stage(False, "serial_fraction")),
-                format_seconds(p.stage(True, "parallel_fraction")),
-                format_seconds(p.stage(True, "cpu_gpu_comm")),
+                format_seconds(p.stage(False, "partial_sum", "parallel_fraction")),
+                format_seconds(p.stage(False, "partial_sum", "serial_fraction")),
+                format_seconds(p.stage(True, "partial_sum", "parallel_fraction")),
+                format_seconds(p.stage(True, "partial_sum", "cpu_gpu_comm")),
                 p.status,
             )
         return table.render()
@@ -131,37 +114,27 @@ class Fig9aResult:
 def run_fig9a(
     dataset_key: str = "kmeans_10gb",
     clusters: tuple[int, ...] = FIG9A_CLUSTERS,
-    grids: tuple[int, ...] = FIG9A_GRIDS,
+    grids: tuple[int, ...] = KMEANS_GRIDS,
     engine: SweepEngine | None = None,
 ) -> Fig9aResult:
     """Sweep cluster counts and block sizes for panel (a)."""
     engine = engine if engine is not None else SweepEngine.serial()
-    dataset = paper_datasets()[dataset_key]
     result = Fig9aResult(dataset=dataset_key)
-    cells = []
-    meta = []
-    for n_clusters in clusters:
-        block_mbs = {
-            grid: KMeansWorkflow(
-                dataset, grid_rows=grid, n_clusters=n_clusters, iterations=3
-            ).block_mb
-            for grid in grids
-        }
-        cells.extend(
-            cells_product(
-                "kmeans", grids, dataset_key=dataset_key, n_clusters=n_clusters
-            )
+    cells = [
+        cell
+        for n_clusters in clusters
+        for cell in cells_product(
+            "kmeans", grids, dataset_key=dataset_key, n_clusters=n_clusters
         )
-        meta.extend((n_clusters, grid, block_mbs[grid]) for grid in grids)
-    results = engine.run_cells(cells)
-    for index, (n_clusters, grid, block_mb) in enumerate(meta):
+    ]
+    for cell, cpu, gpu in engine.run_pairs(cells):
         result.points.append(
             Fig9aPoint(
-                n_clusters=n_clusters,
-                block_mb=block_mb,
-                grid=grid,
-                cpu=results[2 * index],
-                gpu=results[2 * index + 1],
+                n_clusters=cell.n_clusters,
+                block_mb=build_workflow(cell).block_mb,
+                grid=cell.grid,
+                cpu=cpu,
+                gpu=gpu,
             )
         )
     return result
@@ -225,28 +198,23 @@ def run_fig9b(grid: int = 8, engine: SweepEngine | None = None) -> Fig9bResult:
     """Compare uniform vs 50%-skewed datasets for both algorithms."""
     engine = engine if engine is not None else SweepEngine.serial()
     datasets = paper_datasets()
+    cells = [
+        cell
+        for algorithm, key, n_clusters in (
+            ("matmul", "matmul_2gb", 0), ("kmeans", "kmeans_1gb", 10)
+        )
+        for variant in _skew_variants(datasets[key])
+        for cell in cells_product(
+            algorithm, (grid,), dataset_spec=variant, n_clusters=n_clusters
+        )
+    ]
     result = Fig9bResult()
-    cells = []
-    meta = []
-    for variant in _skew_variants(datasets["matmul_2gb"]):
-        cells.extend(
-            cells_product("matmul", (grid,), dataset_spec=variant)
-        )
-        meta.append(("matmul", variant.skew, "matmul_func"))
-    for variant in _skew_variants(datasets["kmeans_1gb"]):
-        cells.extend(
-            cells_product(
-                "kmeans", (grid,), dataset_spec=variant, n_clusters=10
-            )
-        )
-        meta.append(("kmeans", variant.skew, "partial_sum"))
-    results = engine.run_cells(cells)
-    for index, (algorithm, skew, task_type) in enumerate(meta):
-        cpu, gpu = results[2 * index], results[2 * index + 1]
+    for cell, cpu, gpu in engine.run_pairs(cells):
+        task_type = build_workflow(cell).primary_task_type
         result.points.append(
             Fig9bPoint(
-                algorithm=algorithm,
-                skew=skew,
+                algorithm=cell.algorithm,
+                skew=cell.dataset_spec.skew,
                 cpu_user_code=cpu.user_code[task_type].user_code,
                 gpu_user_code=gpu.user_code[task_type].user_code,
             )

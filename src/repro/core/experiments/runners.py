@@ -131,3 +131,49 @@ def speedup(cpu_value: float, gpu_value: float) -> float | None:
     if gpu_value <= 0 or cpu_value <= 0:
         return None
     return cpu_value / gpu_value
+
+
+@dataclass
+class CpuGpuPair:
+    """One configuration run on both processor types, compared.
+
+    The base of every CPU-vs-GPU figure result: each subclass adds only
+    its own coordinates (block size, cluster count, ...) and names the
+    stages it reports.
+    """
+
+    cpu: RunMetrics
+    gpu: RunMetrics
+
+    @property
+    def status(self) -> str:
+        """'ok' unless a run hit an OOM condition (the CPU run's first)."""
+        for metrics in (self.cpu, self.gpu):
+            if not metrics.ok:
+                return metrics.status
+        return STATUS_OK
+
+    def stage(self, use_gpu: bool, task_type: str, attr: str) -> float | None:
+        """One averaged stage duration of ``task_type`` on one processor.
+
+        ``None`` when that run hit an OOM or never ran the task type.
+        """
+        metrics = self.gpu if use_gpu else self.cpu
+        if not metrics.ok or task_type not in metrics.user_code:
+            return None
+        return getattr(metrics.user_code[task_type], attr)
+
+    def stage_speedup(self, task_type: str, attr: str) -> float | None:
+        """GPU-over-CPU speedup of one stage; ``None`` unless both ran it."""
+        cpu = self.stage(False, task_type, attr)
+        gpu = self.stage(True, task_type, attr)
+        if cpu is None or gpu is None:
+            return None
+        return speedup(cpu, gpu)
+
+    @property
+    def parallel_tasks_speedup(self) -> float | None:
+        """GPU speedup of the distributed parallel-task execution."""
+        if self.status != STATUS_OK:
+            return None
+        return speedup(self.cpu.parallel_task_time, self.gpu.parallel_task_time)

@@ -4,7 +4,8 @@ import pytest
 
 from repro.algorithms import KMeansWorkflow
 from repro.core.advisor import WorkflowAdvisor
-from repro.core.experiments.fig11 import SamplePlan, run_fig11
+from repro.core.experiments.engine import cells_product
+from repro.core.experiments.fig11 import run_fig11
 from repro.core.predictor import PerformancePredictor, samples_from_columns
 from repro.data import paper_datasets
 from repro.hardware import StorageKind
@@ -14,11 +15,12 @@ from repro.runtime import SchedulingPolicy
 @pytest.fixture(scope="module")
 def fitted_predictor():
     plans = [
-        SamplePlan("kmeans", dataset, grid, 10, gpu,
-                   StorageKind.SHARED, SchedulingPolicy.GENERATION_ORDER)
+        cell
         for dataset in ("kmeans_100mb", "kmeans_10gb")
-        for grid in (128, 64, 32, 16, 8, 4)
-        for gpu in (False, True)
+        for cell in cells_product(
+            "kmeans", (128, 64, 32, 16, 8, 4), dataset_key=dataset,
+            n_clusters=10,
+        )
     ]
     design = run_fig11(plans)
     return PerformancePredictor().fit(samples_from_columns(design.columns))

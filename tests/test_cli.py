@@ -80,6 +80,13 @@ class TestParser:
             main([])
 
 
+UNKNOWN_DATASET = (
+    "unknown dataset_key 'nope'; known keys: kmeans_100gb, kmeans_100mb, "
+    "kmeans_10gb, kmeans_1gb, kmeans_1gb_skew, matmul_128mb, matmul_2gb, "
+    "matmul_2gb_skew, matmul_32gb, matmul_8gb"
+)
+
+
 class TestBadArguments:
     """A value a constructor rejects is a usage error: exit 2, one line."""
 
@@ -112,6 +119,24 @@ class TestBadArguments:
                          "grid dimensions must be positive", id="decompose-grid"),
             pytest.param("figures fig8 --jobs 0", "jobs must be >= 1, got 0",
                          id="figures-jobs"),
+            pytest.param("figures fig6 --resume --no-cache",
+                         "--resume needs the execution ledger under the cache "
+                         "dir; drop --no-cache", id="figures-resume-no-cache"),
+            pytest.param("run --dataset nope", UNKNOWN_DATASET,
+                         id="run-dataset"),
+            pytest.param("lint --dataset nope", UNKNOWN_DATASET,
+                         id="lint-dataset"),
+            pytest.param("decompose --dataset nope", UNKNOWN_DATASET,
+                         id="decompose-dataset"),
+            pytest.param("advise --dataset nope", UNKNOWN_DATASET,
+                         id="advise-dataset"),
+            pytest.param("advise --grids 0", "grid dimensions must be positive",
+                         id="advise-grid"),
+            pytest.param("advise --grids 4,x",
+                         "--grids takes comma-separated integers, got '4,x'",
+                         id="advise-grids-syntax"),
+            pytest.param("advise --clusters 0", "n_clusters must be positive",
+                         id="advise-clusters"),
         ],
     )
     def test_rejected_value_exits_2_with_one_line(self, capsys, argv, message):

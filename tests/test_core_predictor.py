@@ -2,25 +2,22 @@
 
 import pytest
 
-from repro.core.experiments.fig11 import SamplePlan, run_fig11
+from repro.core.experiments.engine import cells_product
+from repro.core.experiments.fig11 import run_fig11
 from repro.core.predictor import (
     PerformancePredictor,
     fit_and_evaluate,
     samples_from_columns,
     train_test_split,
 )
-from repro.hardware import StorageKind
-from repro.runtime import SchedulingPolicy
 
 
 def _columns():
     plans = []
-    shared = StorageKind.SHARED
-    gen = SchedulingPolicy.GENERATION_ORDER
     for ds in ("kmeans_100mb", "kmeans_10gb"):
-        for grid in (64, 32, 16, 8, 4):
-            for gpu in (False, True):
-                plans.append(SamplePlan("kmeans", ds, grid, 10, gpu, shared, gen))
+        plans += cells_product(
+            "kmeans", (64, 32, 16, 8, 4), dataset_key=ds, n_clusters=10
+        )
     return run_fig11(plans).columns
 
 

@@ -8,6 +8,7 @@ from repro.core.experiments.runners import (
     STATUS_CPU_OOM,
     STATUS_GPU_OOM,
     STATUS_OK,
+    CpuGpuPair,
     RunMetrics,
     speedup,
 )
@@ -52,6 +53,59 @@ class TestRunMetrics:
         assert not _metrics(status=STATUS_CPU_OOM).ok
 
 
+class TestCpuGpuPair:
+    def _pair(self, cpu_status=STATUS_OK, gpu_status=STATUS_OK,
+              cpu_uc=None, gpu_uc=None):
+        return CpuGpuPair(
+            cpu=_metrics(status=cpu_status, ptask=4.0,
+                         uc=cpu_uc if cpu_uc is not None else {"t": _uc()}),
+            gpu=_metrics(status=gpu_status, use_gpu=True, ptask=2.0,
+                         uc=gpu_uc if gpu_uc is not None
+                         else {"t": _uc(parallel=0.5)}),
+        )
+
+    def test_status_ok(self):
+        assert self._pair().status == STATUS_OK
+
+    def test_status_prefers_cpu_failure(self):
+        pair = self._pair(cpu_status=STATUS_CPU_OOM, gpu_status=STATUS_GPU_OOM)
+        assert pair.status == STATUS_CPU_OOM
+
+    def test_status_gpu_failure(self):
+        assert self._pair(gpu_status=STATUS_GPU_OOM).status == STATUS_GPU_OOM
+
+    @pytest.mark.parametrize(
+        "cpu_status, gpu_status",
+        [(STATUS_CPU_OOM, STATUS_OK), (STATUS_OK, STATUS_GPU_OOM),
+         (STATUS_OK, STATUS_CPU_OOM)],
+    )
+    def test_oom_on_either_side_gives_no_speedup(self, cpu_status, gpu_status):
+        pair = self._pair(cpu_status=cpu_status, gpu_status=gpu_status)
+        for attr in ("parallel_fraction", "user_code", "cpu_gpu_comm"):
+            assert pair.stage_speedup("t", attr) is None
+        assert pair.parallel_tasks_speedup is None
+
+    def test_oom_side_has_no_stage(self):
+        pair = self._pair(gpu_status=STATUS_GPU_OOM)
+        assert pair.stage(True, "t", "parallel_fraction") is None
+        assert pair.stage(False, "t", "parallel_fraction") == 2.0
+
+    @pytest.mark.parametrize("ran_on_gpu", [False, True])
+    def test_task_type_on_one_side_only_gives_none(self, ran_on_gpu):
+        both = {"t": _uc(), "u": _uc()}
+        pair = self._pair(gpu_uc=both) if ran_on_gpu else self._pair(cpu_uc=both)
+        assert pair.stage(ran_on_gpu, "u", "user_code") is not None
+        assert pair.stage(not ran_on_gpu, "u", "user_code") is None
+        assert pair.stage_speedup("u", "user_code") is None
+        assert pair.stage_speedup("t", "user_code") is not None
+
+    def test_speedups(self):
+        pair = self._pair()
+        assert pair.stage_speedup("t", "parallel_fraction") == pytest.approx(4.0)
+        assert pair.stage_speedup("t", "user_code") == pytest.approx(3.5 / 2.0)
+        assert pair.parallel_tasks_speedup == pytest.approx(2.0)
+
+
 class TestFig7Point:
     def _point(self, cpu_status=STATUS_OK, gpu_status=STATUS_OK):
         return Fig7Point(
@@ -63,13 +117,6 @@ class TestFig7Point:
                          uc={"t": _uc(parallel=0.5)}),
             primary_task_type="t",
         )
-
-    def test_status_prefers_cpu_failure(self):
-        point = self._point(cpu_status=STATUS_CPU_OOM, gpu_status=STATUS_GPU_OOM)
-        assert point.status == STATUS_CPU_OOM
-
-    def test_status_gpu_failure(self):
-        assert self._point(gpu_status=STATUS_GPU_OOM).status == STATUS_GPU_OOM
 
     def test_speedups_none_on_oom(self):
         point = self._point(gpu_status=STATUS_GPU_OOM)

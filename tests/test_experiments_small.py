@@ -16,7 +16,8 @@ from repro.core.experiments import (
     run_fig10_for,
     run_fig12,
 )
-from repro.core.experiments.fig11 import SamplePlan, run_fig11
+from repro.core.experiments.engine import cells_product
+from repro.core.experiments.fig11 import run_fig11
 from repro.hardware import StorageKind
 from repro.runtime import SchedulingPolicy
 
@@ -113,17 +114,9 @@ class TestFig10:
 
 class TestFig11:
     def test_small_design(self):
-        plans = [
-            SamplePlan("kmeans", "kmeans_100mb", grid, 10, gpu,
-                       StorageKind.SHARED, SchedulingPolicy.GENERATION_ORDER)
-            for grid in (8, 4, 2)
-            for gpu in (False, True)
-        ] + [
-            SamplePlan("matmul", "matmul_128mb", grid, 0, gpu,
-                       StorageKind.SHARED, SchedulingPolicy.GENERATION_ORDER)
-            for grid in (4, 2)
-            for gpu in (False, True)
-        ]
+        plans = cells_product(
+            "kmeans", (8, 4, 2), dataset_key="kmeans_100mb", n_clusters=10
+        ) + cells_product("matmul", (4, 2), dataset_key="matmul_128mb")
         result = run_fig11(plans)
         assert result.n_samples == len(plans)
         # Block size and grid dimension are inversely related by Eq. (2).

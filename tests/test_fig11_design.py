@@ -3,13 +3,12 @@
 import pytest
 
 from repro.core.experiments import SweepEngine
+from repro.core.experiments.engine import CellSpec, cell_digest, cells_product
 from repro.core.experiments.fig7 import run_fig7_for
 from repro.core.experiments.fig11 import (
     FEATURES,
     PAPER_REFERENCE,
-    SamplePlan,
     default_design,
-    plan_cell,
     run_fig11,
 )
 from repro.hardware import StorageKind
@@ -102,23 +101,16 @@ class TestFeatureSchema:
         assert PAPER_REFERENCE[("gpu", "parallel_fraction")] < 0
 
 
-def small_plans() -> list[SamplePlan]:
+def small_plans() -> list[CellSpec]:
     """A base-design subset matching the Figure 7 kmeans_100mb sweep."""
-    return [
-        SamplePlan(
-            "kmeans", "kmeans_100mb", grid, 10, gpu,
-            StorageKind.SHARED, SchedulingPolicy.GENERATION_ORDER,
-        )
-        for grid in (8, 4)
-        for gpu in (False, True)
-    ]
+    return cells_product(
+        "kmeans", (8, 4), dataset_key="kmeans_100mb", n_clusters=10
+    )
 
 
 class TestEngineReuse:
     def test_base_plans_map_to_figure7_cells(self, design):
         """The §5.4 base sweeps are exactly the Figure 7 cell shapes."""
-        from repro.core.experiments.engine import cell_digest, cells_product
-
         fig7_digests = {
             cell_digest(cell)
             for cell in cells_product(
@@ -126,7 +118,7 @@ class TestEngineReuse:
                 n_clusters=10,
             )
         }
-        design_digests = {cell_digest(plan_cell(plan)) for plan in design}
+        design_digests = {cell_digest(cell) for cell in design}
         assert fig7_digests <= design_digests
 
     def test_fig11_reuses_deduplicated_cells(self):

@@ -80,9 +80,9 @@ class TestFigure9a:
             p for p in fig9a.points if p.n_clusters == 10 and p.grid == 64
         )
         assert (
-            point.stage(True, "parallel_fraction")
-            < point.stage(True, "cpu_gpu_comm")
-            < point.stage(True, "serial_fraction")
+            point.stage(True, "partial_sum", "parallel_fraction")
+            < point.stage(True, "partial_sum", "cpu_gpu_comm")
+            < point.stage(True, "partial_sum", "serial_fraction")
         )
 
     def test_oom_region_grows_with_clusters(self, fig9a):

@@ -6,7 +6,7 @@ the reproduction's artefacts.  If an intentional change trips one, update
 the expected text alongside the change.
 """
 
-from repro.core.experiments import run_fig6
+from repro.core.experiments import cells_product, run_fig6, run_fig11
 from repro.core.factors import factors_table
 from repro.data import Blocking, ChunkingPolicy, DatasetSpec, GridSpec
 from repro.data.blocking import render_partitioning
@@ -31,6 +31,44 @@ dataset 8x8 (64 elements), block 2x4, grid 4 x 2 (row_wise chunking)
  T4  T4  T4  T4  T4  T4  T4  T4"""
 
 
+FIG11_SNAPSHOT = """\
+Spearman correlation matrix
+
+feature                   parallel  block_si  grid_dim  parallel  algorith  computat  dag_max_  dag_max_  dataset_  cpu     gpu     shared_d  local_di  task_gen  data_loc
+------------------------  --------  --------  --------  --------  --------  --------  --------  --------  --------  ------  ------  --------  --------  --------  --------
+ parallel_task_exec_time    +1.000    +0.049    +0.076    +0.855    -0.853    +0.935    +0.379    -0.826    +0.853  +0.174  -0.174         -         -         -         -
+              block_size    +0.049    +1.000    -0.975    +0.148    +0.289    +0.200    -0.821    +0.112    -0.289  +0.000  +0.000         -         -         -         -
+          grid_dimension    +0.076    -0.975    +1.000    +0.000    -0.444    -0.051    +0.921    -0.287    +0.444  +0.000  +0.000         -         -         -         -
+       parallel_fraction    +0.855    +0.148    +0.000    +1.000    -0.782    +0.862    +0.328    -0.826    +0.782  +0.453  -0.453         -         -         -         -
+algorithm_specific_param    -0.853    +0.289    -0.444    -0.782    +1.000    -0.866    -0.740    +0.968    -1.000  +0.000  +0.000         -         -         -         -
+computational_complexity    +0.935    +0.200    -0.051    +0.862    -0.866    +1.000    +0.308    -0.894    +0.866  +0.000  +0.000         -         -         -         -
+           dag_max_width    +0.379    -0.821    +0.921    +0.328    -0.740    +0.308    +1.000    -0.631    +0.740  +0.000  +0.000         -         -         -         -
+          dag_max_height    -0.826    +0.112    -0.287    -0.826    +0.968    -0.894    -0.631    +1.000    -0.968  +0.000  +0.000         -         -         -         -
+            dataset_size    +0.853    -0.289    +0.444    +0.782    -1.000    +0.866    +0.740    -0.968    +1.000  +0.000  +0.000         -         -         -         -
+                     cpu    +0.174    +0.000    +0.000    +0.453    +0.000    +0.000    +0.000    +0.000    +0.000  +1.000  -1.000         -         -         -         -
+                     gpu    -0.174    +0.000    +0.000    -0.453    +0.000    +0.000    +0.000    +0.000    +0.000  -1.000  +1.000         -         -         -         -
+     shared_disk_storage         -         -         -         -         -         -         -         -         -       -       -         -         -         -         -
+      local_disk_storage         -         -         -         -         -         -         -         -         -       -       -         -         -         -         -
+task_gen_order_schedulin         -         -         -         -         -         -         -         -         -       -       -         -         -         -         -
+data_locality_scheduling         -         -         -         -         -         -         -         -         -       -       -         -         -         -         -
+
+samples: 10 valid of 10 planned (0 OOM)
+
+Key cells vs the paper
+
+feature pair                                        paper rho  measured rho
+--------------------------------------------------  ---------  ------------
+              parallel_task_exec_time ~ block_size     +0.398        +0.049
+       parallel_task_exec_time ~ parallel_fraction     +0.377        +0.855
+parallel_task_exec_time ~ computational_complexity     +0.499        +0.935
+           parallel_task_exec_time ~ dag_max_width     -0.005        +0.379
+            parallel_task_exec_time ~ dataset_size     -0.009        +0.853
+     parallel_task_exec_time ~ shared_disk_storage     +0.194          +nan
+                     parallel_task_exec_time ~ cpu     +0.066        +0.174
+                           gpu ~ parallel_fraction     -0.460        -0.453
+                       block_size ~ grid_dimension     -0.778        -0.975"""
+
+
 def _rstripped(text: str) -> list[str]:
     return [line.rstrip() for line in text.splitlines()]
 
@@ -45,6 +83,13 @@ class TestSnapshots:
         )
         text = render_partitioning(blocking, ChunkingPolicy.ROW_WISE)
         assert text == FIG5_ROW_WISE_SNAPSHOT
+
+    def test_fig11_small_design_snapshot(self):
+        # The 10-cell design of test_experiments_small.TestFig11.
+        cells = cells_product(
+            "kmeans", (8, 4, 2), dataset_key="kmeans_100mb", n_clusters=10
+        ) + cells_product("matmul", (4, 2), dataset_key="matmul_128mb")
+        assert run_fig11(cells).render() == FIG11_SNAPSHOT
 
     def test_table1_row_count_snapshot(self):
         lines = factors_table().render().splitlines()

@@ -57,6 +57,13 @@ class TestCellSpec:
         with pytest.raises(ValueError, match="exactly one"):
             CellSpec(algorithm="matmul", grid=4)
 
+    def test_rejects_unknown_dataset_key(self):
+        with pytest.raises(
+            ValueError,
+            match="unknown dataset_key 'nope'; known keys: kmeans_100gb, ",
+        ):
+            CellSpec(algorithm="matmul", grid=4, dataset_key="nope")
+
     def test_build_workflow_covers_all_algorithms(self):
         inline = DatasetSpec("inline", rows=1000, cols=10)
         assert isinstance(
