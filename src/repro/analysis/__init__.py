@@ -9,11 +9,9 @@ This package checks all of them statically and reports structured
 :class:`Diagnostic` records with stable ``WFnnn`` codes (documented in
 ``docs/linting.md``).
 
-Three entry points:
+Two entry points:
 
 * :func:`analyze` / :func:`analyze_runtime` — library API;
-* ``Runtime.run(validate=True)`` — refuse dispatch when errors are found,
-  raising :class:`WorkflowValidationError`;
 * ``repro lint`` — the CLI front-end (text or JSON output, non-zero exit
   on errors).
 """
@@ -26,7 +24,6 @@ from repro.analysis.diagnostics import (
     AnalysisReport,
     Diagnostic,
     Severity,
-    WorkflowValidationError,
 )
 from repro.analysis.registry import (
     KIND_DEVLINT,
@@ -61,7 +58,6 @@ __all__ = [
     "Severity",
     "TraceSanitizerError",
     "Violation",
-    "WorkflowValidationError",
     "all_rules",
     "analyze",
     "analyze_runtime",

@@ -2,9 +2,8 @@
 
 :func:`analyze` is the core entry point — pure graph-plus-spec analysis,
 no execution.  :func:`analyze_runtime` is the convenience wrapper used by
-``Runtime.run(validate=True)`` and the ``repro lint`` CLI: it pulls the
-graph, cluster, backend, and GPU mode out of a configured
-:class:`~repro.runtime.Runtime`.
+the ``repro lint`` CLI: it pulls the graph, cluster, backend, and GPU mode
+out of a configured :class:`~repro.runtime.Runtime`.
 
 Typical use::
 

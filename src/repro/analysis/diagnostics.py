@@ -5,7 +5,10 @@ stable ``WFnnn`` code so scripts (and CI jobs wrapping ``repro lint``)
 can filter or suppress individual rules without string-matching messages.
 Codes are grouped by family:
 
-* ``WF0xx`` — graph hazards: structural defects of the task DAG itself.
+* ``WF0xx`` — graph hazards: wasted, disconnected or uncosted tasks.
+  Whether the DAG itself is well formed (one producer per ref, no task
+  consuming its own output, no cycle) is decided once, by
+  :meth:`~repro.runtime.dag.TaskGraph.add_task`.
 * ``WF1xx`` — feasibility: demands that cannot be met by the target
   cluster (the paper's "GPU OOM" / "CPU GPU OOM" annotations, predicted
   before anything runs).
@@ -13,9 +16,9 @@ Codes are grouped by family:
   regime the paper's observations O1-O6 identify as slow.
 * ``WF3xx`` — resilience: fault-injection plans and recovery policies
   that contradict each other or the target cluster.
-* ``WF4xx`` — block-access races: write-write conflicts on one block id,
-  read-after-free hazards across node-death/recovery paths, and
-  checkpoint/lineage inconsistencies (:mod:`repro.analysis.races`).
+* ``WF4xx`` — block-access races: read-after-free hazards across
+  node-death/recovery paths and checkpoint/lineage inconsistencies
+  (:mod:`repro.analysis.races`).
 
 An :class:`AnalysisReport` aggregates the findings of one analyzer pass
 and renders them as text or JSON.
@@ -30,9 +33,8 @@ from dataclasses import dataclass, field
 class Severity(str, enum.Enum):
     """How bad a finding is.
 
-    ``ERROR`` findings predict execution failure or a meaningless result;
-    :meth:`~repro.runtime.Runtime.run` with ``validate=True`` refuses to
-    dispatch a workflow that has any.  ``WARNING`` findings predict a bad
+    ``ERROR`` findings predict execution failure or a meaningless result
+    (``repro lint`` exits 1 on any).  ``WARNING`` findings predict a bad
     but survivable outcome; ``INFO`` findings are advisory.
     """
 
@@ -44,10 +46,6 @@ class Severity(str, enum.Enum):
 #: Stable code -> one-line description of every rule the analyzer knows.
 #: ``docs/linting.md`` documents each with an example and a fix.
 CODES: dict[str, str] = {
-    "WF001": "task dependencies form a cycle",
-    "WF002": "two tasks claim to produce the same data ref",
-    "WF003": "task depends on itself (consumes its own output)",
-    "WF004": "duplicate dependency edge between the same two tasks",
     "WF005": "dead task: outputs never consumed nor returned",
     "WF006": "task has no TaskCost for the simulated backend",
     "WF007": "unreachable task: disconnected from the rest of the DAG",
@@ -63,7 +61,6 @@ CODES: dict[str, str] = {
     "WF302": "fault plan targets a node outside the cluster",
     "WF303": "node faults can destroy the only replica of a barrier output "
     "(no checkpoint policy)",
-    "WF401": "write-write race: two unordered tasks produce the same block",
     "WF402": "read-after-free: lineage recovery can walk into a "
     "permanently failed producer",
     "WF404": "checkpoint policy names task types absent from the graph",
@@ -76,7 +73,7 @@ class Diagnostic:
 
     Findings are aggregated per task type: ``task_ids`` lists every
     affected task, ``task_type`` the shared type name (empty for
-    graph-wide findings such as a cycle).
+    graph-wide findings such as a narrow DAG).
     """
 
     code: str
@@ -208,18 +205,4 @@ class AnalysisReport:
                 "summary": self.summary(),
                 "diagnostics": [d.to_dict() for d in ordered],
             }
-        )
-
-
-class WorkflowValidationError(RuntimeError):
-    """Raised by ``Runtime.run(validate=True)`` when the analyzer finds
-    errors; carries the full :class:`AnalysisReport`."""
-
-    def __init__(self, report: AnalysisReport) -> None:
-        self.report = report
-        codes = ", ".join(sorted(d.code for d in report.errors))
-        super().__init__(
-            f"workflow failed static validation with "
-            f"{len(report.errors)} error(s) [{codes}]; "
-            f"see .report for details"
         )

@@ -8,85 +8,22 @@ mechanisms is individually deterministic, but their *compositions* can
 race on a block id.  These rules find the hazard classes statically,
 from the DAG plus the fault/recovery configuration alone:
 
-* **WF401** — write-write: two dependency-unordered tasks produce the
-  same ref id, so the surviving replica depends on scheduling order.
 * **WF402** — read-after-free: a lineage walk triggered by a lost block
   can reach a producer whose retries a crash plan provably exhausts; the
   consumer then reads a block that can never exist again.
 * **WF404** — a checkpoint policy restricted to task types the graph
   does not contain protects nothing (a typo silently disables it).
 
-All three stay quiet on the golden-trace matrix
+Both stay quiet on the golden-trace matrix
 (``tests/golden_matrix.py``), whose fault cells retry without lineage
 recovery or checkpoints — the interplay tests pin that down.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.registry import register
 from repro.analysis.rules import RuleContext, _grouped, _ids
-from repro.runtime.dag import CycleError
-
-
-def _reachable(graph, source: int, target: int) -> bool:
-    """Whether ``target`` is a (transitive) successor of ``source``."""
-    seen = {source}
-    frontier = deque([source])
-    while frontier:
-        task_id = frontier.popleft()
-        for successor in graph.successors(task_id):
-            sid = successor.task_id
-            if sid == target:
-                return True
-            if sid not in seen:
-                seen.add(sid)
-                frontier.append(sid)
-    return False
-
-
-@register("WF401", severity=Severity.ERROR, category="races")
-def check_write_write_race(ctx: RuleContext) -> list[Diagnostic]:
-    """WF401 — two dependency-unordered tasks write the same block id.
-
-    Refines WF002: duplicate producers that are at least *ordered* by a
-    dependency path overwrite deterministically (still wrong, but
-    reproducibly so); unordered producers race, and which replica
-    consumers observe depends on the scheduling policy and timing.
-    """
-    producers: dict[int, list] = {}
-    for task in ctx.graph.tasks():
-        for ref in task.outputs:
-            producers.setdefault(ref.ref_id, []).append(task)
-    findings: list[Diagnostic] = []
-    for ref_id, writers in sorted(producers.items()):
-        if len(writers) < 2:
-            continue
-        for i, first in enumerate(writers):
-            for second in writers[i + 1 :]:
-                a, b = first.task_id, second.task_id
-                if _reachable(ctx.graph, a, b) or _reachable(ctx.graph, b, a):
-                    continue  # ordered: WF002 covers the duplicate producer
-                findings.append(
-                    Diagnostic(
-                        code="WF401",
-                        severity=Severity.ERROR,
-                        message=(
-                            f"block #{ref_id} is written by task #{a} and "
-                            f"task #{b} with no dependency path between "
-                            "them; the surviving replica depends on "
-                            "scheduling order, so consumers read a "
-                            "nondeterministic value"
-                        ),
-                        task_ids=tuple(sorted((a, b))),
-                        task_type=first.name if first.name == second.name else "",
-                        hint="give each writer its own output ref, or order "
-                        "the writers with a dependency edge",
-                    )
-                )
-    return findings
 
 
 def _crash_exhausts_retries(plan, policy, task) -> bool:
@@ -131,10 +68,7 @@ def check_read_after_free(ctx: RuleContext) -> list[Diagnostic]:
     if policy is None or not getattr(policy, "recover_lost_blocks", False):
         return []  # recovery off: losses fail fast, nothing resurrects
     checkpoint = ctx.checkpoint_policy
-    try:
-        levels = ctx.graph.levels()
-    except CycleError:
-        return []  # WF001 already covers an unschedulable graph
+    levels = ctx.graph.levels()
     consumed = {
         ref.ref_id for task in ctx.graph.tasks() for ref in task.inputs
     }

@@ -16,7 +16,6 @@ record per defect, not 768.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -24,7 +23,7 @@ from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.registry import register
 from repro.hardware.specs import ClusterSpec
 from repro.perfmodel.costmodel import CostModel
-from repro.runtime.dag import CycleError, TaskGraph
+from repro.runtime.dag import TaskGraph
 from repro.runtime.task import Task
 
 GIB = 1024**3
@@ -110,125 +109,11 @@ def _ids(tasks: list[Task]) -> tuple[int, ...]:
 
 
 # --------------------------------------------------- WF0xx: graph hazards
-@register("WF001", severity=Severity.ERROR, category="graph")
-def check_cycles(ctx: RuleContext) -> list[Diagnostic]:
-    """WF001 — the dependency graph must be acyclic."""
-    graph = ctx.graph
-    try:
-        graph.topological_order()
-        return []
-    except CycleError:
-        pass
-    indegree = {t.task_id: 0 for t in graph.tasks()}
-    for _, consumer in graph.edges():
-        indegree[consumer] += 1
-    frontier = [t for t, d in indegree.items() if d == 0]
-    while frontier:
-        task_id = frontier.pop()
-        for successor in graph.successors(task_id):
-            indegree[successor.task_id] -= 1
-            if indegree[successor.task_id] == 0:
-                frontier.append(successor.task_id)
-    stuck = tuple(sorted(t for t, d in indegree.items() if d > 0))
-    return [
-        Diagnostic(
-            code="WF001",
-            severity=Severity.ERROR,
-            message="task dependencies form a cycle; no schedule can run them",
-            task_ids=stuck,
-            hint="break the cycle: no task may (transitively) consume its "
-            "own output",
-        )
-    ]
-
-
-@register("WF002", severity=Severity.ERROR, category="graph")
-def check_duplicate_producers(ctx: RuleContext) -> list[Diagnostic]:
-    """WF002 — every data ref must have exactly one producer."""
-    producer_of: dict[int, int] = {}
-    findings: list[Diagnostic] = []
-    for task in ctx.graph.tasks():
-        for ref in task.outputs:
-            first = producer_of.setdefault(ref.ref_id, task.task_id)
-            if first != task.task_id:
-                findings.append(
-                    Diagnostic(
-                        code="WF002",
-                        severity=Severity.ERROR,
-                        message=(
-                            f"ref #{ref.ref_id} ({ref.name or 'unnamed'}) is "
-                            f"produced by both task #{first} and task "
-                            f"#{task.task_id}; consumers would silently bind "
-                            "to the later producer"
-                        ),
-                        task_ids=(first, task.task_id),
-                        task_type=task.name,
-                        hint="give each task its own output refs; "
-                        "TaskGraph.add_task raises DuplicateProducerError "
-                        "for this at build time",
-                    )
-                )
-    return findings
-
-
-@register("WF003", severity=Severity.ERROR, category="graph")
-def check_self_dependency(ctx: RuleContext) -> list[Diagnostic]:
-    """WF003 — a task must not consume its own output."""
-    self_edges = {src for src, dst in ctx.graph.edges() if src == dst}
-    offenders = []
-    for task in ctx.graph.tasks():
-        out_ids = {ref.ref_id for ref in task.outputs}
-        if task.task_id in self_edges or any(
-            ref.ref_id in out_ids for ref in task.inputs
-        ):
-            offenders.append(task)
-    if not offenders:
-        return []
-    return [
-        Diagnostic(
-            code="WF003",
-            severity=Severity.ERROR,
-            message=f"{len(offenders)} task(s) consume their own output; "
-            "such a task can never become ready",
-            task_ids=_ids(offenders),
-            task_type=offenders[0].name if len(_grouped(offenders)) == 1 else "",
-            hint="feed the task a ref produced by another task (or a "
-            "workflow input) instead",
-        )
-    ]
-
-
-@register("WF004", severity=Severity.WARNING, category="graph")
-def check_duplicate_edges(ctx: RuleContext) -> list[Diagnostic]:
-    """WF004 — at most one dependency edge between any two tasks."""
-    duplicated = [
-        edge for edge, count in Counter(ctx.graph.edges()).items() if count > 1
-    ]
-    if not duplicated:
-        return []
-    consumers = tuple(sorted({dst for _, dst in duplicated}))
-    pairs = ", ".join(f"#{src}->#{dst}" for src, dst in sorted(duplicated)[:5])
-    return [
-        Diagnostic(
-            code="WF004",
-            severity=Severity.WARNING,
-            message=f"{len(duplicated)} dependency edge(s) are duplicated "
-            f"({pairs}); num_edges and DOT exports over-count",
-            task_ids=consumers,
-            hint="TaskGraph.add_task dedupes edges since this rule was "
-            "introduced; rebuild hand-wired graphs through add_task",
-        )
-    ]
-
-
 @register("WF005", severity=Severity.WARNING, category="graph")
 def check_dead_tasks(ctx: RuleContext) -> list[Diagnostic]:
     """WF005 — every task's outputs should be consumed or returned."""
     graph = ctx.graph
-    try:
-        levels = graph.levels()
-    except CycleError:
-        return []  # WF001 already covers an unschedulable graph
+    levels = graph.levels()
     if not levels:
         return []
     max_level = max(levels.values())
@@ -581,10 +466,7 @@ def check_dag_width(ctx: RuleContext) -> list[Diagnostic]:
     """WF203 — the DAG should be wide enough to fill the cluster."""
     if ctx.cluster is None or ctx.graph.num_tasks <= 1:
         return []
-    try:
-        width = ctx.graph.width
-    except CycleError:
-        return []
+    width = ctx.graph.width
     slots = ctx.cluster.parallel_slots(ctx.use_gpu)
     threshold = slots * ctx.options.width_slot_share
     if slots <= 0 or width >= threshold:
@@ -684,10 +566,7 @@ def check_unprotected_barriers(ctx: RuleContext) -> list[Diagnostic]:
     if ctx.checkpoint_policy is not None:
         return []
     graph = ctx.graph
-    try:
-        levels = graph.levels()
-    except CycleError:
-        return []  # WF001 already covers an unschedulable graph
+    levels = graph.levels()
     if not levels:
         return []
     max_level = max(levels.values())

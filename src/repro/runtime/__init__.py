@@ -22,13 +22,12 @@ executes the task functions on NumPy data for correctness testing.
 """
 
 from repro.runtime.data import DataRef
-from repro.runtime.dag import CycleError, DuplicateProducerError, TaskGraph
+from repro.runtime.dag import DuplicateProducerError, TaskGraph
 from repro.runtime.runtime import Runtime, RuntimeConfig, WorkflowResult
 from repro.runtime.scheduler import SchedulingPolicy
 from repro.runtime.task import Task, task
 
 __all__ = [
-    "CycleError",
     "DataRef",
     "DuplicateProducerError",
     "Runtime",

@@ -1,10 +1,11 @@
 """Real in-process execution of a workflow.
 
 Tasks run their actual Python functions on real (NumPy) data in
-topological order, resolving :class:`DataRef` arguments through a data
-store.  This backend exists for correctness: the algorithm tests compare
-blocked Matmul against ``numpy.matmul`` and distributed K-means against a
-single-machine reference implementation through it.
+submission order, which :meth:`~repro.runtime.dag.TaskGraph.add_task`
+makes a topological order, resolving :class:`DataRef` arguments through
+a data store.  This backend exists for correctness: the algorithm tests
+compare blocked Matmul against ``numpy.matmul`` and distributed K-means
+against a single-machine reference implementation through it.
 
 Wall-clock timings are recorded for completeness but carry no performance
 meaning at laptop scale — the simulated backend is the instrument for the
@@ -33,7 +34,7 @@ class InProcessExecutor:
         in place with every produced output."""
         trace = Trace()
         levels = graph.levels()
-        for task in graph.topological_order():
+        for task in graph.tasks():
             if task.fn is None:
                 raise ValueError(
                     f"task {task.name} has no function; the in-process "

@@ -289,9 +289,11 @@ class SimulatedExecutor:
         Raises :class:`~repro.hardware.GpuOutOfMemoryError` or
         :class:`~repro.hardware.HostOutOfMemoryError` up front when any
         task's working set cannot fit, matching the paper's "GPU OOM"
-        regions (the run never starts).  An exception raised inside the
-        simulation (a cost profile the cost model rejects, say) aborts
-        the run and reaches the caller unchanged.
+        regions (the run never starts), and ``ValueError`` up front when
+        GPU-intended tasks meet a cluster without GPU devices.  An
+        exception raised inside the simulation (a cost profile the cost
+        model rejects, say) aborts the run and reaches the caller
+        unchanged.
 
         With a fault plan, tasks whose retries are exhausted (or that
         depend on such a task, or that strand when every node is gone) end
@@ -440,7 +442,12 @@ class SimulatedExecutor:
         )
 
     def _check_palette(self, graph: TaskGraph) -> None:
-        """Memory checks, then stage times, of the run's distinct costs.
+        """The checks that refuse a run before its first event, then the
+        stage times of the run's distinct costs.
+
+        A GPU-intended task on a cluster without GPU devices raises
+        ``ValueError`` first, whatever the overflow setting: no node
+        could ever grant it a device slot.
 
         Large DAGs draw their costs from small palettes, so the pass
         visits each distinct ``(cost, on_gpu)`` pair once, in first-seen
@@ -452,6 +459,14 @@ class SimulatedExecutor:
         model rejects raises its ``ValueError`` next, also before the
         run starts.
         """
+        if self.use_gpu and self.cluster_spec.total_gpus == 0:
+            intended = sum(1 for task in graph.tasks() if self._gpu_intended(task))
+            if intended:
+                raise ValueError(
+                    f"GPU execution requested but cluster "
+                    f"{self.cluster_spec.name!r} has no GPU devices; "
+                    f"{intended} GPU-intended task(s) cannot be placed"
+                )
         check_gpu = not self.gpu_overflow
         palette = dict.fromkeys(
             (task.cost or _ZERO_COST, check_gpu and self._gpu_intended(task))

@@ -11,14 +11,7 @@ K-means DAG in the paper's Figure 6.
 
 from __future__ import annotations
 
-from collections import deque
-
 from repro.runtime.task import Task
-
-
-class CycleError(ValueError):
-    """Raised when task dependencies form a cycle (cannot happen through
-    the submit API, but guards hand-built graphs)."""
 
 
 class DuplicateProducerError(ValueError):
@@ -26,8 +19,7 @@ class DuplicateProducerError(ValueError):
 
     Silently overwriting the producer map would corrupt dependency
     detection: consumers added later would depend on the *last* producer
-    only, losing the edge to the first.  The static analyzer surfaces the
-    same defect as diagnostic ``WF002``.
+    only, losing the edge to the first.
     """
 
     def __init__(self, ref_id: int, first_producer: int, second_producer: int) -> None:
@@ -46,7 +38,14 @@ def _dot_escape(text: str) -> str:
 
 
 class TaskGraph:
-    """A directed acyclic graph of tasks keyed by data dependencies."""
+    """A directed acyclic graph of tasks keyed by data dependencies.
+
+    :meth:`add_task` is the one place that decides whether a graph is
+    well formed: every ref has at most one producer, no task consumes
+    its own output, and a task depends only on tasks added before it.
+    Insertion order is therefore a topological order and no cycle can
+    form, so nothing downstream re-checks the graph.
+    """
 
     def __init__(self) -> None:
         self._tasks: dict[int, Task] = {}
@@ -60,8 +59,11 @@ class TaskGraph:
         """Insert a task; dependency edges follow from its input refs.
 
         A task consuming several refs of the same producer yields one
-        dependency edge (not one per ref), and claiming an output ref that
-        already has a producer raises :class:`DuplicateProducerError`.
+        dependency edge (not one per ref).  An input ref with no producer
+        yet is a workflow input.  Claiming an output ref that already has
+        a producer raises :class:`DuplicateProducerError`, and consuming
+        one of the task's own outputs raises ``ValueError``; a refused
+        task leaves the graph unchanged.
         """
         if task.task_id in self._tasks:
             raise ValueError(f"duplicate task id {task.task_id}")
@@ -69,17 +71,21 @@ class TaskGraph:
             existing = self._producer_of_ref.get(ref.ref_id)
             if existing is not None:
                 raise DuplicateProducerError(ref.ref_id, existing, task.task_id)
+            # A plain loop: tasks have one or two outputs, and building a
+            # set of ids per task costs more than the scan.
+            for consumed in task.inputs:
+                if consumed.ref_id == ref.ref_id:
+                    raise ValueError(
+                        f"task {task.task_id} ({task.name}) consumes its own "
+                        "output and could never become ready"
+                    )
         self._tasks[task.task_id] = task
         self._successors[task.task_id] = []
         self._predecessors[task.task_id] = []
         linked: set[int] = set()
         for ref in task.inputs:
             producer = self._producer_of_ref.get(ref.ref_id)
-            if (
-                producer is not None
-                and producer != task.task_id
-                and producer not in linked
-            ):
+            if producer is not None and producer not in linked:
                 linked.add(producer)
                 self._successors[producer].append(task.task_id)
                 self._predecessors[task.task_id].append(producer)
@@ -99,7 +105,7 @@ class TaskGraph:
         return sum(len(s) for s in self._successors.values())
 
     def tasks(self) -> list[Task]:
-        """All tasks in insertion (generation) order."""
+        """All tasks in insertion (generation) order, a topological order."""
         return list(self._tasks.values())
 
     def task(self, task_id: int) -> Task:
@@ -145,31 +151,16 @@ class TaskGraph:
         ]
 
     # ------------------------------------------------------------- shape
-    def topological_order(self) -> list[Task]:
-        """Kahn topological order; raises :class:`CycleError` on cycles."""
-        indegree = {t: len(p) for t, p in self._predecessors.items()}
-        queue = deque(sorted(t for t, d in indegree.items() if d == 0))
-        order: list[Task] = []
-        while queue:
-            task_id = queue.popleft()
-            order.append(self._tasks[task_id])
-            for succ in self._successors[task_id]:
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    queue.append(succ)
-        if len(order) != len(self._tasks):
-            raise CycleError("task dependencies contain a cycle")
-        return order
-
     def levels(self) -> dict[int, int]:
-        """Longest-path level of every task (roots are level 0)."""
+        """Longest-path level of every task (roots are level 0).
+
+        One pass over insertion order, which :meth:`add_task` makes a
+        topological order, so the dict is keyed in that order.
+        """
         if self._levels is None:
             levels: dict[int, int] = {}
-            for task in self.topological_order():
-                preds = self._predecessors[task.task_id]
-                levels[task.task_id] = (
-                    max(levels[p] for p in preds) + 1 if preds else 0
-                )
+            for task_id, preds in self._predecessors.items():
+                levels[task_id] = max(levels[p] for p in preds) + 1 if preds else 0
             self._levels = levels
         return dict(self._levels)
 

@@ -274,25 +274,13 @@ class Runtime:
         return list(outputs)
 
     # ------------------------------------------------------------ execution
-    def validate(self, returned: Any = None) -> "AnalysisReport":
-        """Statically analyze the recorded workflow without executing it.
-
-        Returns the full :class:`~repro.analysis.AnalysisReport`; pass
-        ``returned=`` the refs the application keeps so the dead-task rule
-        knows terminal outputs are wanted.
-        """
-        from repro.analysis import analyze_runtime
-
-        return analyze_runtime(self, returned=returned)
-
-    def run(self, validate: bool = False, sanitize: bool = False) -> WorkflowResult:
+    def run(self, sanitize: bool = False) -> WorkflowResult:
         """Execute the recorded workflow on the configured backend.
 
-        With ``validate=True`` the static analyzer runs first and
-        error-severity findings — predicted host or device OOM,
-        structural DAG defects — raise
-        :class:`~repro.analysis.WorkflowValidationError` instead of
-        failing mid-execution.
+        Before its first event the simulated backend refuses a run it
+        could not complete: a host or device working set that cannot
+        fit raises the matching out-of-memory error, and GPU work on a
+        cluster without devices raises ``ValueError``.
 
         With ``sanitize=True`` (simulated backend only) the produced
         trace is replayed through the dynamic sanitizer afterwards, and
@@ -307,12 +295,6 @@ class Runtime:
                 "sanitize=True requires the simulated backend: only its "
                 "trace records carry node/core placements to check"
             )
-        if validate:
-            from repro.analysis import WorkflowValidationError
-
-            report = self.validate()
-            if report.has_errors:
-                raise WorkflowValidationError(report)
         if self.config.backend is Backend.IN_PROCESS:
             trace = InProcessExecutor().execute(self.graph, self._data)
             return WorkflowResult(

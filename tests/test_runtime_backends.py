@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.algorithms import KMeansWorkflow
+from repro.data import paper_datasets
 from repro.hardware import (
     GpuOutOfMemoryError,
     HostOutOfMemoryError,
     StorageKind,
+    cpu_only,
     minotauro,
 )
 from repro.perfmodel import TaskCost
@@ -141,6 +144,33 @@ class TestSimulatedExecutor:
         cost = _cost(host_mem=200 * 1024**3)
         with pytest.raises(HostOutOfMemoryError):
             self._run(use_gpu=False, cost=cost)
+
+    @pytest.mark.parametrize("overflow", [False, True], ids=["direct", "overflow"])
+    def test_gpu_run_on_gpu_less_cluster_refused(self, overflow):
+        # K-means 1 GB, grid 8: no node has a device slot, so the run is
+        # refused before the first event instead of deadlocking.
+        workflow = KMeansWorkflow(paper_datasets()["kmeans_1gb"], grid_rows=8)
+        rt = Runtime(
+            RuntimeConfig(
+                cluster=cpu_only(), use_gpu=True, gpu_overflow_to_cpu=overflow
+            )
+        )
+        workflow.build(rt)
+        with pytest.raises(ValueError, match="'cpu-only-8' has no GPU devices"):
+            rt.run()
+
+    def test_gpu_less_cluster_runs_cpu_work(self):
+        # Hybrid placement keeping every GPU-eligible type on CPUs is fine.
+        cost = _cost(parallel=1e9, items=1e6)
+        result = self._run(
+            n_tasks=4,
+            use_gpu=True,
+            cost=cost,
+            cluster=cpu_only(),
+            gpu_task_types=frozenset(),
+        )
+        assert len(result.trace.tasks) == 4
+        assert not any(r.used_gpu for r in result.trace.tasks)
 
     @pytest.mark.parametrize("overflow", [False, True], ids=["direct", "overflow"])
     def test_zero_gpu_rate_error_reaches_caller(self, overflow):

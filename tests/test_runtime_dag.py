@@ -1,11 +1,14 @@
 """Unit tests for DAG construction and shape analysis."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.runtime import (
-    CycleError,
     DataRef,
     DuplicateProducerError,
+    Runtime,
     Task,
     TaskGraph,
 )
@@ -85,6 +88,28 @@ class TestDependencyDetection:
         assert graph.num_tasks == 1
         assert graph.producer_of(first.outputs[0].ref_id) == 0
 
+    def test_self_consuming_task_rejected(self):
+        graph = TaskGraph()
+        graph.add_task(_task(0))
+        ref = DataRef(size_bytes=8)
+        ouroboros = Task(task_id=1, name="ouro", inputs=(ref,), outputs=(ref,))
+        with pytest.raises(ValueError, match="consumes its own output"):
+            graph.add_task(ouroboros)
+        # The refused task must not be half-inserted.
+        assert graph.num_tasks == 1
+        assert graph.producer_of(ref.ref_id) is None
+
+    def test_ref_produced_later_reads_as_workflow_input(self):
+        # A consumer added before the producer of one of its refs does not
+        # depend on it, so no edge can point backwards and no cycle forms.
+        graph = TaskGraph()
+        ref_a = DataRef(size_bytes=8)
+        ref_b = DataRef(size_bytes=8)
+        graph.add_task(Task(task_id=0, name="a", inputs=(ref_b,), outputs=(ref_a,)))
+        graph.add_task(Task(task_id=1, name="b", inputs=(ref_a,), outputs=(ref_b,)))
+        assert graph.edges() == [(0, 1)]
+        assert graph.levels() == {0: 0, 1: 1}
+
     def test_producer_of_and_edges_accessors(self):
         graph = TaskGraph()
         producer = _task(0)
@@ -144,30 +169,26 @@ class TestTopologyAndLevels:
         assert levels[2] == 1
         assert levels[3] == 2  # longest path through c
 
-    def test_topological_order_respects_edges(self):
-        graph = self._chain(4)
-        order = [t.task_id for t in graph.topological_order()]
-        assert order == [0, 1, 2, 3]
-
-    def test_cycle_detection(self):
+    def test_insertion_order_is_topological(self):
+        # Task ids need not follow insertion order; edges always do.
         graph = TaskGraph()
-        ref_a = DataRef(size_bytes=8)
-        ref_b = DataRef(size_bytes=8)
-        t0 = Task(task_id=0, name="a", inputs=(ref_b,), outputs=(ref_a,))
-        t1 = Task(task_id=1, name="b", inputs=(ref_a,), outputs=())
-        graph.add_task(t0)
-        graph.add_task(t1)
-        # Manufacture a cycle by hand-wiring the internal edge maps.
-        graph._successors[1].append(0)
-        graph._predecessors[0].append(1)
-        with pytest.raises(CycleError):
-            graph.topological_order()
+        a = _task(5)
+        b = _task(2, inputs=a.outputs)
+        c = _task(9, inputs=b.outputs + a.outputs)
+        d = _task(0, inputs=c.outputs)
+        for t in (a, b, c, d):
+            graph.add_task(t)
+        order = [t.task_id for t in graph.tasks()]
+        assert order == [5, 2, 9, 0]
+        assert all(order.index(u) < order.index(v) for u, v in graph.edges())
+        assert graph.levels() == {5: 0, 2: 1, 9: 2, 0: 3}
+        assert list(graph.levels()) == order
 
     def test_empty_graph(self):
         graph = TaskGraph()
         assert graph.width == 0
         assert graph.height == 0
-        assert graph.topological_order() == []
+        assert graph.levels() == {}
 
     def test_tasks_by_level_groups(self):
         graph = self._chain(3)
@@ -180,3 +201,104 @@ class TestTopologyAndLevels:
         text = graph.describe()
         assert "2 tasks" in text
         assert "height 2" in text
+
+
+@st.composite
+def dag_specs(draw, max_tasks=12):
+    """A random DAG in submission order: per task, its inputs and its
+    output count.  An input is ``(position, output index)`` of an
+    earlier task's output, or ``None`` for a fresh workflow input; refs
+    may repeat."""
+    specs = []
+    produced: list[tuple[int, int]] = []
+    for position in range(draw(st.integers(0, max_tasks))):
+        source = st.none()
+        if produced:
+            source = st.one_of(st.none(), st.sampled_from(produced))
+        inputs = draw(st.lists(source, max_size=4))
+        n_outputs = draw(st.integers(0, 2))
+        specs.append((inputs, n_outputs))
+        produced.extend((position, i) for i in range(n_outputs))
+    return specs
+
+
+def _longest_path_levels(specs) -> list[int]:
+    """Levels by longest-path relaxation over the spec's own edges,
+    repeated once per task so no visiting order is assumed."""
+    preds = [
+        {source[0] for source in inputs if source is not None}
+        for inputs, _ in specs
+    ]
+    level = [0] * len(specs)
+    for _ in specs:
+        for consumer, producers in enumerate(preds):
+            for producer in producers:
+                level[consumer] = max(level[consumer], level[producer] + 1)
+    return level
+
+
+def _spec_edges(specs) -> set[tuple[int, int]]:
+    return {
+        (source[0], consumer)
+        for consumer, (inputs, _) in enumerate(specs)
+        for source in inputs
+        if source is not None
+    }
+
+
+def _check_shape(graph: TaskGraph, specs, ids: list[int]) -> None:
+    expected = _longest_path_levels(specs)
+    assert graph.levels() == {ids[pos]: lvl for pos, lvl in enumerate(expected)}
+    assert list(graph.levels()) == [t.task_id for t in graph.tasks()]
+    edges = {(ids[u], ids[v]) for u, v in _spec_edges(specs)}
+    assert set(graph.edges()) == edges
+    assert graph.num_edges == len(edges)
+    assert graph.height == (max(expected) + 1 if expected else 0)
+    assert graph.width == max(Counter(expected).values(), default=0)
+
+
+def _refs(inputs, outputs) -> list[DataRef]:
+    """The refs a spec's inputs name, given the outputs built so far."""
+    return [
+        DataRef(size_bytes=8) if source is None
+        else outputs[source[0]][source[1]]
+        for source in inputs
+    ]
+
+
+class TestShapeProperties:
+    """``levels()``, ``width`` and ``height`` equal a longest-path
+    recomputation on random DAGs, however the graph was built."""
+
+    @given(dag_specs())
+    def test_levels_match_longest_path_through_submit(self, specs):
+        runtime = Runtime()
+        outputs: list[list[DataRef]] = []
+        for position, (inputs, n_outputs) in enumerate(specs):
+            outputs.append(
+                runtime.submit(
+                    f"t{position}", inputs=_refs(inputs, outputs),
+                    n_outputs=n_outputs,
+                )
+            )
+        _check_shape(runtime.graph, specs, list(range(len(specs))))
+
+    @given(dag_specs(), st.data())
+    def test_levels_match_longest_path_with_ids_out_of_order(self, specs, data):
+        ids = data.draw(
+            st.lists(
+                st.integers(0, 10**6),
+                min_size=len(specs),
+                max_size=len(specs),
+                unique=True,
+            )
+        )
+        graph = TaskGraph()
+        outputs: list[tuple[DataRef, ...]] = []
+        for position, (inputs, n_outputs) in enumerate(specs):
+            task = _task(
+                ids[position], inputs=_refs(inputs, outputs), n_outputs=n_outputs
+            )
+            graph.add_task(task)
+            outputs.append(task.outputs)
+        _check_shape(graph, specs, ids)

@@ -6,6 +6,11 @@ the reproduction's artefacts.  If an intentional change trips one, update
 the expected text alongside the change.
 """
 
+import json
+
+import pytest
+
+from repro.cli import main
 from repro.core.experiments import cells_product, run_fig6, run_fig11
 from repro.core.factors import factors_table
 from repro.data import Blocking, ChunkingPolicy, DatasetSpec, GridSpec
@@ -69,6 +74,45 @@ parallel_task_exec_time ~ computational_complexity     +0.499        +0.935
                        block_size ~ grid_dimension     -0.778        -0.975"""
 
 
+_WF202_HINT = (
+    "keep these tasks on CPUs (gpu_task_types=), raise arithmetic "
+    "intensity, or enable comm_overlap"
+)
+
+
+def _wf202(task_type: str, task_ids: list[int]) -> dict:
+    return {
+        "code": "WF202",
+        "hint": _WF202_HINT,
+        "message": (
+            f"{len(task_ids)} {task_type!r} task(s) spend longer moving data "
+            "over PCIe than computing on the device; GPU placement is "
+            "transfer-bound (the paper's O4)"
+        ),
+        "severity": "warning",
+        "task_ids": task_ids,
+        "task_type": task_type,
+    }
+
+
+#: ``repro lint --format json`` on the configurations the CI
+#: static-analysis job lints: (algorithm, grid, --gpu) -> diagnostics.
+#: K-means grid 64 has three iterations of 64 ``partial_sum`` tasks and
+#: one ``merge`` (ids 64, 129, 194); Matmul grid 4 has 16 blocks of four
+#: ``matmul_func`` tasks followed by three ``add_func`` tasks.
+LINT_SNAPSHOTS = {
+    ("kmeans", 64, False): [],
+    ("kmeans", 64, True): [
+        _wf202("partial_sum", [i for i in range(195) if i % 65 != 64]),
+    ],
+    ("matmul", 4, False): [],
+    ("matmul", 4, True): [
+        _wf202("matmul_func", [7 * b + j for b in range(16) for j in range(4)]),
+        _wf202("add_func", [7 * b + j for b in range(16) for j in (4, 5, 6)]),
+    ],
+}
+
+
 def _rstripped(text: str) -> list[str]:
     return [line.rstrip() for line in text.splitlines()]
 
@@ -91,7 +135,30 @@ class TestSnapshots:
         ) + cells_product("matmul", (4, 2), dataset_key="matmul_128mb")
         assert run_fig11(cells).render() == FIG11_SNAPSHOT
 
+    @pytest.mark.parametrize(
+        "algorithm, grid, gpu",
+        sorted(LINT_SNAPSHOTS),
+        ids=[
+            f"{algorithm}{grid}-{'gpu' if gpu else 'cpu'}"
+            for algorithm, grid, gpu in sorted(LINT_SNAPSHOTS)
+        ],
+    )
+    def test_lint_json_snapshot(self, capsys, algorithm, grid, gpu):
+        diagnostics = LINT_SNAPSHOTS[(algorithm, grid, gpu)]
+        argv = ["lint", "--algorithm", algorithm, "--grid", str(grid)]
+        assert main(argv + ["--gpu"] * gpu + ["--format", "json"]) == 0
+        expected = {
+            "cluster": "minotauro-8",
+            "diagnostics": diagnostics,
+            "summary": {"errors": 0, "info": 0, "warnings": len(diagnostics)},
+            "use_gpu": gpu,
+        }
+        text = json.dumps(expected, indent=2, sort_keys=True) + "\n"
+        # print() adds a newline after the report's own.
+        assert capsys.readouterr().out == text + "\n"
+
     def test_table1_row_count_snapshot(self):
         lines = factors_table().render().splitlines()
         # Title, blank, header, rule, 8 factor rows.
         assert len(lines) == 12
+
