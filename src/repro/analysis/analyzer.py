@@ -62,6 +62,8 @@ def analyze(
     cluster: ClusterSpec | None = None,
     *,
     use_gpu: bool = False,
+    gpu_task_types: frozenset[str] | None = None,
+    gpu_overflow_to_cpu: bool = False,
     backend: str | None = "simulated",
     returned: Any = None,
     fault_plan: Any = None,
@@ -81,6 +83,9 @@ def analyze(
     use_gpu:
         Whether GPU execution is planned (enables the GPU feasibility
         and performance rules).
+    gpu_task_types / gpu_overflow_to_cpu:
+        The run's hybrid placement and GPU overflow, as in
+        :class:`~repro.runtime.RuntimeConfig`.
     backend:
         Target backend name; the in-process backend skips the
         missing-cost rule.  ``Backend`` enum values are accepted.
@@ -100,6 +105,8 @@ def analyze(
         cluster=cluster,
         cost_model=CostModel(cluster) if cluster is not None else None,
         use_gpu=use_gpu,
+        gpu_task_types=gpu_task_types,
+        gpu_overflow_to_cpu=gpu_overflow_to_cpu,
         backend=backend_name,
         returned_ref_ids=None if returned is None else collect_ref_ids(returned),
         fault_plan=fault_plan,
@@ -150,15 +157,17 @@ def analyze_runtime(
 ) -> AnalysisReport:
     """Analyze the workflow recorded in a :class:`~repro.runtime.Runtime`.
 
-    Reads the cluster, backend, and GPU mode from the runtime's config so
-    the diagnostics describe exactly the execution that ``run()`` would
-    perform.
+    Reads the cluster, backend, and GPU placement settings from the
+    runtime's config so the diagnostics describe exactly the execution
+    that ``run()`` would perform.
     """
     config = runtime.config
     return analyze(
         runtime.graph,
         config.cluster,
         use_gpu=config.use_gpu,
+        gpu_task_types=config.gpu_task_types,
+        gpu_overflow_to_cpu=config.gpu_overflow_to_cpu,
         backend=config.backend,
         returned=returned,
         fault_plan=getattr(config, "fault_plan", None),

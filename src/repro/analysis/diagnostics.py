@@ -58,7 +58,6 @@ CODES: dict[str, str] = {
     "WF202": "PCIe transfer time exceeds modeled GPU kernel time (O4)",
     "WF203": "DAG width far below the cluster's parallel slot count",
     "WF301": "fault plan injects failures but the retry policy allows no retries",
-    "WF302": "fault plan targets a node outside the cluster",
     "WF303": "node faults can destroy the only replica of a barrier output "
     "(no checkpoint policy)",
     "WF402": "read-after-free: lineage recovery can walk into a "

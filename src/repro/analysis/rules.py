@@ -24,7 +24,7 @@ from repro.analysis.registry import register
 from repro.hardware.specs import ClusterSpec
 from repro.perfmodel.costmodel import CostModel
 from repro.runtime.dag import TaskGraph
-from repro.runtime.task import Task
+from repro.runtime.task import Task, gpu_intended
 
 GIB = 1024**3
 
@@ -59,6 +59,9 @@ class RuleContext:
     cluster: ClusterSpec | None = None
     cost_model: CostModel | None = None
     use_gpu: bool = False
+    #: The run's hybrid placement and GPU overflow, as in ``RuntimeConfig``.
+    gpu_task_types: frozenset[str] | None = None
+    gpu_overflow_to_cpu: bool = False
     #: Backend the workflow targets ("simulated", "in_process") or
     #: ``None`` for backend-agnostic analysis.
     backend: str | None = "simulated"
@@ -289,17 +292,26 @@ def check_host_memory(ctx: RuleContext) -> list[Diagnostic]:
     return findings
 
 
+def _intended(ctx: RuleContext) -> list[Task]:
+    """The tasks the run means for GPU devices."""
+    types = ctx.gpu_task_types
+    return [t for t in ctx.graph.tasks() if gpu_intended(t, ctx.use_gpu, types)]
+
+
 def _gpu_tasks(ctx: RuleContext) -> list[Task]:
-    """GPU-eligible tasks with costs, when a GPU run targets a GPU cluster."""
+    """GPU-intended tasks with costs, when a GPU run targets a GPU cluster."""
     if ctx.cluster is None or not ctx.use_gpu or not ctx.cluster.has_gpus:
         return []
-    return [t for t in ctx.graph.tasks() if t.gpu_eligible and t.cost is not None]
+    return [t for t in _intended(ctx) if t.cost is not None]
 
 
 @register("WF102", severity=Severity.ERROR, category="feasibility")
 def check_gpu_memory(ctx: RuleContext) -> list[Diagnostic]:
-    """WF102 — per-task device working set vs GPU memory (Figure 9a)."""
-    if ctx.cluster is None:
+    """WF102 — per-task device working set vs GPU memory (Figure 9a).
+
+    Quiet under GPU overflow, which runs such a task on a CPU core.
+    """
+    if ctx.cluster is None or ctx.gpu_overflow_to_cpu:
         return []
     device = ctx.cluster.node.gpu
     offenders = [
@@ -334,8 +346,8 @@ def check_gpu_available(ctx: RuleContext) -> list[Diagnostic]:
     """WF103 — a GPU run needs a cluster that has GPU devices."""
     if ctx.cluster is None or not ctx.use_gpu or ctx.cluster.has_gpus:
         return []
-    eligible = [t for t in ctx.graph.tasks() if t.gpu_eligible]
-    if not eligible:
+    intended = _intended(ctx)
+    if not intended:
         return []
     return [
         Diagnostic(
@@ -344,9 +356,9 @@ def check_gpu_available(ctx: RuleContext) -> list[Diagnostic]:
             message=(
                 f"GPU execution requested but cluster "
                 f"{ctx.cluster.name!r} has no GPU devices; "
-                f"{len(eligible)} GPU-eligible task(s) cannot be placed"
+                f"{len(intended)} GPU-eligible task(s) cannot be placed"
             ),
-            task_ids=_ids(eligible),
+            task_ids=_ids(intended),
             hint="run with use_gpu=False, or pick a preset with devices "
             "(minotauro, modern)",
         )
@@ -512,37 +524,6 @@ def check_retries_disabled(ctx: RuleContext) -> list[Diagnostic]:
             ),
             hint="raise RetryPolicy(max_attempts=...) above 1, or drop the "
             "fault plan",
-        )
-    ]
-
-
-@register("WF302", severity=Severity.ERROR, category="resilience")
-def check_fault_nodes_exist(ctx: RuleContext) -> list[Diagnostic]:
-    """WF302 — node faults must name nodes the cluster actually has."""
-    plan = ctx.fault_plan
-    if plan is None or ctx.cluster is None:
-        return []
-    bad = sorted(
-        {
-            fault.node
-            for fault in getattr(plan, "node_faults", ())
-            if fault.node >= ctx.cluster.num_nodes
-        }
-    )
-    if not bad:
-        return []
-    nodes = ", ".join(str(n) for n in bad)
-    return [
-        Diagnostic(
-            code="WF302",
-            severity=Severity.ERROR,
-            message=(
-                f"the fault plan kills node(s) {nodes} but the cluster has "
-                f"{ctx.cluster.num_nodes} node(s) (valid indices 0-"
-                f"{ctx.cluster.num_nodes - 1}); the executor refuses to start"
-            ),
-            hint="point node faults at existing node indices or grow "
-            "the cluster (num_nodes=)",
         )
     ]
 

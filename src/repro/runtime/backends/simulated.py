@@ -70,7 +70,7 @@ from repro.runtime.scheduler import (
     SchedulingPolicy,
     make_scheduler,
 )
-from repro.runtime.task import Task
+from repro.runtime.task import Task, gpu_intended
 from repro.sim import (
     Process,
     SimEngine,
@@ -242,15 +242,6 @@ class SimulatedExecutor:
             return duration
         return duration * float(self._rng.lognormal(0.0, self.jitter_sigma))
 
-    def _gpu_intended(self, task: Task) -> bool:
-        """Static device intent (processor-type factor + hybrid per-type
-        placement), before any overflow decision."""
-        if not self.use_gpu or not task.gpu_eligible:
-            return False
-        if self.gpu_task_types is not None and task.name not in self.gpu_task_types:
-            return False
-        return True
-
     def _task_on_gpu(self, task: Task) -> bool:
         """Device decision for one task at dispatch time.
 
@@ -353,8 +344,9 @@ class SimulatedExecutor:
         #: wait estimate counts ready GPU-intended tasks with an
         #: incrementally maintained counter instead of scanning the ready
         #: queue on every dispatch decision.
+        use_gpu, types = self.use_gpu, self.gpu_task_types
         self._gpu_intended_ids = {
-            t.task_id for t in tasks if self._gpu_intended(t)
+            t.task_id for t in tasks if gpu_intended(t, use_gpu, types)
         }
         if self._ready_parts is not None:
             #: task id -> its part number.  A task's part key is everything
@@ -459,8 +451,9 @@ class SimulatedExecutor:
         model rejects raises its ``ValueError`` next, also before the
         run starts.
         """
-        if self.use_gpu and self.cluster_spec.total_gpus == 0:
-            intended = sum(1 for task in graph.tasks() if self._gpu_intended(task))
+        use_gpu, types = self.use_gpu, self.gpu_task_types
+        if use_gpu and self.cluster_spec.total_gpus == 0:
+            intended = sum(gpu_intended(t, use_gpu, types) for t in graph.tasks())
             if intended:
                 raise ValueError(
                     f"GPU execution requested but cluster "
@@ -469,7 +462,7 @@ class SimulatedExecutor:
                 )
         check_gpu = not self.gpu_overflow
         palette = dict.fromkeys(
-            (task.cost or _ZERO_COST, check_gpu and self._gpu_intended(task))
+            (task.cost or _ZERO_COST, check_gpu and gpu_intended(task, use_gpu, types))
             for task in graph.tasks()
         )
         for cost, on_gpu in palette:

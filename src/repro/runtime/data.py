@@ -2,9 +2,11 @@
 
 A :class:`DataRef` stands for one data object (typically one block of a
 distributed array).  It records enough metadata for both backends: the
-byte size and home node drive the simulated storage model; the producer
-task id drives automatic dependency detection; and the in-process backend
-binds each ref to a real NumPy array in its data store.
+byte size and home node drive the simulated storage model, and the
+in-process backend binds each ref to a real NumPy array in its data
+store.  Which task produces a ref is recorded once, by the task graph
+(:meth:`~repro.runtime.dag.TaskGraph.producer_of`), when it accepts the
+task; refs produced by no task are workflow inputs.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ class DataRef:
     name: str = ""
     #: Node index whose local disk holds the object (local-disk storage).
     home_node: int = 0
-    #: Task id that produces this object, or ``None`` for workflow inputs.
-    producer: int | None = None
     ref_id: int = field(default_factory=_next_ref_id)
 
     def __post_init__(self) -> None:
@@ -39,8 +39,7 @@ class DataRef:
         return hash(self.ref_id)
 
     def __repr__(self) -> str:
-        origin = "input" if self.producer is None else f"task {self.producer}"
         return (
             f"DataRef(#{self.ref_id} {self.name!r}, {self.size_bytes} B, "
-            f"node {self.home_node}, from {origin})"
+            f"node {self.home_node})"
         )

@@ -44,8 +44,6 @@ class Task:
 
     def __post_init__(self) -> None:
         self.ignore = frozenset(self.ignore)
-        for ref in self.outputs:
-            ref.producer = self.task_id
 
     @property
     def gpu_eligible(self) -> bool:
@@ -70,6 +68,19 @@ class Task:
             f"Task(#{self.task_id} {self.name}, "
             f"{len(self.inputs)} in / {len(self.outputs)} out)"
         )
+
+
+def gpu_intended(
+    task: Task, use_gpu: bool, gpu_task_types: frozenset[str] | None
+) -> bool:
+    """Whether a run means ``task`` for a GPU device.
+
+    This is the intent before any overflow or recovery decision; the
+    executor places tasks by it and the analyzer's GPU rules check it.
+    """
+    return use_gpu and task.gpu_eligible and (
+        gpu_task_types is None or task.name in gpu_task_types
+    )
 
 
 class TaskFunction:

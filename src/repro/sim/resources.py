@@ -126,14 +126,10 @@ class CapacityResource:
 class _TransferJob:
     """A job in flight on a :class:`BandwidthResource`.
 
-    The completion threshold ``max(eps_t * bandwidth, eps_b * size)`` is
-    precomputed at submit time: recomputing it for every job on every
-    completion event was the single hottest expression of a full DAG
-    replay under the removed legacy rescan, and hoisting it keeps the
-    per-scan work to one attribute compare per job.  The values are
-    identical to what the legacy scan produced (same expression, same
-    float64 inputs), so completion times — and therefore traces — still
-    match the recorded reference-kernel oracle digests bit for bit.
+    ``remaining`` is the volume left to move as of the channel's last
+    event.  The completion threshold ``max(eps_t * bandwidth, eps_b *
+    size)`` is computed once, at submit time, so a completion event
+    tests each job with one compare.
     """
 
     __slots__ = ("size", "remaining", "threshold", "callback")
@@ -159,11 +155,12 @@ class BandwidthResource:
     ``latency`` is a fixed per-job startup delay (seek/RTT) applied before the
     job starts consuming bandwidth.
 
-    The settle path precomputes each job's completion threshold at submit
-    time and scans with a single-pass partition.  It performs the same
-    sequence of IEEE-754 float64 operations the removed legacy rescan
-    did, so completion times — and therefore traces — stay bit-identical
-    to the recorded reference-kernel oracle digests.
+    Each arrival or completion walks the jobs in flight once, settling
+    them at the old rate, splitting off finished jobs (on a completion)
+    and keeping the smallest surviving ``remaining``, which arms the next
+    completion at the new rate.  Its float operations, inputs and order
+    are those of separate settle, partition and minimum passes, so traces
+    match the recorded reference-kernel oracle digests bit for bit.
     """
 
     def __init__(
@@ -203,12 +200,14 @@ class BandwidthResource:
 
     def current_rate(self) -> float:
         """Per-job byte rate at this instant (0 when idle)."""
-        if not self._jobs:
-            return 0.0
-        share = self.bandwidth / len(self._jobs)
-        if self.per_job_cap is not None:
-            share = min(share, self.per_job_cap)
-        return share
+        return self._rate(len(self._jobs)) if self._jobs else 0.0
+
+    def _rate(self, count: int) -> float:
+        """Per-job byte rate with ``count`` (at least one) jobs in flight."""
+        share = self.bandwidth / count
+        cap = self.per_job_cap
+        # min(share, cap): the cap applies only when strictly smaller.
+        return cap if cap is not None and cap < share else share
 
     def submit(self, nbytes: float, callback: Callable[[], None]) -> None:
         """Transfer ``nbytes`` and invoke ``callback`` on completion."""
@@ -220,102 +219,103 @@ class BandwidthResource:
             self._start_job(nbytes, callback)
 
     def _start_job(self, nbytes: float, callback: Callable[[], None]) -> None:
+        """Arrival: settle the jobs in flight, add one, re-arm the deadline."""
+        sim = self._sim
         if nbytes == 0:
             # Zero-byte transfers complete immediately (after latency).
-            self._sim.schedule(0.0, callback)
+            sim.schedule(0.0, callback)
             return
-        self._settle()
         threshold = max(
             _TIME_EPSILON * self.bandwidth,
             _RELATIVE_BYTE_EPSILON * float(nbytes),
         )
-        self._jobs.append(_TransferJob(nbytes, threshold, callback))
-        if len(self._jobs) > self._peak_jobs:
-            self._peak_jobs = len(self._jobs)
-        self._reschedule()
-
-    def _settle(self) -> None:
-        """Advance all in-flight jobs to the current time at the old rate."""
-        elapsed = self._sim.now - self._last_update
-        if elapsed > 0 and self._jobs:
-            progressed = self.current_rate() * elapsed
-            for job in self._jobs:
-                job.remaining -= progressed
-        self._last_update = self._sim.now
-
-    def _reschedule(self) -> None:
-        """(Re)arm the completion event for the job finishing soonest."""
+        job = _TransferJob(nbytes, threshold, callback)
+        jobs = self._jobs
+        soonest = job.remaining
+        now = sim.now
+        elapsed = now - self._last_update
+        if elapsed > 0 and jobs:
+            progressed = self._rate(len(jobs)) * elapsed
+            for other in jobs:
+                remaining = other.remaining - progressed
+                other.remaining = remaining
+                if remaining < soonest:
+                    soonest = remaining
+        else:
+            for other in jobs:
+                if other.remaining < soonest:
+                    soonest = other.remaining
+        self._last_update = now
+        jobs.append(job)
+        if len(jobs) > self._peak_jobs:
+            self._peak_jobs = len(jobs)
         if self._completion_event is not None:
             self._completion_event.cancel()
-            self._completion_event = None
-        jobs = self._jobs
-        if not jobs:
-            return
-        rate = self.current_rate()
-        soonest = min(job.remaining for job in jobs)
-        delay = max(soonest / rate, 0.0)
-        self._completion_event = self._sim.schedule(delay, self._complete_due)
+        delay = soonest / self._rate(len(jobs))
+        self._completion_event = sim.schedule(max(delay, 0.0), self._complete_due)
 
     def _complete_due(self) -> None:
-        """Completion scan: threshold partition, then fire callbacks.
+        """Completion: settle, split off finished jobs, re-arm, fire.
 
-        Decision sequence — threshold scan, ULP-resolution fallback, drop
-        finished jobs *before* firing callbacks (completion callbacks
-        resume processes synchronously and may re-submit).  The
-        ULP fallback is a numerical guard: settle() round-off can leave
-        the leader with a residue whose drain time is below the clock's
-        resolution at the current simulated time — the event would
-        re-fire at the same instant forever, so such jobs are treated as
-        complete.  Finished jobs keep insertion order, preserving the
-        callback order the recorded oracle digests were produced under.
+        When no job is under its threshold, a fallback pass finishes the
+        jobs whose drain time is within four ULPs of the clock: at large
+        simulated times settle round-off can leave a residue the clock
+        cannot drain, and the event would re-fire at one instant forever.
+        Both lists keep insertion order (the recorded callback order), and
+        the next completion is armed before any callback fires, because
+        callbacks resume processes synchronously and may submit again.
         """
-        self._completion_event = None
-        self._settle()
+        sim = self._sim
+        jobs = self._jobs
+        rate = self._rate(len(jobs))
+        now = sim.now
+        elapsed = now - self._last_update
+        settle = elapsed > 0
+        progressed = rate * elapsed
+        self._last_update = now
         finished: list[_TransferJob] = []
         survivors: list[_TransferJob] = []
-        for job in self._jobs:
-            if job.remaining <= job.threshold:
+        soonest = math.inf
+        for job in jobs:
+            remaining = job.remaining
+            if settle:
+                remaining -= progressed
+                job.remaining = remaining
+            if remaining <= job.threshold:
                 finished.append(job)
             else:
                 survivors.append(job)
+                if remaining < soonest:
+                    soonest = remaining
         if not finished:
-            rate = self.current_rate()
-            if rate > 0:
-                resolution = 4.0 * math.ulp(max(self._sim.now, 1.0))
-                survivors = []
-                for job in self._jobs:
-                    if job.remaining / rate <= resolution:
-                        finished.append(job)
-                    else:
-                        survivors.append(job)
-            if not finished:
-                self._reschedule()
-                return
+            resolution = 4.0 * math.ulp(max(now, 1.0))
+            survivors = []
+            soonest = math.inf
+            for job in jobs:
+                if job.remaining / rate <= resolution:
+                    finished.append(job)
+                else:
+                    survivors.append(job)
+                    if job.remaining < soonest:
+                        soonest = job.remaining
         self._jobs = survivors
-        self._reschedule()
-        self._fire_completions(finished)
-
-    def _fire_completions(self, finished: list) -> None:
-        """Invoke completion callbacks in insertion order.
-
-        When several jobs finish in one settle, the callbacks after the
-        first are same-instant work that lives in this list rather than
-        in the event queue; the engine's ``cascade_depth`` flags that
-        window so the dispatcher (woken synchronously by, say, the first
-        completion committing a task) yields before each launch instead
-        of starting tasks synchronously, which lets the remaining
-        completions interleave exactly like the reference kernel.
-        """
+        self._completion_event = None
+        if survivors:
+            delay = soonest / self._rate(len(survivors))
+            self._completion_event = sim.schedule(max(delay, 0.0), self._complete_due)
         if len(finished) == 1:
             job = finished[0]
             self._bytes_done += job.size
             job.callback()
-            return
-        sim = self._sim
-        sim.cascade_depth += 1
-        try:
-            for job in finished:
-                self._bytes_done += job.size
-                job.callback()
-        finally:
-            sim.cascade_depth -= 1
+        elif finished:
+            # The callbacks after the first are same-instant work held in
+            # this list, not in the event queue: ``cascade_depth`` makes the
+            # dispatcher yield before each launch instead of starting tasks
+            # synchronously, so the completions interleave as recorded.
+            sim.cascade_depth += 1
+            try:
+                for job in finished:
+                    self._bytes_done += job.size
+                    job.callback()
+            finally:
+                sim.cascade_depth -= 1

@@ -129,6 +129,32 @@ class TestFeasibility:
             analyze(_graph(_task(0, cost=_cost())), cluster, use_gpu=False)
         )
 
+    def _four_gpu_tasks(self, **config) -> Runtime:
+        runtime = Runtime(RuntimeConfig(use_gpu=True, **config))
+        for _ in range(4):
+            runtime.submit("big", [], cost=_cost(gpu_memory_bytes=13 * 1024**3))
+        return runtime
+
+    def test_wf102_quiet_when_oversized_tasks_overflow_to_cpu(self):
+        runtime = self._four_gpu_tasks(
+            cluster=minotauro(), gpu_overflow_to_cpu=True
+        )
+        assert runtime.graph.task(0).cost.gpu_memory_bytes > (
+            minotauro().node.gpu.memory_bytes
+        )
+        assert "WF102" not in _codes(analyze_runtime(runtime))
+        # The executor runs the tasks that cannot fit a device on cores.
+        result = runtime.run()
+        assert not result.failed and result.trace.num_task_records == 4
+
+    def test_wf103_quiet_when_no_task_type_is_placed_on_gpus(self):
+        runtime = self._four_gpu_tasks(
+            cluster=cpu_only(), gpu_task_types=frozenset()
+        )
+        assert not analyze_runtime(runtime).has_errors
+        result = runtime.run()
+        assert not result.failed and result.trace.num_task_records == 4
+
     def test_wf104_output_block_exceeds_device_memory(self):
         cluster = minotauro()
         task = _task(

@@ -417,13 +417,6 @@ class TestAnalysisRules:
         )
         assert "WF301" not in report.codes()
 
-    def test_wf302_fires_on_ghost_node(self):
-        rt = self._graph()
-        plan = FaultPlan(node_faults=[NodeFault(node=64, at_time=1.0)])
-        report = analyze(rt.graph, minotauro(), fault_plan=plan)
-        assert "WF302" in report.codes()
-        assert report.has_errors
-
     def test_analyze_runtime_reads_fault_config(self):
         config = RuntimeConfig(
             fault_plan=FaultPlan(task_crashes=[TaskCrash(task_id=0)]),

@@ -129,7 +129,8 @@ class TestTaskProperties:
         x = rt.register_input(8)
         with rt:
             ref = double(x, _cost=_cost())
-        assert ref.producer == rt.graph.tasks()[0].task_id
+        assert rt.graph.producer_of(ref.ref_id) == rt.graph.tasks()[0].task_id
+        assert rt.graph.producer_of(x.ref_id) is None
 
     def test_input_output_byte_totals(self):
         rt = Runtime(RuntimeConfig())

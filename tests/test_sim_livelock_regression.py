@@ -1,13 +1,13 @@
 """Regression tests: processor-sharing completion at large simulated times.
 
-At simulated clocks around 1e4-1e5 seconds, the float residue left on a
-job's remaining volume by :meth:`BandwidthResource._settle` can exceed the
-absolute completion threshold while the time needed to drain it falls
-below the clock's representable resolution — the completion event then
-re-fires at the same instant forever.  This hit the Figure 9a sweep
-(K-means with 1000 clusters simulates hours).  The fix treats a job as
-done when its residue is negligible relative to its size, or when its
-drain time cannot advance the clock.
+At simulated clocks around 1e4-1e5 seconds, the float residue that
+:class:`BandwidthResource`'s settle step leaves on a job's remaining
+volume can exceed the absolute completion threshold while the time
+needed to drain it falls below the clock's representable resolution —
+the completion event then re-fires at the same instant forever.  This
+hit the Figure 9a sweep (K-means with 1000 clusters simulates hours).
+The fix treats a job as done when its residue is negligible relative to
+its size, or when its drain time cannot advance the clock.
 
 The livelock never advances the clock, so no simulated-time horizon can
 bound it; each test instead caps the resource's completion scans, and a
