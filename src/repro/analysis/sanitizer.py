@@ -190,8 +190,13 @@ def _check_attempt_machine(result: "WorkflowResult", out: list[Violation]) -> No
     for record in trace.stages:
         if record.stage is Stage.RECOMPUTE:
             recomputes[record.task_id] = recomputes.get(record.task_id, 0) + 1
-    for task_id in sorted({a.task_id for a in trace.attempts}):
-        attempts = trace.attempts_of(task_id)
+    # One pass groups the attempts per task in emission order; the stable
+    # sort then orders each group as ``Trace.attempts_of`` does.
+    attempts_of: dict[int, list] = {}
+    for attempt in trace.attempts:
+        attempts_of.setdefault(attempt.task_id, []).append(attempt)
+    for task_id in sorted(attempts_of):
+        attempts = sorted(attempts_of[task_id], key=lambda a: a.attempt)
         numbers = [a.attempt for a in attempts]
         if numbers != list(range(1, len(numbers) + 1)):
             out.append(

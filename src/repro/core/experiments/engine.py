@@ -148,19 +148,42 @@ def execute_cell(spec: CellSpec) -> RunMetrics:
 # --------------------------------------------------------------- digests
 
 #: Modules whose source defines what a simulated result *means*.  Their
-#: bytes are hashed into the model fingerprint, so editing the cost
-#: model, a scheduler, or the event engine invalidates every cache entry.
+#: bytes are hashed into the model fingerprint, so editing a cost
+#: formula, the cost model, a scheduler, the event engine or a metric
+#: invalidates every cache entry.  The list follows what
+#: :func:`execute_cell` runs for a (fault-free) sweep cell.
 _MODEL_MODULES = (
+    # build_workflow: the workflows' task costs, and the data and array
+    # modules that size and place their blocks.
+    "repro.algorithms.matmul",
+    "repro.algorithms.matmul_fma",
+    "repro.algorithms.kmeans",
+    "repro.algorithms.synthetic",
+    "repro.arrays.dsarray",
+    "repro.data.blocking",
+    "repro.data.dataset",
+    # run_workflow: the cost model, the hardware, the runtime and the
+    # simulated executor on the event engine.
+    "repro.core.experiments.runners",
     "repro.perfmodel.costmodel",
     "repro.perfmodel.amdahl",
     "repro.perfmodel.calibration",
     "repro.hardware.specs",
+    "repro.hardware.cluster",
+    "repro.runtime.runtime",
+    "repro.runtime.dag",
+    "repro.runtime.task",
     "repro.runtime.scheduler",
     "repro.runtime.locality",
     "repro.runtime.backends.simulated",
     "repro.sim.engine",
+    "repro.sim.events",
     "repro.sim.process",
     "repro.sim.resources",
+    # The cached metrics and trace digest computed from the trace.
+    "repro.tracing.trace",
+    "repro.tracing.aggregate",
+    "repro.tracing.golden",
 )
 
 _SOURCE_HASH: str | None = None

@@ -16,10 +16,20 @@ Three metric families:
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from statistics import mean
 
-from repro.tracing.trace import Stage, StageRecord, Trace
+from repro.tracing.trace import STAGE_INDEX, Stage, Trace
+
+#: Stage ids (column values) of the user-code stages, in
+#: :class:`UserCodeMetrics` field order, and of the data-movement stages.
+_USER_CODE = tuple(
+    STAGE_INDEX[stage]
+    for stage in (Stage.SERIAL_FRACTION, Stage.PARALLEL_FRACTION, Stage.CPU_GPU_COMM)
+)
+_DESERIALIZATION = STAGE_INDEX[Stage.DESERIALIZATION]
+_SERIALIZATION = STAGE_INDEX[Stage.SERIALIZATION]
 
 
 @dataclass(frozen=True)
@@ -145,53 +155,46 @@ def fault_metrics(trace: Trace) -> FaultMetrics:
     )
 
 
-def _mean_per_task(records: list[StageRecord], num_tasks: int) -> float:
-    """Average per-task total duration of a stage.
+def user_code_metrics(trace: Trace) -> dict[str, UserCodeMetrics]:
+    """Average user-code stage times per task type (§4.2).
 
     A task may emit several records for one stage (e.g. the host-to-device
-    and device-to-host halves of CPU-GPU communication); they are summed
-    per task before averaging.
+    and device-to-host halves of CPU-GPU communication); each stage's
+    durations are summed over the type's tasks and divided by their count.
     """
-    if not records or num_tasks == 0:
-        return 0.0
-    return sum(r.duration for r in records) / num_tasks
-
-
-def user_code_metrics(trace: Trace) -> dict[str, UserCodeMetrics]:
-    """Average user-code stage times per task type (§4.2)."""
+    cols = trace.stage_columns
+    durations: defaultdict[tuple[int, int], list[float]] = defaultdict(list)
+    keys = zip(cols.type_id, cols.kind)
+    for key, start, end in zip(keys, cols.start, cols.end):
+        durations[key].append(end - start)
+    num_tasks = Counter(
+        type_id for type_id, _ in dict.fromkeys(zip(cols.type_id, cols.task_id))
+    )
+    names = trace.names
     result: dict[str, UserCodeMetrics] = {}
-    for task_type in trace.task_types():
-        records = trace.stages_of_task_type(task_type)
-        by_stage: dict[Stage, list[StageRecord]] = {}
-        for record in records:
-            by_stage.setdefault(record.stage, []).append(record)
-        num_tasks = len({r.task_id for r in records}) or 1
-        result[task_type] = UserCodeMetrics(
-            task_type=task_type,
-            num_tasks=num_tasks,
-            serial_fraction=_mean_per_task(
-                by_stage.get(Stage.SERIAL_FRACTION, []), num_tasks
-            ),
-            parallel_fraction=_mean_per_task(
-                by_stage.get(Stage.PARALLEL_FRACTION, []), num_tasks
-            ),
-            cpu_gpu_comm=_mean_per_task(
-                by_stage.get(Stage.CPU_GPU_COMM, []), num_tasks
-            ),
-        )
+    for type_id in dict.fromkeys(trace.task_columns.type_id):
+        tasks = num_tasks[type_id] or 1
+        averages = [
+            sum(durations[type_id, stage]) / tasks
+            if (type_id, stage) in durations else 0.0
+            for stage in _USER_CODE
+        ]
+        result[names[type_id]] = UserCodeMetrics(names[type_id], tasks, *averages)
     return result
 
 
 def data_movement_metrics(trace: Trace) -> DataMovementMetrics:
     """(De-)serialization time averaged per CPU core, all task types (§4.2)."""
+    cols = trace.stage_columns
     deser: dict[tuple[int, int], float] = {}
     ser: dict[tuple[int, int], float] = {}
-    for record in trace.stages:
-        core_key = (record.node, record.core)
-        if record.stage is Stage.DESERIALIZATION:
-            deser[core_key] = deser.get(core_key, 0.0) + record.duration
-        elif record.stage is Stage.SERIALIZATION:
-            ser[core_key] = ser.get(core_key, 0.0) + record.duration
+    for kind, node, core, start, end in zip(
+        cols.kind, cols.node, cols.core, cols.start, cols.end
+    ):
+        if kind == _DESERIALIZATION:
+            deser[node, core] = deser.get((node, core), 0.0) + (end - start)
+        elif kind == _SERIALIZATION:
+            ser[node, core] = ser.get((node, core), 0.0) + (end - start)
     cores = set(deser) | set(ser)
     if not cores:
         return DataMovementMetrics(0, 0.0, 0.0)
@@ -213,22 +216,29 @@ def parallel_task_metrics(
     algorithm's parallel tasks (e.g. ``partial_sum`` for K-means); when
     omitted, every level counts.
     """
+    cols = trace.task_columns
     starts: dict[int, float] = {}
     ends: dict[int, float] = {}
-    level_types: dict[int, set[str]] = {}
-    for task in trace.tasks:
-        starts[task.level] = min(starts.get(task.level, task.start), task.start)
-        ends[task.level] = max(ends.get(task.level, task.end), task.end)
-        level_types.setdefault(task.level, set()).add(task.task_type)
+    # The same picks as ``min(old, start)`` and ``max(old, end)``.
+    for level, start, end in zip(cols.level, cols.start, cols.end):
+        lo = starts.get(level)
+        if lo is None or start < lo:
+            starts[level] = start
+        hi = ends.get(level)
+        if hi is None or end > hi:
+            ends[level] = end
     wall = {level: ends[level] - starts[level] for level in starts}
     if parallel_task_types is None:
         parallel_levels = tuple(sorted(wall))
     else:
+        names = trace.names
         parallel_levels = tuple(
             sorted(
-                level
-                for level, types in level_types.items()
-                if types & parallel_task_types
+                {
+                    level
+                    for level, type_id in dict.fromkeys(zip(cols.level, cols.type_id))
+                    if names[type_id] in parallel_task_types
+                }
             )
         )
     return ParallelTaskMetrics(level_wall_times=wall, parallel_levels=parallel_levels)

@@ -18,30 +18,44 @@ arithmetic itself is IEEE-754 double precision.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, Iterator
 
-from repro.tracing.trace import StageRecord, TaskAttempt, TaskRecord, Trace
+from repro.tracing.trace import STAGES, Trace
+
+# Line templates of the three record kinds; the fields are the columns
+# in record-field order, ``used_gpu`` as 0/1.
+_STAGE_LINE = "S|{}|{}|{}|{!r}|{!r}|{}|{}|{}|{}|{}".format
+_TASK_LINE = "T|{}|{}|{!r}|{!r}|{}|{}|{}|{}|{}".format
+_ATTEMPT_LINE = "A|{}|{}|{}|{!r}|{!r}|{}|{}|{}|{}|{}".format
+_STAGE_VALUES = tuple(stage.value for stage in STAGES)
+
+#: Canonical lines hashed per ``sha256.update`` call, so the payload is
+#: never held as one string.
+CHUNK_LINES = 4096
 
 
-def _stage_line(r: StageRecord) -> str:
-    return (
-        f"S|{r.task_id}|{r.task_type}|{r.stage.value}|{r.start!r}|{r.end!r}"
-        f"|{r.node}|{r.core}|{r.level}|{int(r.used_gpu)}|{r.attempt}"
+def _lines(trace: Trace, failed_task_ids: Iterable[int]) -> Iterator[str]:
+    """The canonical lines, formatted straight from the trace's columns."""
+    name = trace.names.__getitem__
+    c = trace.stage_columns
+    yield from map(
+        _STAGE_LINE, c.task_id, map(name, c.type_id),
+        map(_STAGE_VALUES.__getitem__, c.kind), c.start, c.end, c.node,
+        c.core, c.level, c.used_gpu, c.attempt,
     )
-
-
-def _task_line(r: TaskRecord) -> str:
-    return (
-        f"T|{r.task_id}|{r.task_type}|{r.start!r}|{r.end!r}"
-        f"|{r.node}|{r.core}|{r.level}|{int(r.used_gpu)}|{r.attempt}"
+    c = trace.task_columns
+    yield from map(
+        _TASK_LINE, c.task_id, map(name, c.type_id), c.start, c.end, c.node,
+        c.core, c.level, c.used_gpu, c.attempt,
     )
-
-
-def _attempt_line(r: TaskAttempt) -> str:
-    return (
-        f"A|{r.task_id}|{r.task_type}|{r.attempt}|{r.start!r}|{r.end!r}"
-        f"|{r.node}|{r.core}|{r.level}|{int(r.used_gpu)}|{r.outcome}"
+    c = trace.attempt_columns
+    yield from map(
+        _ATTEMPT_LINE, c.task_id, map(name, c.type_id), c.attempt, c.start,
+        c.end, c.node, c.core, c.level, c.used_gpu, map(name, c.kind),
     )
+    yield f"M|{trace.makespan!r}"
+    yield "F|" + ",".join(str(t) for t in sorted(failed_task_ids))
 
 
 def trace_canonical_lines(
@@ -52,18 +66,23 @@ def trace_canonical_lines(
     Exposed separately from :func:`trace_digest` so a mismatch can be
     diffed record by record instead of comparing opaque hashes.
     """
-    lines = [_stage_line(r) for r in trace.stages]
-    lines += [_task_line(r) for r in trace.tasks]
-    lines += [_attempt_line(r) for r in trace.attempts]
-    lines.append(f"M|{trace.makespan!r}")
-    lines.append("F|" + ",".join(str(t) for t in sorted(failed_task_ids)))
-    return lines
+    return list(_lines(trace, failed_task_ids))
 
 
 def trace_digest(trace: Trace, failed_task_ids: Iterable[int] = ()) -> str:
-    """SHA-256 hex digest of the canonical trace serialisation."""
-    payload = "\n".join(trace_canonical_lines(trace, failed_task_ids))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    """SHA-256 hex digest of the canonical lines, newline-separated.
+
+    The lines are hashed :data:`CHUNK_LINES` at a time, with the newline
+    between two chunks hashed too, so the digest equals that of the
+    whole payload without ever building it.
+    """
+    digest = hashlib.sha256()
+    lines = _lines(trace, failed_task_ids)
+    separator = b""
+    while chunk := list(islice(lines, CHUNK_LINES)):
+        digest.update(separator + "\n".join(chunk).encode("utf-8"))
+        separator = b"\n"
+    return digest.hexdigest()
 
 
 def trace_fingerprint(
@@ -78,10 +97,10 @@ def trace_fingerprint(
     failed = tuple(sorted(failed_task_ids))
     return {
         "digest": trace_digest(trace, failed),
-        "num_tasks": len(trace.tasks),
-        "num_stages": len(trace.stages),
-        "num_attempts": len(trace.attempts),
+        "num_tasks": trace.num_task_records,
+        "num_stages": trace.num_stage_records,
+        "num_attempts": trace.num_attempt_records,
         "makespan": repr(trace.makespan),
-        "task_order": [t.task_id for t in trace.tasks[:64]],
+        "task_order": list(trace.task_columns.task_id[:64]),
         "failed_task_ids": list(failed),
     }

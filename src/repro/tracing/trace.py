@@ -5,21 +5,24 @@ emits one :class:`StageRecord` per stage plus a :class:`TaskRecord`
 summarising the whole task.  Times are simulated seconds for the simulated
 backend and wall-clock seconds for the in-process backend.
 
-Storage is columnar: the hot append paths (``add_stage_row`` and
-friends, used by the simulated executor) write primitive values into
-typed :mod:`array` buffers with task-type and outcome strings interned
-to small integer ids, and the record objects are materialised lazily on
-first access of :attr:`Trace.stages` / :attr:`Trace.tasks` /
-:attr:`Trace.attempts`.  A million-task replay that only reads the
-makespan and record counts therefore never builds a single record
-object; analysis passes that do iterate records see exactly the objects
-the eager API would have produced, in the same order.
+Storage is columnar, and the columns are the only store.  Every append
+(``add_stage_row`` and friends, which the simulated executor calls, and
+``add_stage``/``add_task``/``add_attempt``, which take a record) writes
+primitive values into typed :mod:`array` buffers, with task-type and
+outcome strings interned to small integer ids.  The metric and digest
+passes (:mod:`repro.tracing.aggregate`, :mod:`repro.tracing.golden`),
+the counts and the makespan read the columns and build no record.
+
+:attr:`Trace.stages`, :attr:`Trace.tasks` and :attr:`Trace.attempts` are
+views for passes that want record objects.  Each is built from the
+columns on first read and, after further appends, extended as the same
+list object, in emission order.  A view is never written back: editing
+it changes what later readers of that view see, not the columns.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from array import array
 from dataclasses import dataclass
 
@@ -50,8 +53,8 @@ class Stage(str, enum.Enum):
 
 
 #: Dense stage ids for the columnar buffers (enum order is stable).
-_STAGES = tuple(Stage)
-_STAGE_INDEX = {stage: index for index, stage in enumerate(_STAGES)}
+STAGES = tuple(Stage)
+STAGE_INDEX = {stage: index for index, stage in enumerate(STAGES)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,18 +151,21 @@ class TaskAttempt:
         return self.end - self.start
 
 
-class _Columns:
-    """Typed column buffers for not-yet-materialised records.
+class Columns:
+    """Typed column buffers of one record kind: the trace's store.
 
-    One instance backs one record kind; ``kind`` holds the stage id for
-    stage rows and the outcome id for attempt rows (unused for task
-    rows).  Every column is an :mod:`array` of primitives, so a pending
-    record costs ~50 bytes instead of a boxed dataclass.
+    ``kind`` holds the stage id (an index into :data:`STAGES`) for stage
+    rows and the outcome's name id for attempt rows, and is unused for
+    task rows; ``type_id`` and outcome ids index :attr:`Trace.names`.
+    Every column is an :mod:`array` of primitives, so a row costs ~50
+    bytes instead of a boxed dataclass.  Readers treat the arrays as
+    read-only; only :class:`Trace`'s appends write them.
     """
 
     __slots__ = (
         "task_id", "type_id", "kind", "start", "end",
         "node", "core", "level", "used_gpu", "attempt",
+        "_view", "_viewed",
     )
 
     def __init__(self) -> None:
@@ -173,6 +179,10 @@ class _Columns:
         self.level = array("i")
         self.used_gpu = array("b")
         self.attempt = array("i")
+        # The record view and the number of rows it covers (its length
+        # can differ: callers may edit the view in place).
+        self._view: list = []
+        self._viewed = 0
 
     def __len__(self) -> int:
         return len(self.task_id)
@@ -182,25 +192,19 @@ class Trace:
     """An append-only collection of stage, task, and attempt records."""
 
     def __init__(self) -> None:
-        # Materialised record prefix + pending columnar suffix per kind.
-        # Appending a record object first drains the pending columns, so
-        # the two append styles can interleave without reordering.
-        self._stage_records: list[StageRecord] = []
-        self._stage_cols = _Columns()
-        self._task_records: list[TaskRecord] = []
-        self._task_cols = _Columns()
-        self._attempt_records: list[TaskAttempt] = []
-        self._attempt_cols = _Columns()
+        self.stage_columns = Columns()
+        self.task_columns = Columns()
+        self.attempt_columns = Columns()
         #: Interned string table shared by task types and outcomes.
-        self._names: list[str] = []
+        self.names: list[str] = []
         self._name_ids: dict[str, int] = {}
 
     def _intern(self, name: str) -> int:
         name_id = self._name_ids.get(name)
         if name_id is None:
-            name_id = len(self._names)
+            name_id = len(self.names)
             self._name_ids[name] = name_id
-            self._names.append(name)
+            self.names.append(name)
         return name_id
 
     # ---------------------------------------------------------- fast appends
@@ -222,10 +226,10 @@ class Trace:
             raise ValueError(
                 f"stage {stage} of task {task_id} ends before it starts"
             )
-        cols = self._stage_cols
+        cols = self.stage_columns
         cols.task_id.append(task_id)
         cols.type_id.append(self._intern(task_type))
-        cols.kind.append(_STAGE_INDEX[stage])
+        cols.kind.append(STAGE_INDEX[stage])
         cols.start.append(start)
         cols.end.append(end)
         cols.node.append(node)
@@ -247,7 +251,7 @@ class Trace:
         attempt: int = 1,
     ) -> None:
         """Append one whole-task summary as primitive columns."""
-        cols = self._task_cols
+        cols = self.task_columns
         cols.task_id.append(task_id)
         cols.type_id.append(self._intern(task_type))
         cols.kind.append(0)
@@ -279,7 +283,7 @@ class Trace:
             )
         if attempt < 1:
             raise ValueError("attempt numbers are 1-based")
-        cols = self._attempt_cols
+        cols = self.attempt_columns
         cols.task_id.append(task_id)
         cols.type_id.append(self._intern(task_type))
         cols.kind.append(self._intern(outcome))
@@ -293,104 +297,92 @@ class Trace:
 
     # -------------------------------------------------------- record appends
     def add_stage(self, record: StageRecord) -> None:
-        """Append a stage record."""
-        self.stages.append(record)
+        """Append a stage record as a row."""
+        self.add_stage_row(
+            record.task_id, record.task_type, record.stage, record.start,
+            record.end, record.node, record.core, record.level,
+            record.used_gpu, record.attempt,
+        )
 
     def add_task(self, record: TaskRecord) -> None:
-        """Append a whole-task record."""
-        self.tasks.append(record)
+        """Append a whole-task record as a row."""
+        self.add_task_row(
+            record.task_id, record.task_type, record.start, record.end,
+            record.node, record.core, record.level, record.used_gpu,
+            record.attempt,
+        )
 
     def add_attempt(self, record: TaskAttempt) -> None:
-        """Append a task-attempt record."""
-        self.attempts.append(record)
+        """Append a task-attempt record as a row."""
+        self.add_attempt_row(
+            record.task_id, record.task_type, record.attempt, record.start,
+            record.end, record.node, record.core, record.level,
+            record.used_gpu, record.outcome,
+        )
 
-    # ------------------------------------------------------- materialisation
+    # ----------------------------------------------------------------- views
     @property
     def stages(self) -> list[StageRecord]:
-        """All stage records, materialising any pending columns."""
-        cols = self._stage_cols
-        if len(cols):
-            names = self._names
-            self._stage_records.extend(
-                StageRecord(
-                    task_id=cols.task_id[i],
-                    task_type=names[cols.type_id[i]],
-                    stage=_STAGES[cols.kind[i]],
-                    start=cols.start[i],
-                    end=cols.end[i],
-                    node=cols.node[i],
-                    core=cols.core[i],
-                    level=cols.level[i],
-                    used_gpu=bool(cols.used_gpu[i]),
-                    attempt=cols.attempt[i],
-                )
-                for i in range(len(cols))
-            )
-            self._stage_cols = _Columns()
-        return self._stage_records
+        """Stage records: a view of the columns, not written back."""
+        c = self.stage_columns
+        lo = c._viewed
+        if lo < len(c):
+            name = self.names.__getitem__
+            c._view.extend(map(
+                StageRecord, c.task_id[lo:], map(name, c.type_id[lo:]),
+                map(STAGES.__getitem__, c.kind[lo:]), c.start[lo:],
+                c.end[lo:], c.node[lo:], c.core[lo:], c.level[lo:],
+                map(bool, c.used_gpu[lo:]), c.attempt[lo:],
+            ))
+            c._viewed = len(c)
+        return c._view
 
     @property
     def tasks(self) -> list[TaskRecord]:
-        """All whole-task records, materialising any pending columns."""
-        cols = self._task_cols
-        if len(cols):
-            names = self._names
-            self._task_records.extend(
-                TaskRecord(
-                    task_id=cols.task_id[i],
-                    task_type=names[cols.type_id[i]],
-                    start=cols.start[i],
-                    end=cols.end[i],
-                    node=cols.node[i],
-                    core=cols.core[i],
-                    level=cols.level[i],
-                    used_gpu=bool(cols.used_gpu[i]),
-                    attempt=cols.attempt[i],
-                )
-                for i in range(len(cols))
-            )
-            self._task_cols = _Columns()
-        return self._task_records
+        """Whole-task records: a view of the columns, not written back."""
+        c = self.task_columns
+        lo = c._viewed
+        if lo < len(c):
+            name = self.names.__getitem__
+            c._view.extend(map(
+                TaskRecord, c.task_id[lo:], map(name, c.type_id[lo:]),
+                c.start[lo:], c.end[lo:], c.node[lo:], c.core[lo:],
+                c.level[lo:], map(bool, c.used_gpu[lo:]), c.attempt[lo:],
+            ))
+            c._viewed = len(c)
+        return c._view
 
     @property
     def attempts(self) -> list[TaskAttempt]:
-        """All attempt records, materialising any pending columns."""
-        cols = self._attempt_cols
-        if len(cols):
-            names = self._names
-            self._attempt_records.extend(
-                TaskAttempt(
-                    task_id=cols.task_id[i],
-                    task_type=names[cols.type_id[i]],
-                    attempt=cols.attempt[i],
-                    start=cols.start[i],
-                    end=cols.end[i],
-                    node=cols.node[i],
-                    core=cols.core[i],
-                    level=cols.level[i],
-                    used_gpu=bool(cols.used_gpu[i]),
-                    outcome=names[cols.kind[i]],
-                )
-                for i in range(len(cols))
-            )
-            self._attempt_cols = _Columns()
-        return self._attempt_records
+        """Attempt records: a view of the columns, not written back."""
+        c = self.attempt_columns
+        lo = c._viewed
+        if lo < len(c):
+            name = self.names.__getitem__
+            c._view.extend(map(
+                TaskAttempt, c.task_id[lo:], map(name, c.type_id[lo:]),
+                c.attempt[lo:], c.start[lo:], c.end[lo:], c.node[lo:],
+                c.core[lo:], c.level[lo:], map(bool, c.used_gpu[lo:]),
+                map(name, c.kind[lo:]),
+            ))
+            c._viewed = len(c)
+        return c._view
 
-    # ---------------------------------------------------------- cheap counts
+    # ---------------------------------------------------------------- counts
     @property
     def num_stage_records(self) -> int:
-        """Stage-record count without materialising pending columns."""
-        return len(self._stage_records) + len(self._stage_cols)
+        """Stage-record count, read from the columns."""
+        return len(self.stage_columns)
 
     @property
     def num_task_records(self) -> int:
-        """Task-record count without materialising pending columns."""
-        return len(self._task_records) + len(self._task_cols)
+        """Task-record count, read from the columns."""
+        return len(self.task_columns)
 
     @property
     def num_attempt_records(self) -> int:
-        """Attempt-record count without materialising pending columns."""
-        return len(self._attempt_records) + len(self._attempt_cols)
+        """Attempt-record count, read from the columns."""
+        return len(self.attempt_columns)
 
     # -------------------------------------------------------------- analysis
     @property
@@ -398,21 +390,12 @@ class Trace:
         """Wall time from the first task start to the last task end.
 
         Counts successful tasks only; :attr:`recovered_span` additionally
-        covers failed attempts and retry waits.  Computed straight from
-        the column buffers, so reading it does not materialise records.
+        covers failed attempts and retry waits.  Read from the columns.
         """
-        lo = math.inf
-        hi = -math.inf
-        for record in self._task_records:
-            lo = min(lo, record.start)
-            hi = max(hi, record.end)
-        cols = self._task_cols
-        if len(cols):
-            lo = min(lo, min(cols.start))
-            hi = max(hi, max(cols.end))
-        if lo is math.inf:
+        cols = self.task_columns
+        if not len(cols):
             return 0.0
-        return hi - lo
+        return max(cols.end) - min(cols.start)
 
     @property
     def recovered_span(self) -> float:
@@ -472,16 +455,10 @@ class Trace:
         """All records of one stage kind."""
         return [r for r in self.stages if r.stage is stage]
 
-    def stages_of_task_type(self, task_type: str) -> list[StageRecord]:
-        """All stage records belonging to one task type."""
-        return [r for r in self.stages if r.task_type == task_type]
-
     def task_types(self) -> list[str]:
-        """Distinct task types in first-seen order."""
-        seen: dict[str, None] = {}
-        for record in self.tasks:
-            seen.setdefault(record.task_type, None)
-        return list(seen)
+        """Distinct task types in first-seen order of the task rows."""
+        names = self.names
+        return [names[i] for i in dict.fromkeys(self.task_columns.type_id)]
 
     def levels(self) -> list[int]:
         """Distinct DAG levels present, ascending."""

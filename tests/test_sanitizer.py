@@ -15,7 +15,7 @@ from repro.faults import FaultPlan, NodeFault, RetryPolicy, TaskCrash
 from repro.perfmodel import TaskCost
 from repro.runtime import Runtime, RuntimeConfig
 from repro.runtime.runtime import Backend
-from repro.tracing import Stage
+from repro.tracing import Stage, Trace
 
 
 def _cost() -> TaskCost:
@@ -73,6 +73,32 @@ class TestCleanRuns:
         )
         result = _chain_runtime(config).run(sanitize=True)
         assert result.sanitizer.ok
+
+    def test_attempt_check_groups_attempts_in_one_pass(self, monkeypatch):
+        # Looking each task's attempts up with ``Trace.attempts_of`` scans
+        # every attempt once per task: quadratic on a large faulted run.
+        config = RuntimeConfig(
+            fault_plan=FaultPlan(
+                task_crashes=(
+                    TaskCrash(
+                        task_id=1, stage=Stage.SERIAL_FRACTION, attempts=(1,)
+                    ),
+                ),
+            ),
+            retry_policy=RetryPolicy(max_attempts=3, backoff_base=0.01),
+        )
+        result = _chain_runtime(config).run()
+        assert result.trace.num_attempt_records > 1
+        calls = []
+        original = Trace.attempts_of
+
+        def counting(self, task_id):
+            calls.append(task_id)
+            return original(self, task_id)
+
+        monkeypatch.setattr(Trace, "attempts_of", counting)
+        assert sanitize_result(result).ok
+        assert calls == []
 
     def test_non_simulated_backend_refused(self):
         runtime = Runtime(RuntimeConfig(backend=Backend.IN_PROCESS))

@@ -108,6 +108,25 @@ class TestDigests:
         parsed = json.loads(text)
         assert text == json.dumps(parsed, sort_keys=True, separators=(",", ":"))
 
+    def test_fingerprint_covers_workflows_and_metrics(self):
+        """The cost formulas, the run and the cached metrics and trace
+        digest all decide a cached record, so their modules' source is
+        fingerprinted."""
+        from repro.algorithms import (
+            KMeansWorkflow,
+            MatmulFmaWorkflow,
+            SyntheticWorkflow,
+        )
+        from repro.algorithms.matmul import matmul_cost
+        from repro.core.experiments import engine
+        from repro.core.experiments.runners import run_workflow
+        from repro.tracing import trace_digest, user_code_metrics
+
+        for obj in (run_workflow, user_code_metrics, trace_digest,
+                    matmul_cost, KMeansWorkflow, MatmulFmaWorkflow,
+                    SyntheticWorkflow):
+            assert obj.__module__ in engine._MODEL_MODULES, obj
+
     def test_calibration_perturbation_changes_digest(self, monkeypatch):
         """A runtime tweak of any calibration constant must invalidate
         every cached result — a stale hit would silently report figures

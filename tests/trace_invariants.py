@@ -51,8 +51,11 @@ def assert_trace_invariants(trace: Trace) -> None:
         _assert_non_overlapping(intervals)
 
     # -- attempts of one task are time-ordered ----------------------------
-    for task_id in {a.task_id for a in trace.attempts}:
-        attempts = trace.attempts_of(task_id)
+    attempts_of: dict[int, list] = {}
+    for attempt in trace.attempts:
+        attempts_of.setdefault(attempt.task_id, []).append(attempt)
+    for task_id, attempts in attempts_of.items():
+        attempts.sort(key=lambda a: a.attempt)
         numbers = [a.attempt for a in attempts]
         assert numbers == sorted(numbers)
         assert len(set(numbers)) == len(numbers), (
