@@ -11,32 +11,25 @@ This package checks all of them statically and reports structured
 
 Two entry points:
 
-* :func:`analyze` / :func:`analyze_runtime` — library API;
+* :func:`analyze` — library API: a built graph and the
+  :class:`~repro.runtime.RuntimeConfig` it would run under;
 * ``repro lint`` — the CLI front-end (text or JSON output, non-zero exit
   on errors).
+
+Every rule's code, severity, category and summary is written once, in
+:data:`RULES`.
 """
 
-from repro.analysis.analyzer import analyze, analyze_runtime, collect_ref_ids
+from repro.analysis.analyzer import analyze, collect_ref_ids
 from repro.analysis.baseline import filter_new, load_baseline, save_baseline
 from repro.analysis.devlint import LintFinding, lint_paths, lint_source
 from repro.analysis.diagnostics import (
-    CODES,
+    RULES,
     AnalysisReport,
     Diagnostic,
     Severity,
-)
-from repro.analysis.registry import (
-    KIND_DEVLINT,
-    KIND_WORKFLOW,
-    RuleSpec,
-    known_codes,
-    register,
-    register_devlint,
     rule_table,
-    spec_for,
-    specs,
 )
-from repro.analysis.rules import AnalysisOptions, RuleContext, all_rules
 from repro.analysis.sanitizer import (
     SanitizerReport,
     TraceSanitizerError,
@@ -45,33 +38,21 @@ from repro.analysis.sanitizer import (
 )
 
 __all__ = [
-    "AnalysisOptions",
     "AnalysisReport",
-    "CODES",
     "Diagnostic",
-    "KIND_DEVLINT",
-    "KIND_WORKFLOW",
     "LintFinding",
-    "RuleContext",
-    "RuleSpec",
+    "RULES",
     "SanitizerReport",
     "Severity",
     "TraceSanitizerError",
     "Violation",
-    "all_rules",
     "analyze",
-    "analyze_runtime",
     "collect_ref_ids",
     "filter_new",
-    "known_codes",
     "lint_paths",
     "lint_source",
     "load_baseline",
-    "register",
-    "register_devlint",
     "rule_table",
     "sanitize_result",
     "save_baseline",
-    "spec_for",
-    "specs",
 ]

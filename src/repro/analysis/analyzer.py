@@ -1,28 +1,48 @@
 """The static workflow analyzer: run every rule over a built task graph.
 
-:func:`analyze` is the core entry point — pure graph-plus-spec analysis,
-no execution.  :func:`analyze_runtime` is the convenience wrapper used by
-the ``repro lint`` CLI: it pulls the graph, cluster, backend, and GPU mode
-out of a configured :class:`~repro.runtime.Runtime`.
+:func:`analyze` checks a graph against the
+:class:`~repro.runtime.RuntimeConfig` that ``Runtime.run()`` would
+execute it under, so the diagnostics describe exactly that run; nothing
+is executed.
 
 Typical use::
 
     runtime = Runtime(RuntimeConfig(use_gpu=True))
     refs = workflow.build(runtime)
-    report = analyze_runtime(runtime, returned=refs)
+    report = analyze(runtime.graph, runtime.config, returned=refs)
     if report.has_errors:
         print(report.render())          # WF101: host OOM predicted, ...
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
-from repro.analysis.diagnostics import AnalysisReport
-from repro.analysis.rules import AnalysisOptions, RuleContext, all_rules
-from repro.hardware.specs import ClusterSpec
+from repro.analysis import races, rules
+from repro.analysis.diagnostics import AnalysisReport, Diagnostic
 from repro.perfmodel.costmodel import CostModel
 from repro.runtime.dag import TaskGraph
+from repro.runtime.runtime import RuntimeConfig
+
+#: Every workflow rule, in code order: the text report lists the
+#: findings of one severity in this order.
+_CHECKS = (
+    rules.check_dead_tasks,
+    rules.check_missing_costs,
+    rules.check_unreachable_tasks,
+    rules.check_zero_cost_tasks,
+    rules.check_host_memory,
+    rules.check_gpu_memory,
+    rules.check_gpu_available,
+    rules.check_output_blocks_fit_gpu,
+    rules.check_launch_overhead,
+    rules.check_transfer_bound,
+    rules.check_dag_width,
+    rules.check_retries_disabled,
+    rules.check_unprotected_barriers,
+    races.check_read_after_free,
+    races.check_checkpoint_types_exist,
+)
 
 
 def collect_ref_ids(value: Any) -> frozenset[int]:
@@ -59,17 +79,10 @@ def _collect(value: Any, found: set[int]) -> None:
 
 def analyze(
     graph: TaskGraph,
-    cluster: ClusterSpec | None = None,
+    config: RuntimeConfig,
     *,
-    use_gpu: bool = False,
-    gpu_task_types: frozenset[str] | None = None,
-    gpu_overflow_to_cpu: bool = False,
-    backend: str | None = "simulated",
     returned: Any = None,
-    fault_plan: Any = None,
-    retry_policy: Any = None,
-    checkpoint_policy: Any = None,
-    options: AnalysisOptions | None = None,
+    ignore: frozenset[str] = frozenset(),
 ) -> AnalysisReport:
     """Run all diagnostic rules over a built task graph.
 
@@ -77,69 +90,46 @@ def analyze(
     ----------
     graph:
         The workflow DAG (nothing is executed).
-    cluster:
-        Target cluster for the feasibility and performance rules; with
-        ``None`` only the structural ``WF0xx`` rules run.
-    use_gpu:
-        Whether GPU execution is planned (enables the GPU feasibility
-        and performance rules).
-    gpu_task_types / gpu_overflow_to_cpu:
-        The run's hybrid placement and GPU overflow, as in
-        :class:`~repro.runtime.RuntimeConfig`.
-    backend:
-        Target backend name; the in-process backend skips the
-        missing-cost rule.  ``Backend`` enum values are accepted.
+    config:
+        The configuration the graph would run under: cluster, backend,
+        GPU placement, and the fault, retry and checkpoint settings.
     returned:
         The refs the application keeps as results (any nesting), so the
         dead-task rule knows terminal outputs are wanted.  ``None`` means
         unknown: final-level tasks are then given the benefit of the
         doubt.
-    fault_plan / retry_policy / checkpoint_policy:
-        The fault-injection plan and the recovery/checkpoint policies the
-        run would use, for the ``WF3xx`` resilience rules; all default to
-        ``None`` (fault-free execution, no checkpoints).
+    ignore:
+        Codes dropped for the whole pass (the global counterpart of the
+        per-task ``ignore=`` API).
     """
-    backend_name = getattr(backend, "value", backend)
-    context = RuleContext(
+    context = rules.RuleContext(
         graph=graph,
-        cluster=cluster,
-        cost_model=CostModel(cluster) if cluster is not None else None,
-        use_gpu=use_gpu,
-        gpu_task_types=gpu_task_types,
-        gpu_overflow_to_cpu=gpu_overflow_to_cpu,
-        backend=backend_name,
+        config=config,
+        cost_model=CostModel(config.cluster),
         returned_ref_ids=None if returned is None else collect_ref_ids(returned),
-        fault_plan=fault_plan,
-        retry_policy=retry_policy,
-        checkpoint_policy=checkpoint_policy,
-        options=options or AnalysisOptions(),
     )
-    report = AnalysisReport(
-        cluster=cluster.name if cluster is not None else "",
-        use_gpu=use_gpu,
+    findings = [finding for check in _CHECKS for finding in check(context)]
+    return AnalysisReport(
+        cluster=config.cluster.name,
+        use_gpu=config.use_gpu,
+        diagnostics=_apply_suppressions(findings, graph, ignore),
     )
-    for _code, rule_fn in all_rules():
-        report.extend(rule_fn(context))
-    report.diagnostics = _apply_suppressions(
-        report.diagnostics, graph, context.options
-    )
-    return report
 
 
 def _apply_suppressions(
-    diagnostics: list, graph: TaskGraph, options: AnalysisOptions
-) -> list:
+    diagnostics: list[Diagnostic], graph: TaskGraph, ignore: frozenset[str]
+) -> list[Diagnostic]:
     """Drop findings the user has explicitly accepted.
 
-    A diagnostic is suppressed when its code is in ``options.ignore``
-    (global), or when *every* task it names carries the code in its own
-    ``ignore`` set (``@task(ignore=...)`` / ``submit(ignore=...)``).
-    Graph-wide findings (no task ids) only honour the global set — a
-    per-task annotation cannot waive a whole-workflow defect.
+    A diagnostic is suppressed when its code is in ``ignore`` (global),
+    or when *every* task it names carries the code in its own ``ignore``
+    set (``@task(ignore=...)`` / ``submit(ignore=...)``).  Graph-wide
+    findings (no task ids) only honour the global set — a per-task
+    annotation cannot waive a whole-workflow defect.
     """
     kept = []
     for diagnostic in diagnostics:
-        if diagnostic.code in options.ignore:
+        if diagnostic.code in ignore:
             continue
         if diagnostic.task_ids and all(
             diagnostic.code in graph.task(task_id).ignore
@@ -148,30 +138,3 @@ def _apply_suppressions(
             continue
         kept.append(diagnostic)
     return kept
-
-
-def analyze_runtime(
-    runtime: Any,
-    returned: Any = None,
-    options: AnalysisOptions | None = None,
-) -> AnalysisReport:
-    """Analyze the workflow recorded in a :class:`~repro.runtime.Runtime`.
-
-    Reads the cluster, backend, and GPU placement settings from the
-    runtime's config so the diagnostics describe exactly the execution
-    that ``run()`` would perform.
-    """
-    config = runtime.config
-    return analyze(
-        runtime.graph,
-        config.cluster,
-        use_gpu=config.use_gpu,
-        gpu_task_types=config.gpu_task_types,
-        gpu_overflow_to_cpu=config.gpu_overflow_to_cpu,
-        backend=config.backend,
-        returned=returned,
-        fault_plan=getattr(config, "fault_plan", None),
-        retry_policy=getattr(config, "retry_policy", None),
-        checkpoint_policy=getattr(config, "checkpoint_policy", None),
-        options=options,
-    )

@@ -41,39 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from repro.analysis.diagnostics import Severity
-from repro.analysis.registry import register_devlint
-
-register_devlint(
-    "DL001",
-    severity=Severity.WARNING,
-    summary="set/frozenset iterated without sorted(): order varies run to run",
-)
-register_devlint(
-    "DL002",
-    severity=Severity.WARNING,
-    summary="id() used in a sort key or heap entry: address-based tie-breaks",
-)
-register_devlint(
-    "DL003",
-    severity=Severity.WARNING,
-    summary="heappush entry lacks a sequence counter: unstable tie order",
-)
-register_devlint(
-    "DL004",
-    severity=Severity.WARNING,
-    summary="module-global or unseeded RNG: not replayable",
-)
-register_devlint(
-    "DL005",
-    severity=Severity.WARNING,
-    summary="wall-clock read: only simulated time may influence results",
-)
-register_devlint(
-    "DL006",
-    severity=Severity.WARNING,
-    summary="queue.get()/process.join() without a timeout can wedge forever",
-)
+from repro.analysis.diagnostics import RULES, Severity
 
 #: ``# repro: disable=DL001,DL003`` or ``# repro: disable=all``.
 _DISABLE_RE = re.compile(r"#\s*repro:\s*disable=([A-Za-z0-9_,\s]+)")
@@ -107,7 +75,11 @@ class LintFinding:
     #: Enclosing function/class qualname ("<module>" at top level).
     symbol: str
     message: str
-    severity: Severity = Severity.WARNING
+
+    @property
+    def severity(self) -> Severity:
+        """The code's severity, as the rule table states it."""
+        return RULES[self.code].severity
 
     def fingerprint(self) -> str:
         """Baseline key, stable across line drift: ``path|code|symbol``."""

@@ -20,8 +20,10 @@ Codes are grouped by family:
   node-death/recovery paths and checkpoint/lineage inconsistencies
   (:mod:`repro.analysis.races`).
 
-An :class:`AnalysisReport` aggregates the findings of one analyzer pass
-and renders them as text or JSON.
+Each code's severity, category and one-line summary are written once,
+in :data:`RULES`, beside the ``DLnnn`` codes of ``repro devlint``.  An
+:class:`AnalysisReport` aggregates the findings of one analyzer pass and
+renders them as text or JSON.
 """
 
 from __future__ import annotations
@@ -43,27 +45,89 @@ class Severity(str, enum.Enum):
     INFO = "info"
 
 
-#: Stable code -> one-line description of every rule the analyzer knows.
-#: ``docs/linting.md`` documents each with an example and a fix.
-CODES: dict[str, str] = {
-    "WF005": "dead task: outputs never consumed nor returned",
-    "WF006": "task has no TaskCost for the simulated backend",
-    "WF007": "unreachable task: disconnected from the rest of the DAG",
-    "WF008": "zero-cost task: a TaskCost whose every stage is zero",
-    "WF101": "host working set exceeds node RAM (the paper's 'CPU GPU OOM')",
-    "WF102": "GPU working set exceeds device memory (the paper's 'GPU OOM')",
-    "WF103": "GPU execution requested on a cluster without GPU devices",
-    "WF104": "output block larger than one GPU device's memory",
-    "WF201": "kernel launch overhead dominates the GPU parallel fraction (O1)",
-    "WF202": "PCIe transfer time exceeds modeled GPU kernel time (O4)",
-    "WF203": "DAG width far below the cluster's parallel slot count",
-    "WF301": "fault plan injects failures but the retry policy allows no retries",
-    "WF303": "node faults can destroy the only replica of a barrier output "
-    "(no checkpoint policy)",
-    "WF402": "read-after-free: lineage recovery can walk into a "
-    "permanently failed producer",
-    "WF404": "checkpoint policy names task types absent from the graph",
+@dataclass(frozen=True)
+class Rule:
+    """One row of the rule table."""
+
+    code: str
+    severity: Severity
+    #: Rule family ("graph", "feasibility", "performance", "resilience",
+    #: "races", "determinism").
+    category: str
+    summary: str
+
+
+#: Every rule, workflow (``WFnnn``) and devlint (``DLnnn``), by code: the
+#: one place a code's severity, category and summary are written.
+#: ``docs/linting.md`` documents each with an example and a fix, and
+#: embeds :func:`rule_table`.
+RULES: dict[str, Rule] = {
+    rule.code: rule
+    for rule in (
+        Rule("DL001", Severity.WARNING, "determinism",
+             "set/frozenset iterated without sorted(): order varies run to run"),
+        Rule("DL002", Severity.WARNING, "determinism",
+             "id() used in a sort key or heap entry: address-based tie-breaks"),
+        Rule("DL003", Severity.WARNING, "determinism",
+             "heappush entry lacks a sequence counter: unstable tie order"),
+        Rule("DL004", Severity.WARNING, "determinism",
+             "module-global or unseeded RNG: not replayable"),
+        Rule("DL005", Severity.WARNING, "determinism",
+             "wall-clock read: only simulated time may influence results"),
+        Rule("DL006", Severity.WARNING, "determinism",
+             "queue.get()/process.join() without a timeout can wedge forever"),
+        Rule("WF005", Severity.WARNING, "graph",
+             "dead task: outputs never consumed nor returned"),
+        Rule("WF006", Severity.WARNING, "graph",
+             "task has no TaskCost for the simulated backend"),
+        Rule("WF007", Severity.WARNING, "graph",
+             "unreachable task: disconnected from the rest of the DAG"),
+        Rule("WF008", Severity.WARNING, "graph",
+             "zero-cost task: a TaskCost whose every stage is zero"),
+        Rule("WF101", Severity.ERROR, "feasibility",
+             "host working set exceeds node RAM (the paper's 'CPU GPU OOM')"),
+        Rule("WF102", Severity.ERROR, "feasibility",
+             "GPU working set exceeds device memory (the paper's 'GPU OOM')"),
+        Rule("WF103", Severity.ERROR, "feasibility",
+             "GPU execution requested on a cluster without GPU devices"),
+        Rule("WF104", Severity.WARNING, "feasibility",
+             "output block larger than one GPU device's memory"),
+        Rule("WF201", Severity.WARNING, "performance",
+             "kernel launch overhead dominates the GPU parallel fraction (O1)"),
+        Rule("WF202", Severity.WARNING, "performance",
+             "PCIe transfer time exceeds modeled GPU kernel time (O4)"),
+        Rule("WF203", Severity.INFO, "performance",
+             "DAG width far below the cluster's parallel slot count"),
+        Rule("WF301", Severity.WARNING, "resilience",
+             "fault plan injects failures but the retry policy allows no retries"),
+        Rule("WF303", Severity.WARNING, "resilience",
+             "node faults can destroy the only replica of a barrier output "
+             "(no checkpoint policy)"),
+        Rule("WF402", Severity.WARNING, "races",
+             "read-after-free: lineage recovery can walk into a "
+             "permanently failed producer"),
+        Rule("WF404", Severity.WARNING, "races",
+             "checkpoint policy names task types absent from the graph"),
+    )
 }
+
+
+def rule_table() -> str:
+    """The docs/linting.md rule table: one markdown row per rule.
+
+    ``tests/test_docs_consistency.py`` asserts the committed table
+    equals this output, so it cannot drift.
+    """
+    lines = [
+        "| code | severity | category | summary |",
+        "| --- | --- | --- | --- |",
+    ]
+    for rule in RULES.values():
+        lines.append(
+            f"| {rule.code} | {rule.severity.value} | {rule.category} "
+            f"| {rule.summary} |"
+        )
+    return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -76,7 +140,6 @@ class Diagnostic:
     """
 
     code: str
-    severity: Severity
     message: str
     task_ids: tuple[int, ...] = ()
     task_type: str = ""
@@ -84,8 +147,13 @@ class Diagnostic:
     hint: str = ""
 
     def __post_init__(self) -> None:
-        if self.code not in CODES:
+        if self.code not in RULES:
             raise ValueError(f"unknown diagnostic code {self.code!r}")
+
+    @property
+    def severity(self) -> Severity:
+        """The code's severity, as the rule table states it."""
+        return RULES[self.code].severity
 
     def to_dict(self) -> dict:
         """JSON-ready representation (``repro lint --format json``)."""
@@ -118,15 +186,10 @@ class Diagnostic:
 class AnalysisReport:
     """All findings of one static-analysis pass over a workflow."""
 
+    #: Name of the cluster the run targets.
+    cluster: str
+    use_gpu: bool
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    #: Label of the cluster the feasibility rules checked against ("" when
-    #: the analyzer ran structure-only, without a ClusterSpec).
-    cluster: str = ""
-    use_gpu: bool = False
-
-    def extend(self, findings: list[Diagnostic]) -> None:
-        """Append findings from one rule."""
-        self.diagnostics.extend(findings)
 
     def by_severity(self, severity: Severity) -> list[Diagnostic]:
         """Findings of one severity, in emission order."""
@@ -161,12 +224,8 @@ class AnalysisReport:
 
     def render(self) -> str:
         """The whole report as text (``repro lint`` default output)."""
-        lines = []
-        header = "workflow analysis"
-        if self.cluster:
-            header += f" against {self.cluster}"
-            header += " (GPU execution)" if self.use_gpu else " (CPU execution)"
-        lines.append(header)
+        mode = "GPU" if self.use_gpu else "CPU"
+        lines = [f"workflow analysis against {self.cluster} ({mode} execution)"]
         if not self.diagnostics:
             lines.append("no findings: workflow is clean")
             return "\n".join(lines)
@@ -180,16 +239,14 @@ class AnalysisReport:
         )
         return "\n".join(lines)
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         """The whole report as JSON (``repro lint --format json``).
 
         The output is byte-stable: diagnostics are ordered by
         (code, task ids, task type) rather than rule-emission order, keys
-        are sorted, and the encoding matches
-        :func:`~repro.core.persistence.dumps_deterministic` (``indent``
-        is accepted for backwards compatibility but the deterministic
-        two-space indent always applies), so CI can diff lint reports
-        across runs.
+        are sorted, and the encoding is
+        :func:`~repro.core.persistence.dumps_deterministic`'s, so CI can
+        diff lint reports across runs.
         """
         from repro.core.persistence import dumps_deterministic
 

@@ -21,21 +21,21 @@ recovery or checkpoints — the interplay tests pin that down.
 
 from __future__ import annotations
 
-from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.registry import register
+from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.rules import RuleContext, _grouped, _ids
+from repro.faults import FaultPlan
+from repro.runtime.task import Task
 
 
-def _crash_exhausts_retries(plan, policy, task) -> bool:
+def _crash_exhausts_retries(plan: FaultPlan, max_attempts: int, task: Task) -> bool:
     """Whether a planned crash provably fails ``task`` permanently.
 
     True when some TaskCrash matches the task and its ``attempts`` tuple
     covers every attempt the retry budget allows — the task cannot ever
     commit, no matter how the schedule unfolds.
     """
-    max_attempts = getattr(policy, "max_attempts", 3) if policy else 3
     budget = set(range(1, max_attempts + 1))
-    for crash in getattr(plan, "task_crashes", ()):
+    for crash in plan.task_crashes:
         if crash.task_id is not None and crash.task_id != task.task_id:
             continue
         if crash.task_type is not None and crash.task_type != task.name:
@@ -47,7 +47,6 @@ def _crash_exhausts_retries(plan, policy, task) -> bool:
     return False
 
 
-@register("WF402", severity=Severity.WARNING, category="races")
 def check_read_after_free(ctx: RuleContext) -> list[Diagnostic]:
     """WF402 — lineage recovery can walk into a permanently failed producer.
 
@@ -59,15 +58,13 @@ def check_read_after_free(ctx: RuleContext) -> list[Diagnostic]:
     fails, cascading to its dependents.  Checkpointed producers are safe
     — the durable copy terminates the walk before the doomed task.
     """
-    plan = ctx.fault_plan
+    plan = ctx.config.fault_plan
     policy = ctx.retry_policy
-    if plan is None or getattr(plan, "is_empty", True):
-        return []
-    if not getattr(plan, "node_faults", ()):
+    if plan is None or not plan.node_faults:
         return []  # no node death, no lost blocks, no lineage walk
-    if policy is None or not getattr(policy, "recover_lost_blocks", False):
+    if not policy.recover_lost_blocks:
         return []  # recovery off: losses fail fast, nothing resurrects
-    checkpoint = ctx.checkpoint_policy
+    checkpoint = ctx.config.checkpoint_policy
     levels = ctx.graph.levels()
     consumed = {
         ref.ref_id for task in ctx.graph.tasks() for ref in task.inputs
@@ -76,7 +73,7 @@ def check_read_after_free(ctx: RuleContext) -> list[Diagnostic]:
     for task in ctx.graph.tasks():
         if not any(ref.ref_id in consumed for ref in task.outputs):
             continue  # nothing downstream ever walks into this producer
-        if not _crash_exhausts_retries(plan, policy, task):
+        if not _crash_exhausts_retries(plan, policy.max_attempts, task):
             continue
         if checkpoint is not None and checkpoint.applies(
             task.name, levels[task.task_id]
@@ -88,7 +85,6 @@ def check_read_after_free(ctx: RuleContext) -> list[Diagnostic]:
         findings.append(
             Diagnostic(
                 code="WF402",
-                severity=Severity.WARNING,
                 message=(
                     f"{len(tasks)} {name!r} producer task(s) are crashed on "
                     "every allowed attempt while node faults plus "
@@ -105,7 +101,6 @@ def check_read_after_free(ctx: RuleContext) -> list[Diagnostic]:
     return findings
 
 
-@register("WF404", severity=Severity.WARNING, category="races")
 def check_checkpoint_types_exist(ctx: RuleContext) -> list[Diagnostic]:
     """WF404 — the checkpoint policy names task types the graph lacks.
 
@@ -114,12 +109,10 @@ def check_checkpoint_types_exist(ctx: RuleContext) -> list[Diagnostic]:
     exactly as if checkpointing were off, which is almost certainly a
     typo rather than an intent.
     """
-    checkpoint = ctx.checkpoint_policy
-    if checkpoint is None:
+    checkpoint = ctx.config.checkpoint_policy
+    if checkpoint is None or not checkpoint.task_types:
         return []
-    wanted = getattr(checkpoint, "task_types", None)
-    if not wanted:
-        return []
+    wanted = checkpoint.task_types
     present = {task.name for task in ctx.graph.tasks()}
     missing = sorted(set(wanted) - present)
     if not missing:
@@ -128,7 +121,6 @@ def check_checkpoint_types_exist(ctx: RuleContext) -> list[Diagnostic]:
     return [
         Diagnostic(
             code="WF404",
-            severity=Severity.WARNING,
             message=(
                 f"checkpoint policy names task type(s) {shown} that the "
                 "workflow does not contain"

@@ -1,12 +1,13 @@
 """The analyzer's rule set, one function per ``WFnnn`` diagnostic code.
 
-Each rule inspects a :class:`RuleContext` — the task graph plus (when a
-cluster was given) the :class:`~repro.perfmodel.CostModel` that maps
+Each rule inspects a :class:`RuleContext` — the task graph, the
+:class:`~repro.runtime.RuntimeConfig` the executor would run it under,
+and the :class:`~repro.perfmodel.CostModel` that maps
 :class:`~repro.perfmodel.TaskCost` demands to stage durations — and
 returns zero or more :class:`~repro.analysis.diagnostics.Diagnostic`
 findings.  Rules never execute tasks: everything here is a function of
-the DAG, the declared demands, and the cluster spec, which is what makes
-the paper's headline failures (Figure 9a's "CPU GPU OOM", O1's
+the DAG, the declared demands, and the configuration, which is what
+makes the paper's headline failures (Figure 9a's "CPU GPU OOM", O1's
 launch-overhead regime, O4's transfer-bound placements) predictable
 before dispatch.
 
@@ -16,39 +17,23 @@ record per defect, not 768.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
-from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.registry import register
-from repro.hardware.specs import ClusterSpec
+from repro.analysis.diagnostics import Diagnostic
+from repro.faults import RetryPolicy
 from repro.perfmodel.costmodel import CostModel
 from repro.runtime.dag import TaskGraph
+from repro.runtime.runtime import Backend, RuntimeConfig
 from repro.runtime.task import Task, gpu_intended
 
 GIB = 1024**3
 
-
-@dataclass(frozen=True)
-class AnalysisOptions:
-    """Tunable thresholds of the performance-smell rules."""
-
-    #: WF201 fires when launch overhead is at least this share of the GPU
-    #: parallel-fraction time (0.5 = overhead equals useful kernel work).
-    launch_overhead_share: float = 0.5
-    #: WF203 fires when the DAG width is below this share of the
-    #: cluster's parallel slots.
-    width_slot_share: float = 0.25
-    #: Diagnostic codes suppressed for the whole analysis pass (the
-    #: global counterpart of the per-task ``ignore=`` API).
-    ignore: frozenset[str] = frozenset()
-
-    def __post_init__(self) -> None:
-        if not 0 < self.launch_overhead_share <= 1:
-            raise ValueError("launch_overhead_share must be in (0, 1]")
-        if not 0 < self.width_slot_share <= 1:
-            raise ValueError("width_slot_share must be in (0, 1]")
-        object.__setattr__(self, "ignore", frozenset(self.ignore))
+#: WF201 fires when launch overhead is at least this share of the GPU
+#: parallel-fraction time (0.5 = overhead equals useful kernel work).
+LAUNCH_OVERHEAD_SHARE = 0.5
+#: WF203 fires when the DAG width is below this share of the cluster's
+#: parallel slots.
+WIDTH_SLOT_SHARE = 0.25
 
 
 @dataclass(frozen=True)
@@ -56,43 +41,17 @@ class RuleContext:
     """Everything a rule may inspect."""
 
     graph: TaskGraph
-    cluster: ClusterSpec | None = None
-    cost_model: CostModel | None = None
-    use_gpu: bool = False
-    #: The run's hybrid placement and GPU overflow, as in ``RuntimeConfig``.
-    gpu_task_types: frozenset[str] | None = None
-    gpu_overflow_to_cpu: bool = False
-    #: Backend the workflow targets ("simulated", "in_process") or
-    #: ``None`` for backend-agnostic analysis.
-    backend: str | None = "simulated"
+    #: The configuration ``Runtime.run()`` would execute the graph under.
+    config: RuntimeConfig
+    cost_model: CostModel
     #: Ref ids the application keeps as workflow results, or ``None``
     #: when unknown (the dead-task rule then only flags interior tasks).
     returned_ref_ids: frozenset[int] | None = None
-    #: Fault plan the run would inject (``None`` = fault-free), for the
-    #: WF3xx resilience rules.
-    fault_plan: object | None = None
-    #: Recovery policy the run would apply; ``None`` means the executor's
-    #: default (which does retry).
-    retry_policy: object | None = None
-    #: Checkpoint policy the run would apply (``None`` = no checkpoints),
-    #: for the lineage-depth rule WF303.
-    checkpoint_policy: object | None = None
-    options: AnalysisOptions = field(default_factory=AnalysisOptions)
 
-
-Rule = Callable[[RuleContext], list[Diagnostic]]
-
-
-def all_rules() -> list[tuple[str, Rule]]:
-    """Every registered workflow rule as (code, function), ordered by code.
-
-    Backed by the pluggable registry of
-    :mod:`repro.analysis.registry`, which also covers the ``WF4xx``
-    race rules of :mod:`repro.analysis.races`.
-    """
-    from repro.analysis.registry import workflow_rules
-
-    return workflow_rules()
+    @property
+    def retry_policy(self) -> RetryPolicy:
+        """The run's recovery rules; the executor's default when unset."""
+        return self.config.retry_policy or RetryPolicy()
 
 
 # --------------------------------------------------------------- helpers
@@ -112,7 +71,6 @@ def _ids(tasks: list[Task]) -> tuple[int, ...]:
 
 
 # --------------------------------------------------- WF0xx: graph hazards
-@register("WF005", severity=Severity.WARNING, category="graph")
 def check_dead_tasks(ctx: RuleContext) -> list[Diagnostic]:
     """WF005 — every task's outputs should be consumed or returned."""
     graph = ctx.graph
@@ -143,7 +101,6 @@ def check_dead_tasks(ctx: RuleContext) -> list[Diagnostic]:
         findings.append(
             Diagnostic(
                 code="WF005",
-                severity=Severity.WARNING,
                 message=f"{len(tasks)} {name!r} task(s) produce outputs that "
                 "no task consumes and the workflow never returns; their work "
                 "is wasted",
@@ -155,10 +112,9 @@ def check_dead_tasks(ctx: RuleContext) -> list[Diagnostic]:
     return findings
 
 
-@register("WF006", severity=Severity.WARNING, category="graph")
 def check_missing_costs(ctx: RuleContext) -> list[Diagnostic]:
     """WF006 — the simulated backend needs a TaskCost per task."""
-    if ctx.backend not in (None, "simulated"):
+    if ctx.config.backend is not Backend.SIMULATED:
         return []  # real-execution backends run the actual function
     missing = [t for t in ctx.graph.tasks() if t.cost is None]
     findings = []
@@ -166,7 +122,6 @@ def check_missing_costs(ctx: RuleContext) -> list[Diagnostic]:
         findings.append(
             Diagnostic(
                 code="WF006",
-                severity=Severity.WARNING,
                 message=f"{len(tasks)} {name!r} task(s) have no TaskCost; the "
                 "simulated backend will run them with zero-duration stages, "
                 "skewing every timing metric",
@@ -178,7 +133,6 @@ def check_missing_costs(ctx: RuleContext) -> list[Diagnostic]:
     return findings
 
 
-@register("WF007", severity=Severity.WARNING, category="graph")
 def check_unreachable_tasks(ctx: RuleContext) -> list[Diagnostic]:
     """WF007 — a task disconnected from the rest of the DAG.
 
@@ -204,7 +158,6 @@ def check_unreachable_tasks(ctx: RuleContext) -> list[Diagnostic]:
         findings.append(
             Diagnostic(
                 code="WF007",
-                severity=Severity.WARNING,
                 message=f"{len(tasks)} {name!r} task(s) are disconnected from "
                 "the rest of the DAG (no predecessors, no successors, outputs "
                 "never returned); they burn a core without contributing to "
@@ -218,7 +171,6 @@ def check_unreachable_tasks(ctx: RuleContext) -> list[Diagnostic]:
     return findings
 
 
-@register("WF008", severity=Severity.WARNING, category="graph")
 def check_zero_cost_tasks(ctx: RuleContext) -> list[Diagnostic]:
     """WF008 — a TaskCost whose every stage simulates as zero.
 
@@ -227,7 +179,7 @@ def check_zero_cost_tasks(ctx: RuleContext) -> list[Diagnostic]:
     collapse to instants.  That silently skews every timing metric the
     same way a missing cost does, while looking intentional.
     """
-    if ctx.backend not in (None, "simulated"):
+    if ctx.config.backend is not Backend.SIMULATED:
         return []  # real-execution backends run the actual function
     zero = [
         t
@@ -244,7 +196,6 @@ def check_zero_cost_tasks(ctx: RuleContext) -> list[Diagnostic]:
         findings.append(
             Diagnostic(
                 code="WF008",
-                severity=Severity.WARNING,
                 message=f"{len(tasks)} {name!r} task(s) declare a TaskCost "
                 "whose every duration-bearing field is zero; the simulated "
                 "backend runs them as zero-duration stages, skewing every "
@@ -259,12 +210,9 @@ def check_zero_cost_tasks(ctx: RuleContext) -> list[Diagnostic]:
 
 
 # ---------------------------------------------------- WF1xx: feasibility
-@register("WF101", severity=Severity.ERROR, category="feasibility")
 def check_host_memory(ctx: RuleContext) -> list[Diagnostic]:
     """WF101 — per-task host working set vs node RAM (Figure 9a)."""
-    if ctx.cluster is None:
-        return []
-    ram = ctx.cluster.node.ram_bytes
+    ram = ctx.config.cluster.node.ram_bytes
     offenders = [
         t
         for t in ctx.graph.tasks()
@@ -276,7 +224,6 @@ def check_host_memory(ctx: RuleContext) -> list[Diagnostic]:
         findings.append(
             Diagnostic(
                 code="WF101",
-                severity=Severity.ERROR,
                 message=(
                     f"{len(tasks)} {name!r} task(s) need up to {_gib(worst)} "
                     f"of host RAM but a node has {_gib(ram)}; execution "
@@ -294,26 +241,25 @@ def check_host_memory(ctx: RuleContext) -> list[Diagnostic]:
 
 def _intended(ctx: RuleContext) -> list[Task]:
     """The tasks the run means for GPU devices."""
-    types = ctx.gpu_task_types
-    return [t for t in ctx.graph.tasks() if gpu_intended(t, ctx.use_gpu, types)]
+    use_gpu, types = ctx.config.use_gpu, ctx.config.gpu_task_types
+    return [t for t in ctx.graph.tasks() if gpu_intended(t, use_gpu, types)]
 
 
 def _gpu_tasks(ctx: RuleContext) -> list[Task]:
     """GPU-intended tasks with costs, when a GPU run targets a GPU cluster."""
-    if ctx.cluster is None or not ctx.use_gpu or not ctx.cluster.has_gpus:
+    if not ctx.config.use_gpu or not ctx.config.cluster.has_gpus:
         return []
     return [t for t in _intended(ctx) if t.cost is not None]
 
 
-@register("WF102", severity=Severity.ERROR, category="feasibility")
 def check_gpu_memory(ctx: RuleContext) -> list[Diagnostic]:
     """WF102 — per-task device working set vs GPU memory (Figure 9a).
 
     Quiet under GPU overflow, which runs such a task on a CPU core.
     """
-    if ctx.cluster is None or ctx.gpu_overflow_to_cpu:
+    if ctx.config.gpu_overflow_to_cpu:
         return []
-    device = ctx.cluster.node.gpu
+    device = ctx.config.cluster.node.gpu
     offenders = [
         t
         for t in _gpu_tasks(ctx)
@@ -325,7 +271,6 @@ def check_gpu_memory(ctx: RuleContext) -> list[Diagnostic]:
         findings.append(
             Diagnostic(
                 code="WF102",
-                severity=Severity.ERROR,
                 message=(
                     f"{len(tasks)} {name!r} task(s) need up to {_gib(worst)} "
                     f"of device memory but {device.name} has "
@@ -341,10 +286,10 @@ def check_gpu_memory(ctx: RuleContext) -> list[Diagnostic]:
     return findings
 
 
-@register("WF103", severity=Severity.ERROR, category="feasibility")
 def check_gpu_available(ctx: RuleContext) -> list[Diagnostic]:
     """WF103 — a GPU run needs a cluster that has GPU devices."""
-    if ctx.cluster is None or not ctx.use_gpu or ctx.cluster.has_gpus:
+    cluster = ctx.config.cluster
+    if not ctx.config.use_gpu or cluster.has_gpus:
         return []
     intended = _intended(ctx)
     if not intended:
@@ -352,10 +297,9 @@ def check_gpu_available(ctx: RuleContext) -> list[Diagnostic]:
     return [
         Diagnostic(
             code="WF103",
-            severity=Severity.ERROR,
             message=(
                 f"GPU execution requested but cluster "
-                f"{ctx.cluster.name!r} has no GPU devices; "
+                f"{cluster.name!r} has no GPU devices; "
                 f"{len(intended)} GPU-eligible task(s) cannot be placed"
             ),
             task_ids=_ids(intended),
@@ -365,12 +309,9 @@ def check_gpu_available(ctx: RuleContext) -> list[Diagnostic]:
     ]
 
 
-@register("WF104", severity=Severity.WARNING, category="feasibility")
 def check_output_blocks_fit_gpu(ctx: RuleContext) -> list[Diagnostic]:
     """WF104 — each produced block should fit one GPU device's memory."""
-    if ctx.cluster is None:
-        return []
-    device = ctx.cluster.node.gpu
+    device = ctx.config.cluster.node.gpu
     offenders: list[Task] = []
     worst = 0
     for task in _gpu_tasks(ctx):
@@ -385,7 +326,6 @@ def check_output_blocks_fit_gpu(ctx: RuleContext) -> list[Diagnostic]:
         findings.append(
             Diagnostic(
                 code="WF104",
-                severity=Severity.WARNING,
                 message=(
                     f"{len(tasks)} {name!r} task(s) produce a block of up to "
                     f"{_gib(worst)}, larger than one {device.name} "
@@ -401,34 +341,30 @@ def check_output_blocks_fit_gpu(ctx: RuleContext) -> list[Diagnostic]:
 
 
 # ----------------------------------------------- WF2xx: performance smells
-@register("WF201", severity=Severity.WARNING, category="performance")
 def check_launch_overhead(ctx: RuleContext) -> list[Diagnostic]:
     """WF201 — tiny kernels where launch overhead dominates (O1)."""
     model = ctx.cost_model
-    if model is None:
-        return []
     launch = model.gpu.launch_overhead
     if launch <= 0:
         return []
-    share = ctx.options.launch_overhead_share
     offenders = []
     for task in _gpu_tasks(ctx):
         if task.cost.parallel_flops <= 0:
             continue
         total = model.parallel_fraction_time_gpu(task.cost)
-        if total > 0 and launch / total >= share:
+        if total > 0 and launch / total >= LAUNCH_OVERHEAD_SHARE:
             offenders.append(task)
     findings = []
     for name, tasks in _grouped(offenders).items():
         findings.append(
             Diagnostic(
                 code="WF201",
-                severity=Severity.WARNING,
                 message=(
                     f"{len(tasks)} {name!r} kernel(s) are so small that "
                     f"launch overhead ({launch * 1e6:.0f} us) is >= "
-                    f"{share:.0%} of their GPU parallel fraction; the GPU "
-                    "cannot pay off at this granularity (the paper's O1)"
+                    f"{LAUNCH_OVERHEAD_SHARE:.0%} of their GPU parallel "
+                    "fraction; the GPU cannot pay off at this granularity "
+                    "(the paper's O1)"
                 ),
                 task_ids=_ids(tasks),
                 task_type=name,
@@ -439,12 +375,9 @@ def check_launch_overhead(ctx: RuleContext) -> list[Diagnostic]:
     return findings
 
 
-@register("WF202", severity=Severity.WARNING, category="performance")
 def check_transfer_bound(ctx: RuleContext) -> list[Diagnostic]:
     """WF202 — PCIe transfer time exceeds modeled kernel time (O4)."""
     model = ctx.cost_model
-    if model is None:
-        return []
     offenders = []
     for task in _gpu_tasks(ctx):
         if task.cost.host_device_bytes <= 0 or task.cost.parallel_flops <= 0:
@@ -458,7 +391,6 @@ def check_transfer_bound(ctx: RuleContext) -> list[Diagnostic]:
         findings.append(
             Diagnostic(
                 code="WF202",
-                severity=Severity.WARNING,
                 message=(
                     f"{len(tasks)} {name!r} task(s) spend longer moving data "
                     "over PCIe than computing on the device; GPU placement "
@@ -473,23 +405,21 @@ def check_transfer_bound(ctx: RuleContext) -> list[Diagnostic]:
     return findings
 
 
-@register("WF203", severity=Severity.INFO, category="performance")
 def check_dag_width(ctx: RuleContext) -> list[Diagnostic]:
     """WF203 — the DAG should be wide enough to fill the cluster."""
-    if ctx.cluster is None or ctx.graph.num_tasks <= 1:
+    if ctx.graph.num_tasks <= 1:
         return []
     width = ctx.graph.width
-    slots = ctx.cluster.parallel_slots(ctx.use_gpu)
-    threshold = slots * ctx.options.width_slot_share
-    if slots <= 0 or width >= threshold:
+    use_gpu = ctx.config.use_gpu
+    slots = ctx.config.cluster.parallel_slots(use_gpu)
+    if slots <= 0 or width >= slots * WIDTH_SLOT_SHARE:
         return []
-    kind = "GPU devices" if ctx.use_gpu else "CPU cores"
+    kind = "GPU devices" if use_gpu else "CPU cores"
     return [
         Diagnostic(
             code="WF203",
-            severity=Severity.INFO,
             message=(
-                f"DAG width {width} uses under {ctx.options.width_slot_share:.0%} "
+                f"DAG width {width} uses under {WIDTH_SLOT_SHARE:.0%} "
                 f"of the cluster's {slots} {kind}; most of the cluster will "
                 "sit idle"
             ),
@@ -499,24 +429,18 @@ def check_dag_width(ctx: RuleContext) -> list[Diagnostic]:
 
 
 # --------------------------------------------------- WF3xx: resilience
-@register("WF301", severity=Severity.WARNING, category="resilience")
 def check_retries_disabled(ctx: RuleContext) -> list[Diagnostic]:
     """WF301 — an injecting fault plan with retries turned off.
 
-    Only fires when a retry policy was *explicitly* configured with a
-    single-attempt budget; with no policy the executor's default (which
-    retries) applies.
+    Fires for a single-attempt budget; with no policy the executor's
+    default (which retries) applies.
     """
-    plan = ctx.fault_plan
-    policy = ctx.retry_policy
-    if plan is None or getattr(plan, "is_empty", True):
-        return []
-    if policy is None or getattr(policy, "max_attempts", 2) > 1:
+    plan = ctx.config.fault_plan
+    if plan is None or plan.is_empty or ctx.retry_policy.max_attempts > 1:
         return []
     return [
         Diagnostic(
             code="WF301",
-            severity=Severity.WARNING,
             message=(
                 "the fault plan injects failures but retry_policy allows "
                 "only one attempt per task; any injected fault fails the "
@@ -528,7 +452,6 @@ def check_retries_disabled(ctx: RuleContext) -> list[Diagnostic]:
     ]
 
 
-@register("WF303", severity=Severity.WARNING, category="resilience")
 def check_unprotected_barriers(ctx: RuleContext) -> list[Diagnostic]:
     """WF303 — node faults can destroy the only replica of a barrier output.
 
@@ -539,12 +462,10 @@ def check_unprotected_barriers(ctx: RuleContext) -> list[Diagnostic]:
     recomputation to walk back through the barrier and re-run everything
     behind it (recovery on).  A checkpoint at the barrier bounds both.
     """
-    plan = ctx.fault_plan
-    if plan is None or getattr(plan, "is_empty", True):
+    plan = ctx.config.fault_plan
+    if plan is None or not plan.node_faults:
         return []
-    if not getattr(plan, "node_faults", ()):
-        return []
-    if ctx.checkpoint_policy is not None:
+    if ctx.config.checkpoint_policy is not None:
         return []
     graph = ctx.graph
     levels = graph.levels()
@@ -567,7 +488,6 @@ def check_unprotected_barriers(ctx: RuleContext) -> list[Diagnostic]:
     return [
         Diagnostic(
             code="WF303",
-            severity=Severity.WARNING,
             message=(
                 f"the fault plan kills node(s) while {len(barriers)} barrier "
                 "task(s) (single-task DAG levels) produce the only replica "

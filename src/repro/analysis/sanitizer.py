@@ -23,7 +23,7 @@ produced trace through five checks:
   committed record straddles the instant its node was killed.
 
 Off by default (it costs a full pass over the trace); CI arms it on the
-18-cell golden suite, where it must report zero violations without
+24-cell golden suite, where it must report zero violations without
 perturbing a single trace byte — the sanitizer only *reads* the trace.
 """
 
@@ -107,11 +107,6 @@ class TraceSanitizerError(RuntimeError):
             f"trace sanitizer found {len(report.violations)} violation(s) "
             f"[{', '.join(checks)}]; see .report for details"
         )
-
-
-def _occupancy(trace: Trace):
-    """The records describing core occupancy (attempts when present)."""
-    return trace.occupancy()
 
 
 # ------------------------------------------------------------ the checks
@@ -274,7 +269,7 @@ def _sweep_peak(intervals: list[tuple[float, float, int]]) -> int:
 def _check_conservation(result: "WorkflowResult", out: list[Violation]) -> None:
     config = result.config
     spec = config.cluster
-    occupancy = _occupancy(result.trace)
+    occupancy = result.trace.occupancy()
     cpu_weight = config.cpu_threads_per_task
     by_node: dict[int, dict[str, list[tuple[float, float, int]]]] = {}
     by_slot: dict[tuple[int, int], list[tuple[float, float, str]]] = {}

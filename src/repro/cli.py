@@ -467,14 +467,14 @@ def _cmd_observations() -> int:
 
 
 def _cmd_lint(args, parser: argparse.ArgumentParser) -> int:
-    from repro.analysis import analyze_runtime
+    from repro.analysis import analyze
     from repro.runtime import Runtime, RuntimeConfig
 
     cluster = _or_usage_error(parser, cluster_presets()[args.preset], args.nodes)
     workflow = _or_usage_error(parser, _make_workflow, args)
     runtime = Runtime(RuntimeConfig(cluster=cluster, use_gpu=args.gpu))
     returned = workflow.build(runtime)
-    report = analyze_runtime(runtime, returned=returned)
+    report = analyze(runtime.graph, runtime.config, returned=returned)
     if args.format == "json":
         print(report.to_json())
     else:

@@ -108,6 +108,17 @@ class RuntimeConfig:
             raise ValueError("jitter_sigma must be non-negative")
         if self.warmup_overhead < 0:
             raise ValueError("warmup_overhead must be non-negative")
+        if self.backend is Backend.IN_PROCESS:
+            for name, value in (
+                ("fault_plan", self.fault_plan),
+                ("retry_policy", self.retry_policy),
+                ("checkpoint_policy", self.checkpoint_policy),
+            ):
+                if value is not None:
+                    raise ValueError(
+                        f"{name} requires the simulated backend; the "
+                        "in-process backend injects no faults"
+                    )
         if self.fault_plan is not None:
             for fault in self.fault_plan.node_faults:
                 if fault.node >= self.cluster.num_nodes:

@@ -36,7 +36,7 @@ class Task:
     args: tuple[Any, ...] = ()
     kwargs: dict[str, Any] = field(default_factory=dict)
     #: Analyzer codes (``WFnnn``) suppressed for this task — the
-    #: task-level counterpart of ``AnalysisOptions.ignore``.  Set via
+    #: task-level counterpart of ``analyze(ignore=...)``.  Set via
     #: ``@task(ignore={...})`` or ``Runtime.submit(ignore={...})`` for
     #: findings that are reviewed and accepted (e.g. a deliberately
     #: tiny kernel tripping WF201).

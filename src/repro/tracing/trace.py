@@ -451,15 +451,7 @@ class Trace:
             )
         return counts
 
-    def stages_of(self, stage: Stage) -> list[StageRecord]:
-        """All records of one stage kind."""
-        return [r for r in self.stages if r.stage is stage]
-
     def task_types(self) -> list[str]:
         """Distinct task types in first-seen order of the task rows."""
         names = self.names
         return [names[i] for i in dict.fromkeys(self.task_columns.type_id)]
-
-    def levels(self) -> list[int]:
-        """Distinct DAG levels present, ascending."""
-        return sorted({t.level for t in self.tasks})

@@ -1,7 +1,7 @@
 """Block-access race rules (WF4xx): fire on the hazard, stay quiet on
 every safe configuration."""
 
-from repro.analysis import AnalysisOptions, analyze
+from repro.analysis import analyze
 from repro.faults import (
     CheckpointPolicy,
     FaultPlan,
@@ -9,9 +9,8 @@ from repro.faults import (
     RetryPolicy,
     TaskCrash,
 )
-from repro.hardware import minotauro
 from repro.perfmodel import TaskCost
-from repro.runtime import DataRef, Task, TaskGraph
+from repro.runtime import DataRef, RuntimeConfig, Task, TaskGraph
 from repro.tracing import Stage
 
 
@@ -65,9 +64,10 @@ class TestReadAfterFree:
     def test_wf402_fires_on_exhausted_producer(self):
         report = analyze(
             self._graph(),
-            minotauro(),
-            fault_plan=self._plan(),
-            retry_policy=RetryPolicy(max_attempts=3, recover_lost_blocks=True),
+            RuntimeConfig(
+                fault_plan=self._plan(),
+                retry_policy=RetryPolicy(max_attempts=3, recover_lost_blocks=True),
+            ),
         )
         [finding] = [d for d in report.warnings if d.code == "WF402"]
         assert finding.task_ids == (0,)
@@ -76,9 +76,10 @@ class TestReadAfterFree:
     def test_wf402_quiet_without_recovery(self):
         report = analyze(
             self._graph(),
-            minotauro(),
-            fault_plan=self._plan(),
-            retry_policy=RetryPolicy(max_attempts=3),
+            RuntimeConfig(
+                fault_plan=self._plan(),
+                retry_policy=RetryPolicy(max_attempts=3),
+            ),
         )
         assert "WF402" not in report.codes()
 
@@ -86,19 +87,21 @@ class TestReadAfterFree:
         # Crashing only attempt 1 of 3 leaves two attempts to commit.
         report = analyze(
             self._graph(),
-            minotauro(),
-            fault_plan=self._plan(attempts=(1,)),
-            retry_policy=RetryPolicy(max_attempts=3, recover_lost_blocks=True),
+            RuntimeConfig(
+                fault_plan=self._plan(attempts=(1,)),
+                retry_policy=RetryPolicy(max_attempts=3, recover_lost_blocks=True),
+            ),
         )
         assert "WF402" not in report.codes()
 
     def test_wf402_quiet_when_producer_checkpointed(self):
         report = analyze(
             self._graph(),
-            minotauro(),
-            fault_plan=self._plan(),
-            retry_policy=RetryPolicy(max_attempts=3, recover_lost_blocks=True),
-            checkpoint_policy=CheckpointPolicy(every_levels=1),
+            RuntimeConfig(
+                fault_plan=self._plan(),
+                retry_policy=RetryPolicy(max_attempts=3, recover_lost_blocks=True),
+                checkpoint_policy=CheckpointPolicy(every_levels=1),
+            ),
         )
         assert "WF402" not in report.codes()
 
@@ -112,58 +115,40 @@ class TestReadAfterFree:
         )
         report = analyze(
             self._graph(),
-            minotauro(),
-            fault_plan=plan,
-            retry_policy=RetryPolicy(max_attempts=3, recover_lost_blocks=True),
+            RuntimeConfig(
+                fault_plan=plan,
+                retry_policy=RetryPolicy(max_attempts=3, recover_lost_blocks=True),
+            ),
         )
         assert "WF402" not in report.codes()
 
 
 class TestCheckpointTypesExist:
-    def test_wf404_all_types_missing(self):
+    def _lint(self, task_types):
+        checkpoint = CheckpointPolicy(every_levels=1, task_types=task_types)
         producer = _task(0, cost=_cost())
-        report = analyze(
-            _graph(producer),
-            minotauro(),
-            checkpoint_policy=CheckpointPolicy(
-                every_levels=1, task_types=frozenset({"ghost"})
-            ),
+        return analyze(
+            _graph(producer), RuntimeConfig(checkpoint_policy=checkpoint)
         )
+
+    def test_wf404_all_types_missing(self):
+        report = self._lint(frozenset({"ghost"}))
         [finding] = [d for d in report.warnings if d.code == "WF404"]
         assert "'ghost'" in finding.message
         assert "no block is ever checkpointed" in finding.message
 
     def test_wf404_some_types_missing(self):
-        producer = _task(0, cost=_cost())
-        report = analyze(
-            _graph(producer),
-            minotauro(),
-            checkpoint_policy=CheckpointPolicy(
-                every_levels=1, task_types=frozenset({"t", "ghost"})
-            ),
-        )
+        report = self._lint(frozenset({"t", "ghost"}))
         [finding] = [d for d in report.warnings if d.code == "WF404"]
         assert "'ghost'" in finding.message
         assert "no block is ever checkpointed" not in finding.message
 
     def test_wf404_quiet_when_types_match(self):
-        producer = _task(0, cost=_cost())
-        report = analyze(
-            _graph(producer),
-            minotauro(),
-            checkpoint_policy=CheckpointPolicy(
-                every_levels=1, task_types=frozenset({"t"})
-            ),
-        )
+        report = self._lint(frozenset({"t"}))
         assert "WF404" not in report.codes()
 
     def test_wf404_quiet_without_type_restriction(self):
-        producer = _task(0, cost=_cost())
-        report = analyze(
-            _graph(producer),
-            minotauro(),
-            checkpoint_policy=CheckpointPolicy(every_levels=1),
-        )
+        report = self._lint(None)
         assert "WF404" not in report.codes()
 
 
@@ -179,7 +164,7 @@ class TestSuppression:
                 ),
             ),
         )
-        config = dict(
+        config = RuntimeConfig(
             fault_plan=plan,
             retry_policy=RetryPolicy(max_attempts=3, recover_lost_blocks=True),
             checkpoint_policy=CheckpointPolicy(
@@ -187,13 +172,8 @@ class TestSuppression:
             ),
         )
         graph = _graph(producer, consumer)
-        loud = analyze(graph, minotauro(), **config)
+        loud = analyze(graph, config)
         assert {"WF402", "WF404"} <= loud.codes()
-        quiet = analyze(
-            graph,
-            minotauro(),
-            options=AnalysisOptions(ignore={"WF402", "WF404"}),
-            **config,
-        )
+        quiet = analyze(graph, config, ignore=frozenset({"WF402", "WF404"}))
         assert "WF402" not in quiet.codes()
         assert "WF404" not in quiet.codes()

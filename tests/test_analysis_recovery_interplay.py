@@ -6,7 +6,7 @@ without recovery or checkpoints)."""
 
 import pytest
 
-from repro.analysis import analyze, analyze_runtime
+from repro.analysis import analyze
 from repro.faults import (
     CheckpointPolicy,
     FaultPlan,
@@ -14,9 +14,8 @@ from repro.faults import (
     RetryPolicy,
     TaskCrash,
 )
-from repro.hardware import minotauro
 from repro.perfmodel import TaskCost
-from repro.runtime import DataRef, Runtime, Task, TaskGraph
+from repro.runtime import DataRef, Runtime, RuntimeConfig, Task, TaskGraph
 from repro.tracing import Stage
 
 from tests.golden_matrix import golden_cases
@@ -78,9 +77,10 @@ class TestRecoveryArmsTheRules:
     def test_wf303_fires_with_recovery_but_no_checkpoint(self):
         report = analyze(
             _barrier_graph(),
-            minotauro(),
-            fault_plan=_NODE_FAULTS,
-            retry_policy=RetryPolicy(max_attempts=3, recover_lost_blocks=True),
+            RuntimeConfig(
+                fault_plan=_NODE_FAULTS,
+                retry_policy=RetryPolicy(max_attempts=3, recover_lost_blocks=True),
+            ),
         )
         [finding] = [d for d in report.warnings if d.code == "WF303"]
         assert 3 in finding.task_ids  # the reduce barrier
@@ -88,10 +88,11 @@ class TestRecoveryArmsTheRules:
     def test_wf303_silenced_by_checkpoint_policy(self):
         report = analyze(
             _barrier_graph(),
-            minotauro(),
-            fault_plan=_NODE_FAULTS,
-            retry_policy=RetryPolicy(max_attempts=3, recover_lost_blocks=True),
-            checkpoint_policy=CheckpointPolicy(every_levels=1),
+            RuntimeConfig(
+                fault_plan=_NODE_FAULTS,
+                retry_policy=RetryPolicy(max_attempts=3, recover_lost_blocks=True),
+                checkpoint_policy=CheckpointPolicy(every_levels=1),
+            ),
         )
         assert "WF303" not in report.codes()
 
@@ -108,9 +109,10 @@ class TestRecoveryArmsTheRules:
         )
         report = analyze(
             _barrier_graph(),
-            minotauro(),
-            fault_plan=plan,
-            retry_policy=RetryPolicy(max_attempts=3, recover_lost_blocks=True),
+            RuntimeConfig(
+                fault_plan=plan,
+                retry_policy=RetryPolicy(max_attempts=3, recover_lost_blocks=True),
+            ),
         )
         [finding] = [d for d in report.warnings if d.code == "WF402"]
         assert finding.task_ids == (3,)
@@ -118,18 +120,19 @@ class TestRecoveryArmsTheRules:
         # stops at the durable copy before reaching the doomed task.
         protected = analyze(
             _barrier_graph(),
-            minotauro(),
-            fault_plan=plan,
-            retry_policy=RetryPolicy(max_attempts=3, recover_lost_blocks=True),
-            checkpoint_policy=CheckpointPolicy(
-                every_levels=1, task_types=frozenset({"reduce"})
+            RuntimeConfig(
+                fault_plan=plan,
+                retry_policy=RetryPolicy(max_attempts=3, recover_lost_blocks=True),
+                checkpoint_policy=CheckpointPolicy(
+                    every_levels=1, task_types=frozenset({"reduce"})
+                ),
             ),
         )
         assert "WF402" not in protected.codes()
 
 
 class TestGoldenMatrixStaysQuiet:
-    """The 18 golden cells are the determinism anchor: the WF4xx race
+    """The 24 golden cells are the determinism anchor: the WF4xx race
     rules must not fire on any of them (their fault cells retry without
     lineage recovery or checkpoints)."""
 
@@ -139,7 +142,7 @@ class TestGoldenMatrixStaysQuiet:
     def test_no_race_findings(self, case):
         runtime = Runtime(case.config)
         case.build(runtime)
-        report = analyze_runtime(runtime)
+        report = analyze(runtime.graph, runtime.config)
         races = {c for c in report.codes() if c.startswith("WF4")}
         assert races == set()
         # Nor may any cell be statically *broken*: errors would mean the

@@ -8,19 +8,19 @@ import pytest
 
 from repro.algorithms import KMeansWorkflow
 from repro.analysis import (
-    CODES,
-    AnalysisOptions,
+    RULES,
     AnalysisReport,
     Diagnostic,
     Severity,
     analyze,
-    analyze_runtime,
     collect_ref_ids,
 )
+from repro.analysis.analyzer import _CHECKS
 from repro.data import paper_datasets
 from repro.hardware import HostOutOfMemoryError, cpu_only, minotauro
 from repro.perfmodel import TaskCost
 from repro.runtime import DataRef, Runtime, RuntimeConfig, Task, TaskGraph
+from repro.runtime.runtime import Backend
 
 
 def _cost(**overrides) -> TaskCost:
@@ -60,13 +60,22 @@ def _codes(report: AnalysisReport) -> set[str]:
     return report.codes()
 
 
+def _lint(graph: TaskGraph, returned=None, **config) -> AnalysisReport:
+    """Analyze ``graph`` under ``RuntimeConfig(**config)``."""
+    return analyze(graph, RuntimeConfig(**config), returned=returned)
+
+
+def _lint_runtime(runtime: Runtime, returned=None) -> AnalysisReport:
+    return analyze(runtime.graph, runtime.config, returned=returned)
+
+
 class TestGraphHazards:
     def test_wf005_dead_task_interior(self):
         head = _task(0)
         tail = _task(1, inputs=head.outputs)
         dead = _task(2, name="dead")
         graph = _graph(head, tail, dead)
-        report = analyze(graph)
+        report = _lint(graph)
         [finding] = [d for d in report.warnings if d.code == "WF005"]
         assert finding.task_ids == (2,)
         assert finding.task_type == "dead"
@@ -76,27 +85,27 @@ class TestGraphHazards:
         tail = _task(1, inputs=head.outputs)
         kept = _task(2, name="kept")
         graph = _graph(head, tail, kept)
-        report = analyze(graph, returned=[kept.outputs, tail.outputs])
+        report = _lint(graph, returned=[kept.outputs, tail.outputs])
         assert "WF005" not in _codes(report)
         # Declaring returned refs removes the final-level benefit of the
         # doubt: an unreturned terminal task is genuinely dead.
-        partial = analyze(graph, returned=list(kept.outputs))
+        partial = _lint(graph, returned=list(kept.outputs))
         [finding] = [d for d in partial.warnings if d.code == "WF005"]
         assert finding.task_ids == (1,)
 
     def test_wf005_final_level_presumed_alive_without_returned(self):
         head = _task(0)
         tail = _task(1, inputs=head.outputs)
-        report = analyze(_graph(head, tail))
+        report = _lint(_graph(head, tail))
         assert "WF005" not in _codes(report)
 
     def test_wf006_missing_cost(self):
-        report = analyze(_graph(_task(0, cost=None)), backend="simulated")
+        report = _lint(_graph(_task(0, cost=None)))
         [finding] = [d for d in report.warnings if d.code == "WF006"]
         assert finding.task_ids == (0,)
 
     def test_wf006_skipped_for_real_backends(self):
-        report = analyze(_graph(_task(0, cost=None)), backend="in_process")
+        report = _lint(_graph(_task(0, cost=None)), backend=Backend.IN_PROCESS)
         assert "WF006" not in _codes(report)
 
 
@@ -104,7 +113,7 @@ class TestFeasibility:
     def test_wf101_host_oom(self):
         cluster = minotauro()
         big = _cost(host_memory_bytes=cluster.node.ram_bytes + 1)
-        report = analyze(_graph(_task(0, cost=big)), cluster)
+        report = _lint(_graph(_task(0, cost=big)), cluster=cluster)
         [finding] = [d for d in report.errors if d.code == "WF101"]
         assert finding.severity is Severity.ERROR
         assert "GiB" in finding.message
@@ -112,21 +121,21 @@ class TestFeasibility:
     def test_wf102_gpu_oom(self):
         cluster = minotauro()
         big = _cost(gpu_memory_bytes=cluster.node.gpu.memory_bytes + 1)
-        report = analyze(_graph(_task(0, cost=big)), cluster, use_gpu=True)
+        report = _lint(_graph(_task(0, cost=big)), cluster=cluster, use_gpu=True)
         assert "WF102" in {d.code for d in report.errors}
         # CPU-only execution never touches device memory: no finding.
-        cpu_report = analyze(_graph(_task(0, cost=big)), cluster, use_gpu=False)
+        cpu_report = _lint(_graph(_task(0, cost=big)), cluster=cluster)
         assert "WF102" not in _codes(cpu_report)
 
     def test_wf103_gpu_less_cluster(self):
         cluster = cpu_only()
         assert not cluster.has_gpus
-        report = analyze(_graph(_task(0, cost=_cost())), cluster, use_gpu=True)
+        report = _lint(_graph(_task(0, cost=_cost())), cluster=cluster, use_gpu=True)
         [finding] = [d for d in report.errors if d.code == "WF103"]
         assert finding.task_ids == (0,)
         # A CPU run of the same workflow is fine.
         assert "WF103" not in _codes(
-            analyze(_graph(_task(0, cost=_cost())), cluster, use_gpu=False)
+            _lint(_graph(_task(0, cost=_cost())), cluster=cluster)
         )
 
     def _four_gpu_tasks(self, **config) -> Runtime:
@@ -142,7 +151,7 @@ class TestFeasibility:
         assert runtime.graph.task(0).cost.gpu_memory_bytes > (
             minotauro().node.gpu.memory_bytes
         )
-        assert "WF102" not in _codes(analyze_runtime(runtime))
+        assert "WF102" not in _codes(_lint_runtime(runtime))
         # The executor runs the tasks that cannot fit a device on cores.
         result = runtime.run()
         assert not result.failed and result.trace.num_task_records == 4
@@ -151,7 +160,7 @@ class TestFeasibility:
         runtime = self._four_gpu_tasks(
             cluster=cpu_only(), gpu_task_types=frozenset()
         )
-        assert not analyze_runtime(runtime).has_errors
+        assert not _lint_runtime(runtime).has_errors
         result = runtime.run()
         assert not result.failed and result.trace.num_task_records == 4
 
@@ -160,7 +169,7 @@ class TestFeasibility:
         task = _task(
             0, cost=_cost(), out_bytes=cluster.node.gpu.memory_bytes + 1
         )
-        report = analyze(_graph(task), cluster, use_gpu=True)
+        report = _lint(_graph(task), cluster=cluster, use_gpu=True)
         [finding] = [d for d in report.warnings if d.code == "WF104"]
         assert finding.task_ids == (0,)
 
@@ -173,26 +182,26 @@ class TestPerformanceSmells:
             parallel_items=100.0,
             host_device_bytes=0,
         )
-        report = analyze(_graph(_task(0, cost=tiny)), cluster, use_gpu=True)
+        report = _lint(_graph(_task(0, cost=tiny)), cluster=cluster, use_gpu=True)
         assert "WF201" in {d.code for d in report.warnings}
 
     def test_wf201_quiet_for_big_kernels(self):
         cluster = minotauro()
         big = _cost(parallel_flops=1e13, parallel_items=1e9)
-        report = analyze(_graph(_task(0, cost=big)), cluster, use_gpu=True)
+        report = _lint(_graph(_task(0, cost=big)), cluster=cluster, use_gpu=True)
         assert "WF201" not in _codes(report)
 
     def test_wf202_transfer_bound(self):
         cluster = minotauro()
         chatty = _cost(host_device_bytes=10**9, parallel_flops=1e6)
-        report = analyze(_graph(_task(0, cost=chatty)), cluster, use_gpu=True)
+        report = _lint(_graph(_task(0, cost=chatty)), cluster=cluster, use_gpu=True)
         assert "WF202" in {d.code for d in report.warnings}
 
     def test_wf203_narrow_dag(self):
         cluster = minotauro()
         head = _task(0, cost=_cost())
         tail = _task(1, inputs=head.outputs, cost=_cost())
-        report = analyze(_graph(head, tail), cluster)
+        report = _lint(_graph(head, tail), cluster=cluster)
         [finding] = [
             d for d in report.by_severity(Severity.INFO) if d.code == "WF203"
         ]
@@ -201,7 +210,7 @@ class TestPerformanceSmells:
     def test_wf203_quiet_for_wide_dags(self):
         cluster = minotauro()
         tasks = [_task(i, cost=_cost()) for i in range(cluster.total_cpu_cores)]
-        report = analyze(_graph(*tasks), cluster)
+        report = _lint(_graph(*tasks), cluster=cluster)
         assert "WF203" not in _codes(report)
 
 
@@ -221,7 +230,7 @@ class TestFig9aRegression:
 
     def test_host_oom_flagged_statically(self):
         runtime, returned = self._fig9a_runtime(use_gpu=False)
-        report = analyze_runtime(runtime, returned=returned)
+        report = _lint_runtime(runtime, returned=returned)
         assert report.has_errors
         [finding] = [d for d in report.errors if d.code == "WF101"]
         assert finding.task_type == "partial_sum"
@@ -229,7 +238,7 @@ class TestFig9aRegression:
 
     def test_gpu_mode_additionally_flags_device_oom(self):
         runtime, returned = self._fig9a_runtime(use_gpu=True)
-        report = analyze_runtime(runtime, returned=returned)
+        report = _lint_runtime(runtime, returned=returned)
         assert {"WF101", "WF102"} <= {d.code for d in report.errors}
 
     def test_run_refuses_dispatch(self):
@@ -241,18 +250,25 @@ class TestFig9aRegression:
 
 class TestReportAndPlumbing:
     def test_every_code_documented_and_tested_codes_match(self):
-        from repro.analysis import all_rules
+        # One check per WF row of the rule table, in code order; each
+        # check's docstring opens with its code.
+        checked = [check.__doc__.split()[0] for check in _CHECKS]
+        assert checked == [code for code in RULES if code.startswith("WF")]
+        assert list(RULES) == sorted(RULES)
 
-        assert {code for code, _ in all_rules()} == set(CODES)
+    def test_severity_comes_from_the_rule_table(self):
+        for code, rule in RULES.items():
+            if code.startswith("WF"):
+                assert Diagnostic(code=code, message="x").severity is rule.severity
 
     def test_unknown_code_rejected(self):
         with pytest.raises(ValueError):
-            Diagnostic(code="WF999", severity=Severity.INFO, message="x")
+            Diagnostic(code="WF999", message="x")
 
     def test_json_roundtrip(self):
         cluster = minotauro()
         big = _cost(host_memory_bytes=cluster.node.ram_bytes + 1)
-        report = analyze(_graph(_task(0, cost=big)), cluster)
+        report = _lint(_graph(_task(0, cost=big)), cluster=cluster)
         payload = json.loads(report.to_json())
         assert payload["cluster"] == cluster.name
         assert payload["summary"]["errors"] == 1
@@ -262,13 +278,8 @@ class TestReportAndPlumbing:
         cluster = minotauro()
         bad = _task(0, cost=_cost(host_memory_bytes=cluster.node.ram_bytes + 1))
         lonely = _task(1, inputs=bad.outputs, cost=_cost())
-        text = analyze(_graph(bad, lonely), cluster).render()
+        text = _lint(_graph(bad, lonely), cluster=cluster).render()
         assert text.index("WF101") < text.index("WF203")
-
-    def test_structure_only_analysis_without_cluster(self):
-        report = analyze(_graph(_task(0, cost=None)))
-        assert report.cluster == ""
-        assert _codes(report) <= {"WF005", "WF006"}
 
     def test_collect_ref_ids_walks_nesting(self):
         refs = [DataRef(size_bytes=8) for _ in range(3)]
@@ -280,19 +291,13 @@ class TestReportAndPlumbing:
         found = collect_ref_ids({"a": refs[0], "b": (FakeArray(), None)})
         assert found == {r.ref_id for r in refs}
 
-    def test_options_validation(self):
-        with pytest.raises(ValueError):
-            AnalysisOptions(launch_overhead_share=0.0)
-        with pytest.raises(ValueError):
-            AnalysisOptions(width_slot_share=2.0)
-
     def test_json_output_is_byte_stable(self):
         cluster = minotauro()
         bad = _task(0, cost=_cost(host_memory_bytes=cluster.node.ram_bytes + 1))
         lonely = _task(1, inputs=bad.outputs, cost=_cost())
         graph = _graph(bad, lonely)
-        first = analyze(graph, cluster).to_json()
-        second = analyze(graph, cluster).to_json()
+        first = _lint(graph, cluster=cluster).to_json()
+        second = _lint(graph, cluster=cluster).to_json()
         assert first == second
         assert first.endswith("\n")
         # Ordered by code regardless of rule-emission order, and every
@@ -308,7 +313,7 @@ class TestStructuralRules:
         head = _task(0, cost=_cost())
         tail = _task(1, inputs=head.outputs, cost=_cost())
         island = _task(2, name="island", cost=_cost())
-        report = analyze(_graph(head, tail, island))
+        report = _lint(_graph(head, tail, island))
         [finding] = [d for d in report.warnings if d.code == "WF007"]
         assert finding.task_ids == (2,)
         assert finding.task_type == "island"
@@ -317,16 +322,14 @@ class TestStructuralRules:
         head = _task(0, cost=_cost())
         tail = _task(1, inputs=head.outputs, cost=_cost())
         island = _task(2, name="island", cost=_cost())
-        report = analyze(
-            _graph(head, tail, island), returned=list(island.outputs)
-        )
+        report = _lint(_graph(head, tail, island), returned=list(island.outputs))
         assert "WF007" not in _codes(report)
 
     def test_wf007_quiet_on_edgeless_graphs(self):
         # A bag of independent tasks (a pure map) has no "rest of the
         # DAG" to be disconnected from.
         tasks = [_task(i, cost=_cost()) for i in range(4)]
-        assert "WF007" not in _codes(analyze(_graph(*tasks)))
+        assert "WF007" not in _codes(_lint(_graph(*tasks)))
 
     def test_wf008_zero_cost_task(self):
         zero = TaskCost(
@@ -340,12 +343,12 @@ class TestStructuralRules:
             gpu_memory_bytes=0,
             host_memory_bytes=0,
         )
-        report = analyze(_graph(_task(0, name="noop", cost=zero)))
+        report = _lint(_graph(_task(0, name="noop", cost=zero)))
         [finding] = [d for d in report.warnings if d.code == "WF008"]
         assert finding.task_type == "noop"
 
     def test_wf008_quiet_without_cost_and_off_simulator(self):
-        assert "WF008" not in _codes(analyze(_graph(_task(0, cost=None))))
+        assert "WF008" not in _codes(_lint(_graph(_task(0, cost=None))))
         zero = TaskCost(
             serial_flops=0,
             parallel_flops=0,
@@ -357,9 +360,7 @@ class TestStructuralRules:
             gpu_memory_bytes=0,
             host_memory_bytes=0,
         )
-        report = analyze(
-            _graph(_task(0, cost=zero)), backend="in_process"
-        )
+        report = _lint(_graph(_task(0, cost=zero)), backend=Backend.IN_PROCESS)
         assert "WF008" not in _codes(report)
 
 
@@ -369,8 +370,8 @@ class TestSuppressions:
         tail = _task(1, inputs=head.outputs, cost=_cost())
         island = _task(2, cost=_cost())
         graph = _graph(head, tail, island)
-        assert "WF007" in _codes(analyze(graph))
-        quiet = analyze(graph, options=AnalysisOptions(ignore={"WF007"}))
+        assert "WF007" in _codes(_lint(graph))
+        quiet = analyze(graph, RuntimeConfig(), ignore=frozenset({"WF007"}))
         assert "WF007" not in _codes(quiet)
 
     def test_task_level_ignore(self):
@@ -384,7 +385,7 @@ class TestSuppressions:
             cost=_cost(),
             ignore=frozenset({"WF005", "WF007"}),
         )
-        report = analyze(_graph(head, tail, island))
+        report = _lint(_graph(head, tail, island))
         assert "WF007" not in _codes(report)
         assert "WF005" not in _codes(report)
 
@@ -394,7 +395,7 @@ class TestSuppressions:
         waived = _task(0, name="noop", cost=None)
         waived.ignore = frozenset({"WF006"})
         kept = _task(1, name="noop", cost=None)
-        report = analyze(_graph(waived, kept), backend="simulated")
+        report = _lint(_graph(waived, kept))
         [finding] = [d for d in report.warnings if d.code == "WF006"]
         assert finding.task_ids == (0, 1)
 

@@ -19,7 +19,7 @@ from repro.algorithms import (
     MatmulWorkflow,
     SyntheticWorkflow,
 )
-from repro.analysis import analyze_runtime
+from repro.analysis import analyze
 from repro.data import Blocking, GridSpec, paper_datasets
 from repro.runtime import Runtime, RuntimeConfig
 
@@ -58,7 +58,7 @@ class TestExampleWorkflowsSelfLint:
         for workflow in _workflows():
             runtime = Runtime(RuntimeConfig(use_gpu=use_gpu))
             returned = workflow.build(runtime)
-            report = analyze_runtime(runtime, returned=returned)
+            report = analyze(runtime.graph, runtime.config, returned=returned)
             assert not report.has_errors, (
                 f"{workflow.name} (gpu={use_gpu}) has errors:\n{report.render()}"
             )
@@ -70,7 +70,7 @@ class TestExampleWorkflowsSelfLint:
         blocking = Blocking.from_grid(dataset, GridSpec(k=64, l=1))
         runtime = Runtime(RuntimeConfig(use_gpu=use_gpu))
         final = ds_pipeline.build_pipeline(runtime, blocking)
-        report = analyze_runtime(runtime, returned=final)
+        report = analyze(runtime.graph, runtime.config, returned=final)
         assert not report.has_errors, report.render()
 
     def test_clean_workflow_reports_no_structural_findings(self):
@@ -79,6 +79,6 @@ class TestExampleWorkflowsSelfLint:
             paper_datasets()["kmeans_10gb"], grid_rows=64, n_clusters=10
         )
         returned = workflow.build(runtime)
-        report = analyze_runtime(runtime, returned=returned)
+        report = analyze(runtime.graph, runtime.config, returned=returned)
         structural = {c for c in report.codes() if c.startswith("WF0")}
         assert structural == set()

@@ -8,16 +8,15 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
-    CODES,
-    all_rules,
+    RULES,
+    Severity,
     filter_new,
-    known_codes,
     lint_paths,
     lint_source,
     load_baseline,
     save_baseline,
 )
-from repro.analysis.registry import KIND_DEVLINT, spec_for
+from repro.analysis.analyzer import _CHECKS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -398,17 +397,18 @@ class TestRepoIsClean:
 
 class TestRegistryMetadata:
     def test_devlint_codes_registered_but_not_workflow_rules(self):
-        devlint_codes = known_codes(kind=KIND_DEVLINT)
+        devlint_codes = {code for code in RULES if code.startswith("DL")}
         assert devlint_codes == {
             "DL001", "DL002", "DL003", "DL004", "DL005", "DL006",
         }
-        workflow_codes = {code for code, _ in all_rules()}
-        assert devlint_codes.isdisjoint(workflow_codes)
-        assert devlint_codes.isdisjoint(set(CODES))
+        checked = {check.__doc__.split()[0] for check in _CHECKS}
+        assert devlint_codes.isdisjoint(checked)
 
     def test_specs_carry_summaries(self):
-        for code in sorted(known_codes(kind=KIND_DEVLINT)):
-            spec = spec_for(code)
-            assert spec.kind == KIND_DEVLINT
-            assert spec.summary
-            assert spec.fn is None
+        for code in sorted(RULES):
+            rule = RULES[code]
+            assert rule.code == code
+            assert rule.summary
+            if code.startswith("DL"):
+                assert rule.category == "determinism"
+                assert rule.severity is Severity.WARNING

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import analyze, analyze_runtime
+from repro.analysis import analyze
 from repro.faults import (
     FaultPlan,
     GpuOomFault,
@@ -393,31 +393,25 @@ class TestAnalysisRules:
     def test_wf301_fires_on_no_retry_policy_with_plan(self):
         rt = self._graph()
         plan = FaultPlan(task_crashes=[TaskCrash(task_id=0)])
-        report = analyze(
-            rt.graph,
-            minotauro(),
-            fault_plan=plan,
-            retry_policy=RetryPolicy(max_attempts=1),
+        config = RuntimeConfig(
+            fault_plan=plan, retry_policy=RetryPolicy(max_attempts=1)
         )
-        assert "WF301" in report.codes()
+        assert "WF301" in analyze(rt.graph, config).codes()
 
     def test_wf301_silent_without_explicit_policy(self):
         rt = self._graph()
         plan = FaultPlan(task_crashes=[TaskCrash(task_id=0)])
-        report = analyze(rt.graph, minotauro(), fault_plan=plan)
+        report = analyze(rt.graph, RuntimeConfig(fault_plan=plan))
         assert "WF301" not in report.codes()
 
     def test_wf301_silent_for_empty_plan(self):
         rt = self._graph()
-        report = analyze(
-            rt.graph,
-            minotauro(),
-            fault_plan=FaultPlan(),
-            retry_policy=RetryPolicy(max_attempts=1),
+        config = RuntimeConfig(
+            fault_plan=FaultPlan(), retry_policy=RetryPolicy(max_attempts=1)
         )
-        assert "WF301" not in report.codes()
+        assert "WF301" not in analyze(rt.graph, config).codes()
 
-    def test_analyze_runtime_reads_fault_config(self):
+    def test_analyze_reads_fault_config(self):
         config = RuntimeConfig(
             fault_plan=FaultPlan(task_crashes=[TaskCrash(task_id=0)]),
             retry_policy=RetryPolicy(max_attempts=1),
@@ -425,7 +419,7 @@ class TestAnalysisRules:
         rt = Runtime(config)
         ref = rt.register_input(100, name="a")
         rt.submit("t", [ref], cost=_cost())
-        report = analyze_runtime(rt)
+        report = analyze(rt.graph, rt.config)
         assert "WF301" in report.codes()
 
     def test_validate_refuses_ghost_node_plan(self):

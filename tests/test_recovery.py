@@ -218,29 +218,29 @@ class TestAnalyzerRules:
     def test_wf303_fires_without_checkpoints(self):
         graph = self._barrier_graph()
         plan = FaultPlan(node_faults=(NodeFault(node=1, at_time=1.0),))
-        report = analyze(
-            graph, minotauro(num_nodes=4), fault_plan=plan,
+        config = RuntimeConfig(
+            cluster=minotauro(num_nodes=4), fault_plan=plan,
             retry_policy=RECOVERY,
         )
-        assert "WF303" in report.codes()
+        assert "WF303" in analyze(graph, config).codes()
 
     def test_wf303_silenced_by_checkpoint_policy(self):
         graph = self._barrier_graph()
         plan = FaultPlan(node_faults=(NodeFault(node=1, at_time=1.0),))
-        report = analyze(
-            graph, minotauro(num_nodes=4), fault_plan=plan,
+        config = RuntimeConfig(
+            cluster=minotauro(num_nodes=4), fault_plan=plan,
             retry_policy=RECOVERY,
             checkpoint_policy=CheckpointPolicy(every_levels=1),
         )
-        assert "WF303" not in report.codes()
+        assert "WF303" not in analyze(graph, config).codes()
 
     def test_wf303_quiet_without_node_faults(self):
         graph = self._barrier_graph()
-        report = analyze(
-            graph, minotauro(num_nodes=4), fault_plan=FaultPlan(),
+        config = RuntimeConfig(
+            cluster=minotauro(num_nodes=4), fault_plan=FaultPlan(),
             retry_policy=RECOVERY,
         )
-        assert "WF303" not in report.codes()
+        assert "WF303" not in analyze(graph, config).codes()
 
 
 class TestRecoveryProperty:

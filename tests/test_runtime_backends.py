@@ -5,6 +5,7 @@ import pytest
 
 from repro.algorithms import KMeansWorkflow
 from repro.data import paper_datasets
+from repro.faults import CheckpointPolicy, FaultPlan, NodeFault, RetryPolicy
 from repro.hardware import (
     GpuOutOfMemoryError,
     HostOutOfMemoryError,
@@ -86,6 +87,20 @@ class TestInProcessExecutor:
         rt.submit(name="inc", inputs=[y], fn=lambda a: a + 1)
         result = rt.run()
         assert len(result.trace.tasks) == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("fault_plan", FaultPlan(node_faults=(NodeFault(node=1, at_time=0.0),))),
+            ("retry_policy", RetryPolicy(recover_lost_blocks=True)),
+            ("checkpoint_policy", CheckpointPolicy(every_levels=1)),
+        ],
+    )
+    def test_config_refuses_fault_settings(self, field, value):
+        # The in-process backend injects no faults, so a fault setting
+        # would be ignored; the config refuses it when it is built.
+        with pytest.raises(ValueError, match=field):
+            RuntimeConfig(backend=Backend.IN_PROCESS, **{field: value})
 
 
 class TestSimulatedExecutor:

@@ -1,6 +1,6 @@
 """Sanitized golden runs: zero violations, bit-identical traces.
 
-Two properties at once, over all 18 cells of the golden matrix:
+Two properties at once, over all 24 cells of the golden matrix:
 
 * the executor obeys every dynamic invariant the sanitizer checks
   (happens-before, resource conservation, attempt legality, placement)
