@@ -18,7 +18,6 @@ in-process correctness backend) and *annotates every task with a
 
 from repro.algorithms.generated import GeneratedDagWorkflow
 from repro.algorithms.kmeans import KMeansWorkflow, kmeans_reference
-from repro.algorithms.linreg import LinearRegressionWorkflow
 from repro.algorithms.matmul import MatmulWorkflow
 from repro.algorithms.matmul_fma import MatmulFmaWorkflow
 from repro.algorithms.synthetic import SyntheticWorkflow
@@ -26,7 +25,6 @@ from repro.algorithms.synthetic import SyntheticWorkflow
 __all__ = [
     "GeneratedDagWorkflow",
     "KMeansWorkflow",
-    "LinearRegressionWorkflow",
     "MatmulFmaWorkflow",
     "MatmulWorkflow",
     "SyntheticWorkflow",

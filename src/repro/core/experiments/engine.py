@@ -428,10 +428,6 @@ class SweepEngine:
         """Where the execution journal lives (``None`` when disabled)."""
         return self._ledger.path if self._ledger is not None else None
 
-    def run_cell(self, spec: CellSpec) -> RunMetrics:
-        """Execute (or recall) a single cell."""
-        return self.run_cells([spec])[0]
-
     def run_cells(self, specs: Sequence[CellSpec]) -> list[RunMetrics]:
         """Execute a batch of cells; results align with the input order.
 

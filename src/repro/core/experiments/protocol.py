@@ -44,11 +44,6 @@ class ProtocolResult:
         return pstdev(self.makespans)
 
     @property
-    def mean_parallel_task_time(self) -> float:
-        """Mean parallel-task time over the kept repetitions."""
-        return mean(self.parallel_task_times)
-
-    @property
     def warmup_excess(self) -> float:
         """How much slower the discarded warm-up run was (fraction)."""
         if self.mean_makespan == 0:

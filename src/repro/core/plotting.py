@@ -10,7 +10,7 @@ comparison (Figure 10).  Pure text, no plotting stack.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Mapping
 
 _MARKERS = "ox+*#@%&"
 
@@ -141,17 +141,3 @@ def speedup_chart(
         log_x=True,
         y_label="GPU speedup over CPU (x)",
     )
-
-
-def series_table_and_chart(
-    table_text: str,
-    series: Mapping[str, Mapping[float, float | None]],
-    chart_title: str,
-) -> str:
-    """Convenience: a rendered table followed by its chart."""
-    return table_text + "\n\n" + speedup_chart(series, chart_title)
-
-
-def ensure_monotone_axis(xs: Sequence[float]) -> list[float]:
-    """Sorted distinct x positions (helper for chart callers)."""
-    return sorted(set(xs))

@@ -25,7 +25,7 @@ serialised to/from JSON for the ``repro run --faults`` CLI.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -173,6 +173,8 @@ class Straggler:
     def __post_init__(self) -> None:
         if self.factor < 1.0:
             raise ValueError("straggler factor must be >= 1")
+        if self.node is not None and self.node < 0:
+            raise ValueError("node index must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -291,33 +293,13 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FaultPlan":
-        """Build a plan from :meth:`to_dict` output (or hand-written JSON)."""
-        def crash(entry: dict) -> TaskCrash:
-            entry = dict(entry)
-            if "stage" in entry:
-                entry["stage"] = Stage(entry["stage"])
-            if "attempts" in entry:
-                entry["attempts"] = tuple(entry["attempts"])
-            return TaskCrash(**entry)
+        """Build a plan from :meth:`to_dict` output (or hand-written JSON).
 
-        def oom(entry: dict) -> GpuOomFault:
-            entry = dict(entry)
-            if "attempts" in entry:
-                entry["attempts"] = tuple(entry["attempts"])
-            return GpuOomFault(**entry)
-
-        return cls(
-            task_crashes=tuple(crash(e) for e in payload.get("task_crashes", ())),
-            node_faults=tuple(
-                NodeFault(**e) for e in payload.get("node_faults", ())
-            ),
-            gpu_ooms=tuple(oom(e) for e in payload.get("gpu_ooms", ())),
-            stragglers=tuple(
-                Straggler(**e) for e in payload.get("stragglers", ())
-            ),
-            crash_probability=payload.get("crash_probability", 0.0),
-            seed=payload.get("seed", 0),
-        )
+        Raises ``ValueError`` naming the first key or entry that does not
+        fit: a payload or entry that is not an object, an unknown or a
+        missing key, or a value of the wrong type.
+        """
+        return _parse(cls, payload, "fault plan")
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
@@ -327,3 +309,72 @@ class FaultPlan:
     def to_json(self, indent: int | None = None) -> str:
         """Serialise the plan as JSON."""
         return json.dumps(self.to_dict(), indent=indent)
+
+
+#: Plan key -> the type of the entries its JSON list holds.
+_ENTRY_TYPES = {
+    "task_crashes": TaskCrash,
+    "node_faults": NodeFault,
+    "gpu_ooms": GpuOomFault,
+    "stragglers": Straggler,
+}
+
+#: JSON type of every key of a plan and of its entries.  A key whose
+#: field defaults to ``None`` also takes ``null``.
+_KEY_TYPES = {
+    "task_crashes": list,
+    "node_faults": list,
+    "gpu_ooms": list,
+    "stragglers": list,
+    "crash_probability": float,
+    "seed": int,
+    "task_id": int,
+    "task_type": str,
+    "stage": str,
+    "attempts": list,
+    "node": int,
+    "at_time": float,
+    "factor": float,
+}
+
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
+               list: "a list", dict: "an object"}
+
+
+def _typed(where: str, value, kind: type):
+    """``value`` if it has JSON type ``kind`` (a number may be an integer)."""
+    kinds = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _parse(cls, payload, where: str):
+    """The plan, or one of its entries, of type ``cls`` from a JSON object."""
+    _typed(where, payload, dict)
+    defaults = {f.name: f.default for f in fields(cls)}
+    for key in payload:
+        if key not in defaults:
+            raise ValueError(f"{where} has unknown key {key!r}")
+    for key, default in defaults.items():
+        if default is MISSING and key not in payload:
+            raise ValueError(f"{where} is missing key {key!r}")
+    kwargs = {}
+    for key, value in payload.items():
+        at = key if cls is FaultPlan else f"{where}.{key}"
+        if value is not None or defaults[key] is not None:
+            _typed(at, value, _KEY_TYPES[key])
+        if key in _ENTRY_TYPES:
+            value = tuple(
+                _parse(_ENTRY_TYPES[key], entry, f"{key}[{i}]")
+                for i, entry in enumerate(value)
+            )
+        elif key == "attempts":
+            value = tuple(_typed(f"{at}[{i}]", a, int) for i, a in enumerate(value))
+        elif key == "stage":
+            try:
+                value = Stage(value)
+            except ValueError:
+                raise ValueError(f"{at} must be a stage name, got {value!r}") from None
+        kwargs[key] = value
+    return cls(**kwargs)

@@ -18,14 +18,13 @@ Dask, Ray) do:
 
 :class:`RecoveryMetrics` aggregates what recovery cost: blocks lost,
 tasks resurrected, recomputation time and checkpoint overhead.  It is
-surfaced on :class:`~repro.runtime.WorkflowResult` and mirrored
-(trace-derived) through :func:`~repro.tracing.fault_metrics`.  See
+surfaced on :class:`~repro.runtime.WorkflowResult`.  See
 ``docs/faults.md``.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -84,8 +83,3 @@ class RecoveryMetrics:
     checkpoint_writes: int = 0
     #: Simulated seconds spent writing checkpoints to shared storage.
     checkpoint_write_seconds: float = 0.0
-
-    @property
-    def any_recovery(self) -> bool:
-        """Whether the run exercised any recovery machinery at all."""
-        return any(value != 0 for value in asdict(self).values())

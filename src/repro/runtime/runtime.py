@@ -120,10 +120,13 @@ class RuntimeConfig:
                         "in-process backend injects no faults"
                     )
         if self.fault_plan is not None:
-            for fault in self.fault_plan.node_faults:
-                if fault.node >= self.cluster.num_nodes:
+            plan = self.fault_plan
+            named = [("kills", f.node) for f in plan.node_faults]
+            named += [("slows", s.node) for s in plan.stragglers if s.node is not None]
+            for verb, node in named:
+                if node >= self.cluster.num_nodes:
                     raise ValueError(
-                        f"fault plan kills node {fault.node} but the cluster "
+                        f"fault plan {verb} node {node} but the cluster "
                         f"has {self.cluster.num_nodes} nodes"
                     )
 

@@ -98,13 +98,6 @@ class FaultMetrics:
     wasted_seconds: float
     #: Simulated seconds spent in retry backoff (master-side, off-core).
     retry_wait_seconds: float
-    #: Committed tasks resurrected by lineage recovery to recompute
-    #: blocks lost with a dead node.
-    tasks_resurrected: int = 0
-    #: Checkpoint writes the checkpoint policy performed.
-    checkpoint_writes: int = 0
-    #: Simulated seconds spent writing checkpoints to shared storage.
-    checkpoint_write_seconds: float = 0.0
 
     @property
     def goodput_ratio(self) -> float:
@@ -125,8 +118,6 @@ def fault_metrics(trace: Trace) -> FaultMetrics:
     retry_wait = sum(
         r.duration for r in trace.stages if r.stage is Stage.RETRY_WAIT
     )
-    resurrected = sum(1 for r in trace.stages if r.stage is Stage.RECOMPUTE)
-    checkpoints = [r for r in trace.stages if r.stage is Stage.CHECKPOINT_WRITE]
     if not trace.attempts:
         return FaultMetrics(
             num_attempts=len(trace.tasks),
@@ -135,9 +126,6 @@ def fault_metrics(trace: Trace) -> FaultMetrics:
             goodput_seconds=sum(t.duration for t in trace.tasks),
             wasted_seconds=0.0,
             retry_wait_seconds=retry_wait,
-            tasks_resurrected=resurrected,
-            checkpoint_writes=len(checkpoints),
-            checkpoint_write_seconds=sum(r.duration for r in checkpoints),
         )
     failures = [a for a in trace.attempts if not a.ok]
     successes = [a for a in trace.attempts if a.ok]
@@ -149,9 +137,6 @@ def fault_metrics(trace: Trace) -> FaultMetrics:
         goodput_seconds=sum(a.duration for a in successes),
         wasted_seconds=sum(a.duration for a in failures),
         retry_wait_seconds=retry_wait,
-        tasks_resurrected=resurrected,
-        checkpoint_writes=len(checkpoints),
-        checkpoint_write_seconds=sum(r.duration for r in checkpoints),
     )
 
 

@@ -109,6 +109,39 @@ class TestBadArguments:
                          '"at_time":1.0}]}',
                          "fault plan kills node 64 but the cluster has 8 "
                          "nodes", id="run-ghost-node"),
+            pytest.param("run --grid 4 --faults "
+                         '{"stragglers":[{"factor":2.0,"node":9}]}',
+                         "fault plan slows node 9 but the cluster has 8 nodes",
+                         id="run-straggler-ghost-node"),
+            pytest.param("run --grid 4 --faults []",
+                         "fault plan must be an object, got []",
+                         id="run-faults-not-object"),
+            pytest.param("run --grid 4 --faults "
+                         '{"node_fault":[{"node":1,"at_time":0}]}',
+                         "fault plan has unknown key 'node_fault'",
+                         id="run-faults-unknown-key"),
+            pytest.param("run --grid 4 --faults "
+                         '{"node_faults":[{"node":1,"at_time":0,"bogus":2}]}',
+                         "node_faults[0] has unknown key 'bogus'",
+                         id="run-faults-unknown-entry-key"),
+            pytest.param("run --grid 4 --faults "
+                         '{"node_faults":[{"node":1}]}',
+                         "node_faults[0] is missing key 'at_time'",
+                         id="run-faults-missing-key"),
+            pytest.param("run --grid 4 --faults "
+                         '{"crash_probability":"x"}',
+                         "crash_probability must be a number, got 'x'",
+                         id="run-faults-wrong-type"),
+            pytest.param("run --grid 4 --faults "
+                         '{"task_crashes":[{"task_type":"partial_sum",'
+                         '"attempts":5}]}',
+                         "task_crashes[0].attempts must be a list, got 5",
+                         id="run-faults-wrong-entry-type"),
+            pytest.param("run --grid 4 --faults "
+                         '{"task_crashes":[{"task_type":"partial_sum",'
+                         '"stage":"bogus"}]}',
+                         "task_crashes[0].stage must be a stage name, got "
+                         "'bogus'", id="run-faults-bad-stage"),
             pytest.param("lint --grid 0", "grid dimensions must be positive",
                          id="lint-grid"),
             pytest.param("lint --clusters 0", "n_clusters must be positive",

@@ -123,6 +123,8 @@ class TestFaultPlan:
     def test_straggler_must_slow_down(self):
         with pytest.raises(ValueError):
             Straggler(factor=0.5)
+        with pytest.raises(ValueError, match="non-negative"):
+            Straggler(factor=2.0, node=-1)
 
     def test_node_fault_validation(self):
         with pytest.raises(ValueError):
@@ -422,11 +424,23 @@ class TestAnalysisRules:
         report = analyze(rt.graph, rt.config)
         assert "WF301" in report.codes()
 
-    def test_validate_refuses_ghost_node_plan(self):
-        # The config itself refuses a plan that kills a node the cluster
+    @pytest.mark.parametrize(
+        "plan, message",
+        [
+            pytest.param(
+                FaultPlan(node_faults=[NodeFault(node=64, at_time=1.0)]),
+                "kills node 64", id="node-fault",
+            ),
+            pytest.param(
+                FaultPlan(stragglers=[Straggler(factor=2.0, node=64)]),
+                "slows node 64", id="straggler",
+            ),
+        ],
+    )
+    def test_validate_refuses_ghost_node_plan(self, plan, message):
+        # The config itself refuses a plan that names a node the cluster
         # lacks, before any workflow is built.
-        plan = FaultPlan(node_faults=[NodeFault(node=64, at_time=1.0)])
-        with pytest.raises(ValueError, match="kills node 64"):
+        with pytest.raises(ValueError, match=message):
             RuntimeConfig(fault_plan=plan)
 
 

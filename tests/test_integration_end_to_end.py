@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from repro.algorithms import KMeansWorkflow, LinearRegressionWorkflow
+from repro.algorithms import KMeansWorkflow, MatmulWorkflow, SyntheticWorkflow
 from repro.core.advisor import WorkflowAdvisor
 from repro.core.persistence import load_result, save_result, to_jsonable
 from repro.data import DatasetSpec, paper_datasets
@@ -60,11 +60,13 @@ class TestTracePipeline:
 
 
 class TestAdvisorOverNewWorkloads:
-    def test_advisor_recommends_for_linear_regression(self):
-        dataset = DatasetSpec("lin_e2e", rows=10_000_000, cols=100)
+    def test_advisor_recommends_for_synthetic(self):
+        dataset = DatasetSpec("syn_e2e", rows=2_000_000, cols=100)
         advisor = WorkflowAdvisor()
         recommendation = advisor.recommend(
-            lambda grid: LinearRegressionWorkflow(dataset, grid_rows=grid),
+            lambda grid: SyntheticWorkflow(
+                dataset, grid_rows=grid, parallel_ratio=0.6
+            ),
             grids=(64, 8),
             storages=(StorageKind.LOCAL,),
             policies=(SchedulingPolicy.GENERATION_ORDER,),
@@ -74,11 +76,11 @@ class TestAdvisorOverNewWorkloads:
         assert len(labels) == len(recommendation.candidates)
 
     def test_hybrid_plan_feeds_runtime_config(self):
-        dataset = DatasetSpec("lin_e2e2", rows=10_000_000, cols=100)
-        workflow = LinearRegressionWorkflow(dataset, grid_rows=64)
-        plan = WorkflowAdvisor().plan_hybrid(workflow)
+        dataset = paper_datasets()["matmul_8gb"]
+        plan = WorkflowAdvisor().plan_hybrid(MatmulWorkflow(dataset, grid=4))
+        assert plan == {"matmul_func"}
         rt = Runtime(RuntimeConfig(use_gpu=True, gpu_task_types=plan))
-        LinearRegressionWorkflow(dataset, grid_rows=64).build(rt)
+        MatmulWorkflow(dataset, grid=4).build(rt)
         result = rt.run()
         gpu_types = {t.task_type for t in result.trace.tasks if t.used_gpu}
         assert gpu_types == set(plan)

@@ -10,7 +10,6 @@ import pytest
 
 from repro.algorithms import (
     KMeansWorkflow,
-    LinearRegressionWorkflow,
     MatmulFmaWorkflow,
     MatmulWorkflow,
     SyntheticWorkflow,
@@ -45,12 +44,6 @@ CASES = [
         "kmeans",
         lambda: KMeansWorkflow(
             paper_datasets()["kmeans_10gb"], grid_rows=64, n_clusters=10
-        ),
-    ),
-    (
-        "linreg",
-        lambda: LinearRegressionWorkflow(
-            DatasetSpec("lin_cons", rows=10_000_000, cols=100), grid_rows=64
         ),
     ),
     (

@@ -9,7 +9,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.algorithms import (
     KMeansWorkflow,
-    LinearRegressionWorkflow,
     MatmulFmaWorkflow,
     MatmulWorkflow,
     SyntheticWorkflow,
@@ -98,22 +97,6 @@ class TestFuzzedConfigurations:
             # Two iterations: partial_sum levels plus merges.
             assert metrics.dag_height == 4
             assert metrics.makespan >= metrics.parallel_task_time
-
-    @given(
-        rows=st.integers(min_value=50_000, max_value=2_000_000),
-        grid=st.sampled_from([1, 4, 16]),
-        use_gpu=st.booleans(),
-    )
-    @settings(**_SETTINGS)
-    def test_linreg(self, rows, grid, use_gpu):
-        if grid > rows:
-            return
-        metrics = run_workflow(
-            LinearRegressionWorkflow(_tall_dataset(rows), grid_rows=grid),
-            use_gpu=use_gpu,
-        )
-        assert metrics.status == "ok"
-        assert metrics.makespan > 0
 
     @given(
         ratio=st.floats(min_value=0.0, max_value=1.0),
