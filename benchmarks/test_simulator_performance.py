@@ -23,11 +23,13 @@ cells:
   task budgets split over four :class:`~repro.core.shard.ShardPool`
   workers (``_x4``).  Only ``scale_100k`` is cheap enough for every
   push; CI runs the rest in its own job with
-  ``-k "scale_1m or x4"``.
+  ``-k "scale_1m or x4"``.  The serial ``scale_1m`` cell also bounds the
+  process's peak RSS, which its task graph dominates.
 """
 
 import dataclasses
 import os
+import resource
 import time
 
 import numpy as np
@@ -174,6 +176,20 @@ SCALE_CELLS = (
 )
 
 
+#: Peak RSS bound of the serial ``scale_1m`` cell, in MB: the process's
+#: ``ru_maxrss`` after the run, so it spans the 10^6-task build and the
+#: run.  On a 2-vCPU VM (Python 3.11) the cell peaked at about 1,000 MB
+#: with slotted task records and at 1,489 MB when every ``Task`` and
+#: ``DataRef`` kept its attributes apart and its own empty containers.
+SCALE_1M_PEAK_RSS_MB = 1250
+
+
+def peak_rss_mb() -> float:
+    """This process's peak resident set size (``ru_maxrss`` is KiB on
+    Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def sharded_floor(base_floor: float, workers: int) -> float:
     """Half of ``min(workers, cores)`` times the base floor: on a 4-core
     runner four workers must beat 2x the serial floor; on one core the
@@ -222,3 +238,8 @@ def test_scale_cell(benchmark, cell):
           f"({rate:,.0f} tasks/s, floor {floor:,.0f})")
     assert tasks == width * depth
     assert rate >= floor
+    if name == "scale_1m":
+        peak = peak_rss_mb()
+        print(f"{name}: peak RSS {peak:,.0f} MB "
+              f"(bound {SCALE_1M_PEAK_RSS_MB:,} MB)")
+        assert peak < SCALE_1M_PEAK_RSS_MB

@@ -321,11 +321,10 @@ class SimulatedExecutor:
         levels_map = graph.levels()
         self._levels = _np.zeros(size, dtype=_np.int32)
         if levels_map:
-            self._levels[list(levels_map)] = list(levels_map.values())
-            level_counts = _np.bincount(
-                _np.fromiter(levels_map.values(), dtype=_np.int64)
-            )
-            self._no_distribution = int(level_counts.max()) == 1
+            count = len(levels_map)
+            level_of = _np.fromiter(levels_map.values(), _np.int64, count)
+            self._levels[_np.fromiter(levels_map, _np.int64, count)] = level_of
+            self._no_distribution = int(_np.bincount(level_of).max()) == 1
         else:
             self._no_distribution = False
         self._indegree = _np.full(size, -1, dtype=_np.int32)

@@ -11,6 +11,10 @@ K-means DAG in the paper's Figure 6.
 
 from __future__ import annotations
 
+from collections import Counter
+from types import MappingProxyType
+from typing import Mapping
+
 from repro.runtime.task import Task
 
 
@@ -50,9 +54,9 @@ class TaskGraph:
     def __init__(self) -> None:
         self._tasks: dict[int, Task] = {}
         self._successors: dict[int, list[int]] = {}
-        self._predecessors: dict[int, list[int]] = {}
+        self._predecessors: dict[int, tuple[int, ...]] = {}
         self._producer_of_ref: dict[int, int] = {}
-        self._levels: dict[int, int] | None = None
+        self._levels: Mapping[int, int] | None = None
 
     # ------------------------------------------------------------ building
     def add_task(self, task: Task) -> None:
@@ -81,14 +85,16 @@ class TaskGraph:
                     )
         self._tasks[task.task_id] = task
         self._successors[task.task_id] = []
-        self._predecessors[task.task_id] = []
+        predecessors: list[int] = []
         linked: set[int] = set()
         for ref in task.inputs:
             producer = self._producer_of_ref.get(ref.ref_id)
             if producer is not None and producer not in linked:
                 linked.add(producer)
                 self._successors[producer].append(task.task_id)
-                self._predecessors[task.task_id].append(producer)
+                predecessors.append(producer)
+        # A tuple holds no spare capacity, unlike the list it is built from.
+        self._predecessors[task.task_id] = tuple(predecessors)
         for ref in task.outputs:
             self._producer_of_ref[ref.ref_id] = task.task_id
         self._levels = None
@@ -129,9 +135,9 @@ class TaskGraph:
         """
         return self._successors[task_id]
 
-    def predecessor_ids(self, task_id: int) -> list[int]:
-        """Ids of the tasks the given task depends on (shared list, do
-        not mutate); see :meth:`successor_ids`."""
+    def predecessor_ids(self, task_id: int) -> tuple[int, ...]:
+        """Ids of the tasks the given task depends on, in input order
+        (the tuple :meth:`add_task` built)."""
         return self._predecessors[task_id]
 
     def roots(self) -> list[Task]:
@@ -151,31 +157,25 @@ class TaskGraph:
         ]
 
     # ------------------------------------------------------------- shape
-    def levels(self) -> dict[int, int]:
+    def levels(self) -> Mapping[int, int]:
         """Longest-path level of every task (roots are level 0).
 
         One pass over insertion order, which :meth:`add_task` makes a
-        topological order, so the dict is keyed in that order.
+        topological order, so the mapping is keyed in that order.  It is
+        a read-only view of the graph's cache, computed once per graph
+        state: repeated calls copy nothing.
         """
         if self._levels is None:
             levels: dict[int, int] = {}
             for task_id, preds in self._predecessors.items():
                 levels[task_id] = max(levels[p] for p in preds) + 1 if preds else 0
-            self._levels = levels
-        return dict(self._levels)
-
-    def tasks_by_level(self) -> dict[int, list[Task]]:
-        """Tasks grouped by level, ascending."""
-        grouped: dict[int, list[Task]] = {}
-        for task_id, level in self.levels().items():
-            grouped.setdefault(level, []).append(self._tasks[task_id])
-        return {level: grouped[level] for level in sorted(grouped)}
+            self._levels = MappingProxyType(levels)
+        return self._levels
 
     @property
     def width(self) -> int:
         """Maximum tasks on one level: the degree of task parallelism."""
-        by_level = self.tasks_by_level()
-        return max((len(tasks) for tasks in by_level.values()), default=0)
+        return max(Counter(self.levels().values()).values(), default=0)
 
     @property
     def height(self) -> int:

@@ -21,7 +21,7 @@ def _next_ref_id() -> int:
     return next(_ref_counter)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class DataRef:
     """A handle to one data object flowing through the workflow."""
 

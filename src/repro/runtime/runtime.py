@@ -22,7 +22,7 @@ from repro.runtime.backends.simulated import SimulatedExecutor
 from repro.runtime.dag import TaskGraph
 from repro.runtime.data import DataRef
 from repro.runtime.scheduler import SchedulingPolicy
-from repro.runtime.task import Task
+from repro.runtime.task import _NO_KWARGS, Task
 from repro.tracing import Trace
 
 _active_runtimes: list["Runtime"] = []
@@ -244,7 +244,7 @@ class Runtime:
         inputs: Sequence[DataRef],
         cost: TaskCost | None = None,
         fn: Any = None,
-        args: Sequence[Any] = (),
+        args: Sequence[Any] | None = None,
         kwargs: dict[str, Any] | None = None,
         n_outputs: int = 1,
         output_bytes: Sequence[int] | None = None,
@@ -252,11 +252,13 @@ class Runtime:
     ) -> list[DataRef]:
         """Record one task; returns refs for its future outputs.
 
-        ``output_bytes`` gives the size of each produced object; when
-        omitted it defaults to an even split of ``cost.output_bytes``.
-        ``ignore`` suppresses the given analyzer codes (``WFnnn``) for
-        this task — reviewed-and-accepted findings that lint should stop
-        reporting.
+        ``fn`` is called with ``args`` (the inputs when omitted) and
+        ``kwargs`` by the in-process backend.  ``output_bytes`` gives
+        the size of each produced object; when omitted it defaults to an
+        even split of ``cost.output_bytes``.  ``ignore`` suppresses the
+        given analyzer codes (``WFnnn``) for this task — reviewed-and-
+        accepted findings that lint should stop reporting; a bare string
+        raises ``ValueError``.
         """
         if output_bytes is None:
             total = cost.output_bytes if cost is not None else 0
@@ -271,18 +273,17 @@ class Runtime:
             DataRef(size_bytes=size, name=f"{name}#{task_id}.out{i}")
             for i, size in enumerate(output_bytes)
         )
-        if not args:
-            args = tuple(inputs)
+        inputs = tuple(inputs)
         record = Task(
             task_id=task_id,
             name=name,
-            inputs=tuple(inputs),
+            inputs=inputs,
             outputs=outputs,
             cost=cost,
             fn=fn,
-            args=tuple(args),
-            kwargs=dict(kwargs or {}),
-            ignore=frozenset(ignore),
+            args=inputs if args is None else tuple(args),
+            kwargs=dict(kwargs) if kwargs else _NO_KWARGS,
+            ignore=ignore,
         )
         self.graph.add_task(record)
         return list(outputs)

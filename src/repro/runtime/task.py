@@ -17,13 +17,34 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.perfmodel import TaskCost
 from repro.runtime.data import DataRef
 
+#: The keyword arguments and suppressed codes of every task that has
+#: none: one shared read-only mapping and one shared frozenset, so a
+#: graph of a million tasks holds no million empty containers.
+_NO_KWARGS: Mapping[str, Any] = MappingProxyType({})
+_NO_CODES: frozenset[str] = frozenset()
 
-@dataclass(eq=False)
+
+def _ignore_codes(codes: Iterable[str]) -> frozenset[str]:
+    """The analyzer codes of an ``ignore=`` argument, as a frozenset.
+
+    A bare string is refused: ``frozenset("WF006")`` would suppress the
+    codes ``W``, ``F``, ``0`` and ``6`` and leave WF006 reported.
+    """
+    if isinstance(codes, str):
+        raise ValueError(
+            f"ignore takes a collection of codes, not the string {codes!r}; "
+            f"write ignore={{{codes!r}}}"
+        )
+    return frozenset(codes) if codes else _NO_CODES
+
+
+@dataclass(eq=False, slots=True)
 class Task:
     """One vertex of the workflow DAG."""
 
@@ -34,16 +55,16 @@ class Task:
     cost: TaskCost | None = None
     fn: Callable[..., Any] | None = None
     args: tuple[Any, ...] = ()
-    kwargs: dict[str, Any] = field(default_factory=dict)
+    kwargs: Mapping[str, Any] = field(default_factory=lambda: _NO_KWARGS)
     #: Analyzer codes (``WFnnn``) suppressed for this task — the
     #: task-level counterpart of ``analyze(ignore=...)``.  Set via
     #: ``@task(ignore={...})`` or ``Runtime.submit(ignore={...})`` for
     #: findings that are reviewed and accepted (e.g. a deliberately
     #: tiny kernel tripping WF201).
-    ignore: frozenset[str] = frozenset()
+    ignore: frozenset[str] = _NO_CODES
 
     def __post_init__(self) -> None:
-        self.ignore = frozenset(self.ignore)
+        self.ignore = _ignore_codes(self.ignore)
 
     @property
     def gpu_eligible(self) -> bool:
@@ -98,7 +119,7 @@ class TaskFunction:
         self.fn = fn
         self.returns = returns
         self.name = name or fn.__name__
-        self.ignore = frozenset(ignore)
+        self.ignore = _ignore_codes(ignore)
         functools.update_wrapper(self, fn)
 
     def __call__(self, *args: Any, **kwargs: Any) -> Any:
@@ -112,7 +133,9 @@ class TaskFunction:
         refs = runtime.submit(
             name=self.name,
             fn=self.fn,
-            inputs=[a for a in args if isinstance(a, DataRef)],
+            inputs=[
+                a for a in (*args, *kwargs.values()) if isinstance(a, DataRef)
+            ],
             args=args,
             kwargs=kwargs,
             cost=cost,
@@ -143,11 +166,14 @@ def task(
     ignore:
         Analyzer codes (``WFnnn``) suppressed for tasks of this type —
         reviewed-and-accepted findings that ``repro lint`` should stop
-        reporting (see ``docs/linting.md``).
+        reporting (see ``docs/linting.md``).  A bare string raises
+        ``ValueError``; write ``ignore={"WF201"}``.
 
     When invoked under an active runtime, pass ``_cost=`` (a
     :class:`TaskCost`) and optionally ``_output_bytes=`` (sizes of each
     produced object; defaults to ``cost.output_bytes`` split evenly).
+    Every :class:`DataRef` argument, positional or keyword, is an input
+    of the recorded task.
     """
 
     def decorate(fn: Callable[..., Any]) -> TaskFunction:

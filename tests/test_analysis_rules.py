@@ -413,3 +413,16 @@ class TestSuppressions:
         with runtime:
             tiny_kernel(None, _cost=_cost())
         assert runtime.graph.task(1).ignore == frozenset({"WF201"})
+
+    def test_submit_refuses_a_bare_string_ignore(self):
+        # frozenset("WF006") would waive W, F, 0 and 6, not WF006.
+        runtime = Runtime(RuntimeConfig())
+        with pytest.raises(ValueError, match="ignore"):
+            runtime.submit("noop", inputs=(), ignore="WF006")
+        assert runtime.graph.num_tasks == 0
+
+    def test_decorator_refuses_a_bare_string_ignore(self):
+        from repro.runtime import task as task_decorator
+
+        with pytest.raises(ValueError, match="ignore"):
+            task_decorator(returns=1, ignore="WF006")(lambda x: x)

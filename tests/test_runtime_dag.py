@@ -1,10 +1,14 @@
 """Unit tests for DAG construction and shape analysis."""
 
+import gc
+import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.perfmodel import TaskCost
 from repro.runtime import (
     DataRef,
     DuplicateProducerError,
@@ -190,12 +194,6 @@ class TestTopologyAndLevels:
         assert graph.height == 0
         assert graph.levels() == {}
 
-    def test_tasks_by_level_groups(self):
-        graph = self._chain(3)
-        by_level = graph.tasks_by_level()
-        assert sorted(by_level) == [0, 1, 2]
-        assert all(len(tasks) == 1 for tasks in by_level.values())
-
     def test_describe(self):
         graph = self._chain(2)
         text = graph.describe()
@@ -302,3 +300,81 @@ class TestShapeProperties:
             graph.add_task(task)
             outputs.append(task.outputs)
         _check_shape(graph, specs, ids)
+
+
+class TestFootprint:
+    """The graph's traced memory per task.
+
+    The DAG is shaped like the ``replay`` benchmark's: 125 x 160 tasks
+    submitted through :meth:`Runtime.submit`, each reading two distinct
+    outputs of the previous level and writing one, with costs drawn
+    from a 64-entry palette.  The random choices are drawn before
+    tracing starts, so only the graph is counted.
+    """
+
+    WIDTH, DEPTH = 125, 160
+    #: Traced bytes per task.  Slotted ``Task``/``DataRef`` records,
+    #: shared empty ``kwargs``/``ignore`` and one tuple per task for its
+    #: inputs, default args and predecessors read about 650 (Python
+    #: 3.11); records with instance dicts and per-task empties read
+    #: about 1,110.
+    BYTES_PER_TASK_BOUND = 900
+
+    def _build(self) -> tuple[Runtime, int]:
+        """The built runtime and the bytes its graph holds."""
+        rng = np.random.default_rng(11)
+        palette = [
+            TaskCost(serial_flops=float(flops), parallel_flops=0.0,
+                     parallel_items=0.0, arithmetic_intensity=1e-6,
+                     input_bytes=0, output_bytes=0, host_device_bytes=0,
+                     gpu_memory_bytes=0)
+            for flops in rng.uniform(1e7, 4e7, size=64)
+        ]
+        width, total = self.WIDTH, self.WIDTH * self.DEPTH
+        cost_ix = rng.integers(0, len(palette), size=total).tolist()
+        first = rng.integers(0, width, size=total)
+        second = ((first + rng.integers(1, width, size=total)) % width).tolist()
+        first = first.tolist()
+        runtime = Runtime()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            previous = [runtime.register_input(1) for _ in range(width)]
+            at = 0
+            for _ in range(self.DEPTH):
+                current = []
+                for _ in range(width):
+                    a, b = sorted((first[at], second[at]))
+                    (out,) = runtime.submit(
+                        "replay", inputs=[previous[a], previous[b]],
+                        cost=palette[cost_ix[at]], output_bytes=[0])
+                    current.append(out)
+                    at += 1
+                previous = current
+            traced = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        return runtime, traced
+
+    def test_bytes_per_task(self):
+        runtime, traced = self._build()
+        assert runtime.graph.num_tasks == self.WIDTH * self.DEPTH
+        assert runtime.graph.height == self.DEPTH
+        assert traced / runtime.graph.num_tasks < self.BYTES_PER_TASK_BOUND
+
+    def test_levels_are_not_copied(self):
+        graph = self._build()[0].graph
+        first = graph.levels()
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            again = graph.levels()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A copy of 20,000 entries would take several hundred kilobytes.
+        assert peak - base < 1024
+        assert again == first
+        with pytest.raises(TypeError):
+            again[0] = 5

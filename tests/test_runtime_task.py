@@ -22,6 +22,11 @@ def consume(x):
     return None
 
 
+@task(returns=1)
+def weighted(x, w=1):
+    return x * w
+
+
 def _cost(out_bytes=16):
     return TaskCost(
         serial_flops=1.0,
@@ -85,6 +90,21 @@ class TestDecoratorInsideRuntime:
         with rt:
             assert current_runtime() is rt
         assert current_runtime() is None
+
+    def test_ref_passed_by_keyword_is_a_dependency(self):
+        rt = Runtime(RuntimeConfig(backend=Backend.IN_PROCESS))
+        x = rt.register_input(8, value=3)
+        with rt:
+            w = double(x, _cost=_cost())
+            by_position = weighted(x, w=w, _cost=_cost())
+            by_keyword = weighted(x=w, w=x, _cost=_cost())
+        assert rt.graph.edges() == [(0, 1), (0, 2)]
+        assert rt.graph.levels() == {0: 0, 1: 1, 2: 1}
+        assert rt.graph.task(1).inputs == (x, w)
+        assert rt.graph.task(2).inputs == (w, x)
+        result = rt.run()
+        assert result.value_of(by_position) == 18
+        assert result.value_of(by_keyword) == 18
 
     def test_output_bytes_default_splits_cost(self):
         rt = Runtime(RuntimeConfig())
