@@ -93,7 +93,7 @@ def check_dead_tasks(ctx: RuleContext) -> list[Diagnostic]:
                 continue
         elif levels[task.task_id] == max_level:
             # Without knowing which refs the application keeps, final-level
-            # tasks are presumed to carry the workflow's results.
+            # tasks are assumed to carry the workflow's results.
             continue
         dead.append(task)
     findings = []

@@ -82,12 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable the on-disk sweep result cache",
     )
-    figures.add_argument(
-        "--resume",
-        action="store_true",
-        help="replay the execution ledger first and re-run only cells "
-             "that were unfinished when the previous run died",
-    )
 
     run = sub.add_parser("run", help="execute one workflow configuration")
     run.add_argument("--algorithm", choices=("matmul", "matmul_fma", "kmeans"),
@@ -238,9 +232,6 @@ def _cmd_figures(args, parser: argparse.ArgumentParser) -> int:
     from repro.core import factors_table
     from repro.core import experiments as exp
 
-    if args.resume and args.no_cache:
-        parser.error("--resume needs the execution ledger under the cache "
-                     "dir; drop --no-cache")
     # One engine for the whole invocation: cells shared between figures
     # (e.g. Figure 11's base design repeating Figures 7/9a/10) simulate
     # once, and the shard pool's workers stay warm across figures.
@@ -250,7 +241,6 @@ def _cmd_figures(args, parser: argparse.ArgumentParser) -> int:
             jobs=args.jobs,
             cache_dir=args.cache_dir,
             cache=not args.no_cache,
-            resume=args.resume,
         ),
     )
     runners = {
@@ -334,6 +324,32 @@ def _run_config(args):
     return workflow, config
 
 
+def _check_fault_targets(plan, graph) -> None:
+    """Refuse a fault entry naming a task or task type the graph lacks.
+
+    The library lets such entries match nothing, so that one plan can
+    serve several workflows; ``repro run`` builds one workflow, on which
+    an entry that can never fire is a mistake.
+    """
+    tasks = graph.tasks()
+    ids = {task.task_id for task in tasks}
+    types = {task.name for task in tasks}
+    for key in ("task_crashes", "gpu_ooms", "stragglers"):
+        for index, entry in enumerate(getattr(plan, key)):
+            task_id = getattr(entry, "task_id", None)
+            if task_id is not None and task_id not in ids:
+                raise ValueError(
+                    f"fault plan {key}[{index}] names task {task_id} but "
+                    f"the workflow has {len(tasks)} tasks"
+                )
+            if entry.task_type is not None and entry.task_type not in types:
+                raise ValueError(
+                    f"fault plan {key}[{index}] names task type "
+                    f"{entry.task_type!r} but the workflow has only "
+                    + ", ".join(sorted(types))
+                )
+
+
 def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
     from repro.analysis import TraceSanitizerError
     from repro.runtime import Runtime
@@ -348,6 +364,10 @@ def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
     workflow, config = _or_usage_error(parser, _run_config, args)
     runtime = Runtime(config)
     workflow.build(runtime)
+    if config.fault_plan is not None:
+        _or_usage_error(
+            parser, _check_fault_targets, config.fault_plan, runtime.graph
+        )
     print(f"DAG: {runtime.graph.describe()}")
     try:
         result = runtime.run(sanitize=args.sanitize)

@@ -279,8 +279,6 @@ class SweepStats:
     executed: int = 0
     memo_hits: int = 0
     cache_hits: int = 0
-    #: Cells answered from a replayed execution ledger (``--resume``).
-    resumed: int = 0
     evictions: int = 0
     #: Wall-clock the cache hits originally cost to compute.
     wall_saved: float = 0.0
@@ -294,8 +292,8 @@ class SweepStats:
 
     @property
     def hits(self) -> int:
-        """Cells answered without simulating (cache, dedup, ledger)."""
-        return self.cache_hits + self.memo_hits + self.resumed
+        """Cells answered without simulating (cache, dedup)."""
+        return self.cache_hits + self.memo_hits
 
     @property
     def hit_rate(self) -> float:
@@ -307,7 +305,6 @@ class SweepStats:
         return (
             f"[sweep] cells={self.cells} hits={self.cache_hits} "
             f"dedup={self.memo_hits} misses={self.misses} "
-            f"resumed={self.resumed} "
             f"evictions={self.evictions} hit_rate={self.hit_rate:.0%} "
             f"saved={self.wall_saved:.1f}s wall={self.executed_wall:.1f}s"
         )
@@ -324,15 +321,13 @@ class SweepEngine:
     :meth:`close` (or use the engine as a context manager) to reap the
     workers; an unclosed engine's daemon workers die with the process.
 
-    When caching is on (or an explicit ``ledger_path`` is given) every
-    cell execution is journalled to a crash-consistent
-    :class:`~repro.core.ledger.ExecutionLedger` under the cache dir:
-    PENDING on submission, DISPATCHED per attempt, then
-    DONE / FAILED / QUARANTINED.  ``resume=True`` replays the journal
-    first and answers every previously finished cell from its DONE
-    record — no cache lookup, no simulation — so a run SIGKILLed
-    mid-sweep re-executes only what was unfinished (``repro figures
-    --resume``).
+    The cache is the one record of a finished cell: each is written the
+    moment it finishes, so a run SIGKILLed mid-sweep resumes by running
+    it again, which answers every finished cell from the cache.  When
+    caching is on, every cell execution is also journalled to an
+    :class:`~repro.core.ledger.ExecutionLedger` at ``ledger.jsonl``
+    under the cache dir: one OPEN marker per engine, then PENDING on
+    submission, DISPATCHED per attempt and DONE / FAILED / QUARANTINED.
 
     ``jobs`` is the worker count (``None`` means the CPU count; below 1
     raises :class:`ValueError`).  ``chaos`` forwards a deterministic
@@ -345,8 +340,6 @@ class SweepEngine:
         jobs: int | None = None,
         cache_dir: str | Path | None = None,
         cache: bool = True,
-        ledger_path: str | Path | None = None,
-        resume: bool = False,
         chaos=None,
     ) -> None:
         if jobs is not None and jobs < 1:
@@ -357,34 +350,20 @@ class SweepEngine:
         self._memo: dict[str, RunMetrics] = {}
         self._pool: shard.ShardPool | None = None
         self._cache: SweepCache | None = None
+        self._ledger: ledger_module.ExecutionLedger | None = None
         self._chaos = chaos
         if cache:
             self._cache = SweepCache(
                 Path(cache_dir) if cache_dir is not None else default_cache_dir()
             )
             self.stats.evictions += self._cache.prune(self._fingerprint)
-        # The ledger lives beside the cache shards; SweepCache only globs
-        # one level deeper (``*/*.json``), so the journal is invisible to
-        # cache scans and pruning.
-        if ledger_path is None and self._cache is not None:
-            ledger_path = self._cache.root / "ledger.jsonl"
-        if resume and ledger_path is None:
-            raise ValueError(
-                "resume requires an execution ledger: enable the cache "
-                "or pass ledger_path"
+            # The ledger lives beside the cache shards; SweepCache only
+            # globs one level deeper (``*/*.json``), so the journal is
+            # invisible to cache scans and pruning.
+            self._ledger = ledger_module.ExecutionLedger(
+                self._cache.root / "ledger.jsonl"
             )
-        self._ledger: ledger_module.ExecutionLedger | None = None
-        self._resumed: set[str] = set()
-        if ledger_path is not None:
-            if resume:
-                replayed = ledger_module.replay_ledger(ledger_path)
-                for digest, record in replayed.done_records().items():
-                    self._memo[digest] = metrics_from_record(record)
-                    self._resumed.add(digest)
-            self._ledger = ledger_module.ExecutionLedger(ledger_path)
-            self._ledger.open_session(
-                resumed=resume, fingerprint=self._fingerprint
-            )
+            self._ledger.append(ledger_module.OPEN, fingerprint=self._fingerprint)
 
     def __enter__(self) -> "SweepEngine":
         return self
@@ -423,11 +402,6 @@ class SweepEngine:
         """Where results are persisted (``None`` when caching is off)."""
         return self._cache.root if self._cache is not None else None
 
-    @property
-    def ledger_path(self) -> Path | None:
-        """Where the execution journal lives (``None`` when disabled)."""
-        return self._ledger.path if self._ledger is not None else None
-
     def run_cells(self, specs: Sequence[CellSpec]) -> list[RunMetrics]:
         """Execute a batch of cells; results align with the input order.
 
@@ -441,12 +415,6 @@ class SweepEngine:
 
         pending: dict[str, CellSpec] = {}
         for spec, digest in zip(specs, digests):
-            if digest in self._resumed:
-                # Answered from the replayed ledger; later repeats of the
-                # same digest count as ordinary dedup hits.
-                self._resumed.discard(digest)
-                self.stats.resumed += 1
-                continue
             if digest in self._memo:
                 self.stats.memo_hits += 1
                 continue
@@ -524,10 +492,7 @@ class SweepEngine:
         record, wall = _execute_to_cache(spec, digest, self._fingerprint, cache_root)
         if self._ledger is not None:
             self._ledger.append(
-                ledger_module.DONE,
-                item=digest,
-                record=record,
-                duration=round(wall, 6),
+                ledger_module.DONE, item=digest, duration=round(wall, 6)
             )
         return record, wall
 
@@ -544,12 +509,11 @@ class SweepEngine:
             )
         elif kind == "result":
             if info["status"] == "ok":
-                record, wall = info["payload"]
+                _record, wall = info["payload"]
                 self._ledger.append(
                     ledger_module.DONE,
                     item=info["item"],
                     worker=info["worker"],
-                    record=record,
                     duration=round(wall, 6),
                 )
             else:

@@ -1,35 +1,30 @@
-"""Crash-consistent execution ledger: an append-only JSONL journal.
+"""Execution ledger: an append-only JSONL event log of a sweep.
 
-The sweep cache (:mod:`repro.core.experiments.cache`) memoises *what a
-cell computed*; the ledger records *what an execution did* — every item
-state transition of one logical run, durable enough to survive a SIGKILL
-mid-sweep.  One line per event:
+The sweep cache (:mod:`repro.core.experiments.cache`) is the one record
+of *what a cell computed*: the serial path and every pool worker write a
+cell's record the moment it finishes, so a sweep killed mid-run resumes
+by running it again.  The ledger records *what an execution did*, every
+item state transition, one line per event:
 
 ``PENDING → DISPATCHED → DONE | FAILED | QUARANTINED``
 
 ``DISPATCHED`` repeats per attempt (carrying the worker id and attempt
-number), ``DONE`` carries the result record and its wall-clock duration,
-so a resumed run (``repro figures --resume``) can replay the journal,
-re-hydrate every finished item *from the ledger alone* — no cache
-required — and re-run only what was in flight or failed when the process
-died.
+number), ``DONE`` carries the wall-clock duration, and one ``OPEN``
+marker starts the events of each engine.  Nothing reads the journal
+back; it tells a person what a killed or slow sweep did.
 
-Crash consistency comes from the write discipline, not from locks: each
-event is a single ``os.write`` of one complete line to an ``O_APPEND``
-descriptor followed by ``fsync``, so after any kill the file is a valid
-journal plus at most one torn final line, which :func:`replay_ledger`
-drops.  Torn or foreign bytes *before* the final line mean real
-corruption (two uncoordinated writers, disk damage) and raise
-:class:`LedgerError` instead of being silently skipped.
+Each event is a single ``os.write`` of one complete line to an
+``O_APPEND`` descriptor followed by ``fsync``, so after any kill the
+file holds every event written before it plus at most one torn final
+line.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 #: Journal format version, stamped on every session-open marker.
 SCHEMA = "repro-ledger/1"
@@ -41,19 +36,10 @@ DONE = "DONE"
 FAILED = "FAILED"
 QUARANTINED = "QUARANTINED"
 
-#: Session markers (no item attached): OPEN starts a fresh session,
-#: RESUME starts a session that replayed the journal first.
+#: The session marker (no item attached) that starts one engine's events.
 OPEN = "OPEN"
-RESUME = "RESUME"
 
 STATES = frozenset({PENDING, DISPATCHED, DONE, FAILED, QUARANTINED})
-MARKERS = frozenset({OPEN, RESUME})
-#: States that settle an item (no further transitions expected).
-TERMINAL = frozenset({DONE, FAILED, QUARANTINED})
-
-
-class LedgerError(RuntimeError):
-    """The journal is corrupt beyond a torn final line."""
 
 
 class ExecutionLedger:
@@ -61,14 +47,11 @@ class ExecutionLedger:
 
     Single-writer by design: the pool parent (or the serial engine loop)
     is the only appender, so event order in the file is authoritative
-    and no locking is needed.  ``fsync=False`` trades the per-event
-    fsync for speed when durability only needs to beat a clean exit
-    (tests); leave it on for anything a SIGKILL may interrupt.
+    and no locking is needed.
     """
 
-    def __init__(self, path: str | Path, fsync: bool = True) -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self.fsync = fsync
         self._fd: int | None = None
         self._seq = 0
 
@@ -97,14 +80,14 @@ class ExecutionLedger:
         """Append one event; returns the written entry.
 
         ``state`` is one of :data:`STATES` (``item`` required) or
-        :data:`MARKERS` (``item`` forbidden).  Extra ``fields`` (attempt,
-        worker, duration, record, error, ...) are stored verbatim;
-        ``None`` values are dropped.
+        :data:`OPEN` (``item`` forbidden).  Extra ``fields`` (attempt,
+        worker, duration, error, ...) are stored verbatim; ``None``
+        values are dropped.
         """
         if state in STATES:
             if item is None:
                 raise ValueError(f"{state} events need an item")
-        elif state in MARKERS:
+        elif state == OPEN:
             if item is not None:
                 raise ValueError(f"{state} is a session marker, not an item event")
         else:
@@ -112,7 +95,7 @@ class ExecutionLedger:
         entry: dict[str, Any] = {"seq": self._seq, "state": state}
         if item is not None:
             entry["item"] = item
-        if state in MARKERS:
+        else:
             entry["schema"] = SCHEMA
         entry.update(
             {key: value for key, value in fields.items() if value is not None}
@@ -122,131 +105,6 @@ class ExecutionLedger:
         ).encode("utf-8")
         fd = self._descriptor()
         os.write(fd, line)
-        if self.fsync:
-            os.fsync(fd)
+        os.fsync(fd)
         self._seq += 1
         return entry
-
-    def open_session(self, resumed: bool = False, **fields: Any) -> dict:
-        """Append the session marker that starts one engine invocation."""
-        return self.append(RESUME if resumed else OPEN, **fields)
-
-
-# --------------------------------------------------------------- replay
-
-
-@dataclass
-class ItemState:
-    """Where one item stood when the journal ended."""
-
-    state: str
-    attempts: int = 0
-    worker: int | None = None
-    duration: float | None = None
-    #: The DONE event's result record, or the FAILED/QUARANTINED error.
-    record: dict | None = None
-    error: Any = None
-
-    @property
-    def terminal(self) -> bool:
-        return self.state in TERMINAL
-
-
-@dataclass
-class LedgerState:
-    """The replayed journal: per-item latest state plus file health."""
-
-    items: dict[str, ItemState] = field(default_factory=dict)
-    events: int = 0
-    sessions: int = 0
-    #: The final line was torn (interrupted write) and was dropped.
-    torn: bool = False
-
-    def by_state(self, state: str) -> list[str]:
-        """Item ids currently in ``state``, sorted."""
-        return sorted(k for k, v in self.items.items() if v.state == state)
-
-    @property
-    def done(self) -> list[str]:
-        return self.by_state(DONE)
-
-    def done_records(self) -> dict[str, dict]:
-        """``{item: result record}`` of every finished item that has one."""
-        return {
-            key: state.record
-            for key, state in sorted(self.items.items())
-            if state.state == DONE and state.record is not None
-        }
-
-    @property
-    def unfinished(self) -> list[str]:
-        """Items seen but not settled — the resume work list."""
-        return sorted(
-            k for k, v in self.items.items() if v.state not in TERMINAL
-        )
-
-
-def iter_events(path: str | Path) -> Iterator[dict]:
-    """Yield journal events in file order, dropping a torn final line.
-
-    A line that fails to parse is tolerated only in final position
-    (the signature of a write cut short by a kill); anywhere else it
-    raises :class:`LedgerError`.
-    """
-    try:
-        raw = Path(path).read_bytes()
-    except FileNotFoundError:
-        return
-    lines = raw.split(b"\n")
-    # A well-formed journal ends with a newline, so the final split
-    # element is empty; anything else is a torn tail.
-    last = len(lines) - 1
-    for index, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line)
-        except ValueError as error:
-            if index == last:
-                return  # torn tail — the interrupted final append
-            raise LedgerError(
-                f"{path}: corrupt journal line {index + 1}: {error}"
-            ) from error
-        if not isinstance(entry, dict) or "state" not in entry:
-            raise LedgerError(f"{path}: journal line {index + 1} is not an event")
-        yield entry
-
-
-def replay_ledger(path: str | Path) -> LedgerState:
-    """Fold the journal into per-item latest states.
-
-    A missing file replays to an empty state (nothing to resume).  The
-    torn-tail flag is set when the raw file does not end in a newline,
-    whether or not the tail parsed.
-    """
-    state = LedgerState()
-    try:
-        state.torn = not Path(path).read_bytes().endswith(b"\n")
-    except FileNotFoundError:
-        return state
-    for entry in iter_events(path):
-        state.events += 1
-        kind = entry["state"]
-        if kind in MARKERS:
-            state.sessions += 1
-            continue
-        item = str(entry["item"])
-        current = state.items.get(item)
-        if current is None:
-            current = state.items[item] = ItemState(state=kind)
-        current.state = kind
-        if kind == DISPATCHED:
-            current.attempts = int(entry.get("attempt", current.attempts + 1))
-            current.worker = entry.get("worker", current.worker)
-        elif kind == DONE:
-            current.record = entry.get("record")
-            current.duration = entry.get("duration", current.duration)
-            current.worker = entry.get("worker", current.worker)
-        elif kind in (FAILED, QUARANTINED):
-            current.error = entry.get("error")
-    return state

@@ -16,7 +16,7 @@ long-lived worker processes:
   bit-identical to a serial run of the same instances regardless of
   worker count, start method, or completion order.
 * **One supervision policy** — every worker heartbeats over the result
-  queue; a worker that stays silent past a fixed window is presumed
+  queue; a worker that stays silent past a fixed window is deemed
   *hung* (alive but frozen) and killed, and a worker that dies on its
   own (segfault, ``os._exit``, OOM-kill) is reaped.  Either way it takes
   only its in-flight instance with it: the pool respawns the worker and

@@ -83,14 +83,25 @@ def _matches(task_id: int, task_type: str, want_id: int | None,
     return want_id is not None or want_type is not None
 
 
+#: The stages at whose end the simulated executor can end an attempt.
+_CRASH_STAGES = (
+    Stage.DESERIALIZATION,
+    Stage.SERIAL_FRACTION,
+    Stage.PARALLEL_FRACTION,
+    Stage.SERIALIZATION,
+)
+
+
 @dataclass(frozen=True)
 class TaskCrash:
     """Crash matching task attempts at the end of one Figure-4 stage.
 
     Match by ``task_id``, ``task_type``, or both; ``attempts`` lists the
-    attempt numbers (1-based) that die.  A crash planned at a stage the
-    task never reaches (e.g. ``DESERIALIZATION`` in a width-1 workflow,
-    which skips storage) simply never fires.
+    attempt numbers (1-based) that die.  ``stage`` is deserialization,
+    the serial or parallel fraction, or serialization: the stages an
+    attempt can end after.  A crash planned at a stage the task never
+    reaches (e.g. ``DESERIALIZATION`` in a width-1 workflow, which skips
+    storage) simply never fires.
     """
 
     task_id: int | None = None
@@ -103,6 +114,14 @@ class TaskCrash:
             raise ValueError("TaskCrash needs a task_id or a task_type")
         if not self.attempts or any(a < 1 for a in self.attempts):
             raise ValueError("attempts must be 1-based attempt numbers")
+        # The executor tests stages by identity, so a stage given by its
+        # name would never fire.
+        object.__setattr__(self, "stage", Stage(self.stage))
+        if self.stage not in _CRASH_STAGES:
+            raise ValueError(
+                "a task crash stage must be deserialization, serial_fraction, "
+                f"parallel_fraction or serialization, got {self.stage.value!r}"
+            )
 
     def applies(self, task_id: int, task_type: str, attempt: int) -> bool:
         """Whether this crash kills the given attempt."""

@@ -142,6 +142,39 @@ class TestBadArguments:
                          '"stage":"bogus"}]}',
                          "task_crashes[0].stage must be a stage name, got "
                          "'bogus'", id="run-faults-bad-stage"),
+            pytest.param("run --grid 4 --faults "
+                         '{"task_crashes":[{"task_id":0,'
+                         '"stage":"cpu_gpu_comm"}]}',
+                         "a task crash stage must be deserialization, "
+                         "serial_fraction, parallel_fraction or "
+                         "serialization, got 'cpu_gpu_comm'",
+                         id="run-faults-crash-stage-never-ends"),
+            pytest.param("run --grid 4 --faults "
+                         '{"task_crashes":[{"task_id":100000}]}',
+                         "fault plan task_crashes[0] names task 100000 but "
+                         "the workflow has 15 tasks",
+                         id="run-faults-crash-ghost-task-id"),
+            pytest.param("run --grid 4 --faults "
+                         '{"gpu_ooms":[{"task_id":15}]}',
+                         "fault plan gpu_ooms[0] names task 15 but the "
+                         "workflow has 15 tasks",
+                         id="run-faults-gpu-oom-ghost-task-id"),
+            pytest.param("run --grid 4 --faults "
+                         '{"task_crashes":[{"task_type":"partial_sums"}]}',
+                         "fault plan task_crashes[0] names task type "
+                         "'partial_sums' but the workflow has only merge, "
+                         "partial_sum",
+                         id="run-faults-crash-ghost-task-type"),
+            pytest.param("run --grid 4 --faults "
+                         '{"gpu_ooms":[{"task_type":"nope"}]}',
+                         "fault plan gpu_ooms[0] names task type 'nope' but "
+                         "the workflow has only merge, partial_sum",
+                         id="run-faults-gpu-oom-ghost-task-type"),
+            pytest.param("run --grid 4 --faults "
+                         '{"stragglers":[{"factor":2.0,"task_type":"nope"}]}',
+                         "fault plan stragglers[0] names task type 'nope' "
+                         "but the workflow has only merge, partial_sum",
+                         id="run-faults-straggler-ghost-task-type"),
             pytest.param("lint --grid 0", "grid dimensions must be positive",
                          id="lint-grid"),
             pytest.param("lint --clusters 0", "n_clusters must be positive",
@@ -153,8 +186,8 @@ class TestBadArguments:
             pytest.param("figures fig8 --jobs 0", "jobs must be >= 1, got 0",
                          id="figures-jobs"),
             pytest.param("figures fig6 --resume --no-cache",
-                         "--resume needs the execution ledger under the cache "
-                         "dir; drop --no-cache", id="figures-resume-no-cache"),
+                         "unrecognized arguments: --resume",
+                         id="figures-resume-no-cache"),
             pytest.param("run --dataset nope", UNKNOWN_DATASET,
                          id="run-dataset"),
             pytest.param("lint --dataset nope", UNKNOWN_DATASET,

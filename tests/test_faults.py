@@ -87,6 +87,31 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             TaskCrash(task_id=1, attempts=(0,))
 
+    @pytest.mark.parametrize(
+        "stage",
+        [stage for stage in Stage if stage not in (
+            Stage.DESERIALIZATION, Stage.SERIAL_FRACTION,
+            Stage.PARALLEL_FRACTION, Stage.SERIALIZATION,
+        )],
+        ids=lambda stage: stage.value,
+    )
+    def test_crash_refuses_a_stage_no_attempt_ends_after(self, stage):
+        # The executor ends an attempt only after these four stages; a
+        # crash at any other stage would never fire.
+        with pytest.raises(
+            ValueError,
+            match="a task crash stage must be deserialization, "
+                  "serial_fraction, parallel_fraction or serialization, "
+                  f"got '{stage.value}'",
+        ):
+            TaskCrash(task_id=0, stage=stage)
+
+    def test_crash_stage_given_by_name_is_the_stage(self):
+        # The executor tests stages by identity, so the name must become
+        # the stage itself.
+        crash = TaskCrash(task_id=0, stage="serial_fraction")
+        assert crash.stage is Stage.SERIAL_FRACTION
+
     def test_probability_bounds(self):
         with pytest.raises(ValueError):
             FaultPlan(crash_probability=1.5)

@@ -1,7 +1,5 @@
-"""Execution-ledger contracts: append/replay round-trips, crash
-consistency (torn tails tolerated, mid-file corruption refused), and the
-resume bookkeeping (`done_records`, `unfinished`) the sweep engine's
-``--resume`` path is built on."""
+"""Execution-ledger writer contracts: one JSON line per event, in seq
+order, with item events and session markers kept apart."""
 
 import json
 
@@ -10,16 +8,10 @@ import pytest
 from repro.core.ledger import (
     DISPATCHED,
     DONE,
-    FAILED,
     OPEN,
     PENDING,
-    QUARANTINED,
-    RESUME,
     SCHEMA,
     ExecutionLedger,
-    LedgerError,
-    iter_events,
-    replay_ledger,
 )
 
 
@@ -27,37 +19,22 @@ def _journal(tmp_path):
     return tmp_path / "ledger.jsonl"
 
 
-class TestAppend:
-    def test_round_trip_through_replay(self, tmp_path):
-        path = _journal(tmp_path)
-        with ExecutionLedger(path, fsync=False) as ledger:
-            ledger.open_session()
-            ledger.append(PENDING, item="a")
-            ledger.append(DISPATCHED, item="a", worker=0, attempt=1)
-            ledger.append(DONE, item="a", record={"makespan": 1.5}, duration=0.25)
-        state = replay_ledger(path)
-        assert state.sessions == 1
-        assert state.events == 4
-        assert not state.torn
-        assert state.done == ["a"]
-        item = state.items["a"]
-        assert item.terminal
-        assert item.attempts == 1
-        assert item.worker == 0
-        assert item.record == {"makespan": 1.5}
-        assert item.duration == 0.25
+def _events(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
 
+
+class TestAppend:
     def test_seq_is_monotonic_and_none_fields_dropped(self, tmp_path):
         path = _journal(tmp_path)
-        with ExecutionLedger(path, fsync=False) as ledger:
+        with ExecutionLedger(path) as ledger:
             ledger.append(PENDING, item="a", worker=None)
             ledger.append(PENDING, item="b")
-        entries = list(iter_events(path))
+        entries = _events(path)
         assert [e["seq"] for e in entries] == [0, 1]
         assert "worker" not in entries[0]
 
     def test_states_require_items_and_markers_refuse_them(self, tmp_path):
-        with ExecutionLedger(_journal(tmp_path), fsync=False) as ledger:
+        with ExecutionLedger(_journal(tmp_path)) as ledger:
             with pytest.raises(ValueError, match="need an item"):
                 ledger.append(DONE)
             with pytest.raises(ValueError, match="session marker"):
@@ -67,87 +44,22 @@ class TestAppend:
 
     def test_session_markers_carry_the_schema(self, tmp_path):
         path = _journal(tmp_path)
-        with ExecutionLedger(path, fsync=False) as ledger:
-            ledger.open_session()
-            ledger.open_session(resumed=True)
-        opened, resumed = iter_events(path)
-        assert opened["state"] == OPEN and opened["schema"] == SCHEMA
-        assert resumed["state"] == RESUME and resumed["schema"] == SCHEMA
+        with ExecutionLedger(path) as ledger:
+            ledger.append(OPEN, fingerprint="f")
+            ledger.append(DISPATCHED, item="a", attempt=1)
+        opened, dispatched = _events(path)
+        assert opened == {"seq": 0, "state": OPEN, "schema": SCHEMA,
+                          "fingerprint": "f"}
+        assert "schema" not in dispatched
 
     def test_appends_survive_reopening(self, tmp_path):
-        """Two sequential writers (run, then resume) extend one journal."""
+        """Two sequential writers (a killed run, then its re-run) extend
+        one journal."""
         path = _journal(tmp_path)
-        with ExecutionLedger(path, fsync=False) as ledger:
+        with ExecutionLedger(path) as ledger:
             ledger.append(PENDING, item="a")
-        with ExecutionLedger(path, fsync=False) as ledger:
-            ledger.append(DONE, item="a", record={})
-        state = replay_ledger(path)
-        assert state.done == ["a"]
-        assert state.events == 2
-
-
-class TestCrashConsistency:
-    def test_missing_file_replays_empty(self, tmp_path):
-        state = replay_ledger(_journal(tmp_path))
-        assert state.items == {} and state.events == 0 and not state.torn
-
-    def test_torn_final_line_is_dropped(self, tmp_path):
-        """A SIGKILL mid-append leaves a partial last line; replay keeps
-        everything before it and flags the tear."""
-        path = _journal(tmp_path)
-        with ExecutionLedger(path, fsync=False) as ledger:
-            ledger.append(PENDING, item="a")
-            ledger.append(DONE, item="a", record={"makespan": 2.0})
-        raw = path.read_bytes()
-        path.write_bytes(raw + b'{"seq": 2, "state": "DIS')  # cut mid-write
-        state = replay_ledger(path)
-        assert state.torn
-        assert state.events == 2
-        assert state.done == ["a"]
-
-    def test_mid_file_corruption_raises(self, tmp_path):
-        """Garbage *before* the final line is not a torn append — it means
-        two uncoordinated writers or disk damage, and replay must refuse
-        to guess."""
-        path = _journal(tmp_path)
-        with ExecutionLedger(path, fsync=False) as ledger:
-            ledger.append(PENDING, item="a")
-        raw = path.read_bytes()
-        path.write_bytes(b"not json at all\n" + raw)
-        with pytest.raises(LedgerError, match="corrupt journal line 1"):
-            list(iter_events(path))
-
-    def test_non_event_entries_raise(self, tmp_path):
-        path = _journal(tmp_path)
-        path.write_text(json.dumps({"no_state": True}) + "\n")
-        with pytest.raises(LedgerError, match="not an event"):
-            list(iter_events(path))
-
-
-class TestReplayBookkeeping:
-    def test_latest_state_wins_and_attempts_accumulate(self, tmp_path):
-        path = _journal(tmp_path)
-        with ExecutionLedger(path, fsync=False) as ledger:
-            ledger.append(PENDING, item="a")
-            ledger.append(DISPATCHED, item="a", worker=0, attempt=1)
-            ledger.append(DISPATCHED, item="a", worker=2, attempt=2)
-            ledger.append(FAILED, item="a", error="ValueError: boom")
-        item = replay_ledger(path).items["a"]
-        assert item.state == FAILED
-        assert item.attempts == 2
-        assert item.worker == 2
-        assert item.error == "ValueError: boom"
-
-    def test_done_records_and_unfinished_partition_the_items(self, tmp_path):
-        path = _journal(tmp_path)
-        with ExecutionLedger(path, fsync=False) as ledger:
-            ledger.append(DONE, item="done1", record={"v": 1})
-            ledger.append(DONE, item="done2", record={"v": 2})
-            ledger.append(PENDING, item="never_started")
-            ledger.append(DISPATCHED, item="in_flight", attempt=1)
-            ledger.append(QUARANTINED, item="poison", error="killed workers")
-        state = replay_ledger(path)
-        assert state.done_records() == {"done1": {"v": 1}, "done2": {"v": 2}}
-        assert state.unfinished == ["in_flight", "never_started"]
-        assert state.by_state(QUARANTINED) == ["poison"]
-        assert state.items["poison"].terminal
+        with ExecutionLedger(path) as ledger:
+            ledger.append(DONE, item="a", duration=0.25)
+        assert [(e["state"], e["item"]) for e in _events(path)] == [
+            (PENDING, "a"), (DONE, "a"),
+        ]

@@ -28,6 +28,7 @@ from repro.core.experiments.engine import (
     execute_cell,
     model_fingerprint,
 )
+from repro.core.shard import ShardTaskError
 from repro.data import DatasetSpec
 from repro.hardware import StorageKind
 from repro.runtime import SchedulingPolicy
@@ -297,50 +298,46 @@ class TestSweepEngine:
         assert "evictions=0" in line and "hit_rate=50%" in line
 
     def test_ledger_resume_skips_finished_cells(self, tmp_path):
-        """The SIGKILL-recovery contract in miniature: a partial run
-        journals its cells, and a resumed engine answers exactly those
-        from the ledger (not the cache, not the simulator)."""
+        """The SIGKILL-recovery contract in miniature: the cache holds
+        every cell a cut-short run finished, so running the sweep again
+        answers exactly those from the cache and simulates the rest.  A
+        repeated finished cell counts as dedup."""
         cells = cells_product(
             "kmeans", (4, 2), dataset_key="kmeans_100mb", n_clusters=10
         )
         finished, remaining = cells[:1], cells[1:]
         with SweepEngine(jobs=1, cache_dir=tmp_path) as partial:
             partial.run_cells(finished)
-            assert partial.ledger_path == tmp_path / "ledger.jsonl"
 
-        with SweepEngine(jobs=1, cache_dir=tmp_path, resume=True) as resumed:
-            results = resumed.run_cells(cells)
-            assert resumed.stats.resumed == len(finished)
-            assert resumed.stats.cache_hits == 0
-            assert resumed.stats.executed == len(remaining)
+        batch = cells + finished
+        with SweepEngine(jobs=1, cache_dir=tmp_path) as again:
+            results = again.run_cells(batch)
+            assert again.stats.cache_hits == len(finished)
+            assert again.stats.memo_hits == len(finished)
+            assert again.stats.executed == len(remaining)
 
-        assert results == SweepEngine.serial().run_cells(cells)
+        assert results == SweepEngine.serial().run_cells(batch)
 
-    def test_resume_works_without_a_cache(self, tmp_path):
-        """DONE events carry the metrics record inline, so a bare ledger
-        (no cache at all) is enough to resume from."""
-        ledger_path = tmp_path / "journal.jsonl"
-        cell = small_cell()
-        with SweepEngine(jobs=1, cache=False, ledger_path=ledger_path) as first:
-            (expected,) = first.run_cells([cell])
-
-        with SweepEngine(
-            jobs=1, cache=False, ledger_path=ledger_path, resume=True
-        ) as again:
-            (got,) = again.run_cells([cell])
-            assert again.stats.resumed == 1
-            assert again.stats.executed == 0
-        assert got == expected
-
-    def test_resumed_digest_repeats_count_as_dedup(self, tmp_path):
-        cell = small_cell()
-        with SweepEngine(jobs=1, cache_dir=tmp_path) as partial:
-            partial.run_cells([cell])
-        with SweepEngine(jobs=1, cache_dir=tmp_path, resume=True) as resumed:
-            resumed.run_cells([cell, small_cell()])
-            assert resumed.stats.resumed == 1
-            assert resumed.stats.memo_hits == 1
-            assert resumed.stats.executed == 0
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_journal_is_open_then_pending_dispatched_done(self, tmp_path, jobs):
+        cells = cells_product(
+            "kmeans", (4,), dataset_key="kmeans_100mb", n_clusters=10
+        )
+        with SweepEngine(jobs=jobs, cache_dir=tmp_path) as engine:
+            engine.run_cells(cells)
+        events = [
+            json.loads(line)
+            for line in (tmp_path / "ledger.jsonl").read_text().splitlines()
+        ]
+        assert events[0]["state"] == "OPEN"
+        assert events[0]["fingerprint"] == engine.fingerprint
+        assert len(events) == 1 + 3 * len(cells)
+        for cell in cells:
+            digest = cell_digest(cell, engine.fingerprint)
+            states = [e["state"] for e in events if e.get("item") == digest]
+            assert states == ["PENDING", "DISPATCHED", "DONE"]
+        # The cache holds the metrics; the journal does not repeat them.
+        assert not any("record" in e for e in events)
 
     def test_serial_batch_persists_each_cell_as_it_finishes(
         self, tmp_path, monkeypatch
@@ -369,9 +366,31 @@ class TestSweepEngine:
         assert metrics_from_record(record["metrics"]) == execute_cell(first)
         assert cache.get(cell_digest(second, fingerprint)) is None
 
-    def test_resume_without_a_ledger_is_rejected(self):
-        with pytest.raises(ValueError, match="resume requires"):
-            SweepEngine(jobs=1, cache=False, resume=True)
+    def test_pool_batch_persists_every_cell_that_finishes(self, tmp_path):
+        """A pool batch in which one cell raises keeps every other cell
+        in the cache, and a second engine answers them from it."""
+        good = cells_product(
+            "kmeans", (4, 2), dataset_key="kmeans_100mb", n_clusters=10
+        )
+        bad = small_cell(grid=0)  # the workflow constructor refuses grid 0
+        with SweepEngine(jobs=2, cache_dir=tmp_path) as engine:
+            with pytest.raises(ShardTaskError, match="grid dimensions"):
+                engine.run_cells(good[:2] + [bad] + good[2:])
+
+        fingerprint = model_fingerprint()
+        cache = SweepCache(tmp_path)
+        for cell in good:
+            assert cache.get(cell_digest(cell, fingerprint)) is not None
+        assert cache.get(cell_digest(bad, fingerprint)) is None
+
+        new = cells_product(
+            "kmeans", (8,), dataset_key="kmeans_100mb", n_clusters=10
+        )
+        with SweepEngine(jobs=2, cache_dir=tmp_path) as again:
+            results = again.run_cells(good + new)
+            assert again.stats.cache_hits == len(good)
+            assert again.stats.executed == len(new)
+        assert results == SweepEngine.serial().run_cells(good + new)
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_are_rejected(self, jobs):
