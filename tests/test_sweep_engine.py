@@ -318,6 +318,17 @@ class TestSweepEngine:
 
         assert results == SweepEngine.serial().run_cells(batch)
 
+    def test_resumed_digest_repeats_count_as_dedup(self, tmp_path):
+        cell = small_cell()
+        with SweepEngine(jobs=1, cache_dir=tmp_path) as partial:
+            partial.run_cells([cell])
+        with SweepEngine(jobs=1, cache_dir=tmp_path) as again:
+            first, second = again.run_cells([cell, small_cell()])
+            assert again.stats.cache_hits == 1
+            assert again.stats.memo_hits == 1
+            assert again.stats.executed == 0
+        assert first == second
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_journal_is_open_then_pending_dispatched_done(self, tmp_path, jobs):
         cells = cells_product(
