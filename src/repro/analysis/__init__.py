@@ -21,7 +21,6 @@ Every rule's code, severity, category and summary is written once, in
 """
 
 from repro.analysis.analyzer import analyze, collect_ref_ids
-from repro.analysis.baseline import filter_new, load_baseline, save_baseline
 from repro.analysis.devlint import LintFinding, lint_paths, lint_source
 from repro.analysis.diagnostics import (
     RULES,
@@ -48,11 +47,8 @@ __all__ = [
     "Violation",
     "analyze",
     "collect_ref_ids",
-    "filter_new",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "rule_table",
     "sanitize_result",
-    "save_baseline",
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.analysis import races, rules
-from repro.analysis.diagnostics import AnalysisReport, Diagnostic
+from repro.analysis.diagnostics import AnalysisReport
 from repro.perfmodel.costmodel import CostModel
 from repro.runtime.dag import TaskGraph
 from repro.runtime.runtime import RuntimeConfig
@@ -82,7 +82,6 @@ def analyze(
     config: RuntimeConfig,
     *,
     returned: Any = None,
-    ignore: frozenset[str] = frozenset(),
 ) -> AnalysisReport:
     """Run all diagnostic rules over a built task graph.
 
@@ -98,9 +97,6 @@ def analyze(
         dead-task rule knows terminal outputs are wanted.  ``None`` means
         unknown: final-level tasks are then given the benefit of the
         doubt.
-    ignore:
-        Codes dropped for the whole pass (the global counterpart of the
-        per-task ``ignore=`` API).
     """
     context = rules.RuleContext(
         graph=graph,
@@ -108,33 +104,8 @@ def analyze(
         cost_model=CostModel(config.cluster),
         returned_ref_ids=None if returned is None else collect_ref_ids(returned),
     )
-    findings = [finding for check in _CHECKS for finding in check(context)]
     return AnalysisReport(
         cluster=config.cluster.name,
         use_gpu=config.use_gpu,
-        diagnostics=_apply_suppressions(findings, graph, ignore),
+        diagnostics=[finding for check in _CHECKS for finding in check(context)],
     )
-
-
-def _apply_suppressions(
-    diagnostics: list[Diagnostic], graph: TaskGraph, ignore: frozenset[str]
-) -> list[Diagnostic]:
-    """Drop findings the user has explicitly accepted.
-
-    A diagnostic is suppressed when its code is in ``ignore`` (global),
-    or when *every* task it names carries the code in its own ``ignore``
-    set (``@task(ignore=...)`` / ``submit(ignore=...)``).  Graph-wide
-    findings (no task ids) only honour the global set — a per-task
-    annotation cannot waive a whole-workflow defect.
-    """
-    kept = []
-    for diagnostic in diagnostics:
-        if diagnostic.code in ignore:
-            continue
-        if diagnostic.task_ids and all(
-            diagnostic.code in graph.task(task_id).ignore
-            for task_id in diagnostic.task_ids
-        ):
-            continue
-        kept.append(diagnostic)
-    return kept

@@ -26,11 +26,9 @@ have historically broken bit-identical replays of task-based runtimes:
   wedge; supervised code must wake up periodically to check liveness
   (the lesson behind the shard pool's hang-detection layer).
 
-Findings are suppressed inline with ``# repro: disable=DL001`` (or
-``disable=all``) on the offending line, or collectively through a
-committed baseline file (:mod:`repro.analysis.baseline`).  Fingerprints
-use the enclosing function/class qualname, not the line number, so
-unrelated edits do not invalidate the baseline.
+A reviewed false positive is suppressed inline with
+``# repro: disable=DL001`` (or ``disable=all``) on the offending line;
+every other finding fails ``repro devlint``.
 """
 
 from __future__ import annotations
@@ -81,10 +79,6 @@ class LintFinding:
         """The code's severity, as the rule table states it."""
         return RULES[self.code].severity
 
-    def fingerprint(self) -> str:
-        """Baseline key, stable across line drift: ``path|code|symbol``."""
-        return f"{self.path}|{self.code}|{self.symbol}"
-
     def render(self) -> str:
         """One-line ``path:line: CODE message [symbol]`` form."""
         return (
@@ -101,7 +95,6 @@ class LintFinding:
             "symbol": self.symbol,
             "message": self.message,
             "severity": self.severity.value,
-            "fingerprint": self.fingerprint(),
         }
 
 
@@ -403,9 +396,9 @@ def lint_paths(
 ) -> list[LintFinding]:
     """Lint files and directories (recursively); deterministic order.
 
-    ``root`` relativizes the recorded paths so fingerprints are stable
-    across checkouts (defaults to the current working directory when the
-    file lies under it).
+    ``root`` relativizes the recorded paths so reports are stable across
+    checkouts (defaults to the current working directory when the file
+    lies under it).
     """
     root = Path(root) if root is not None else Path.cwd()
     findings: list[LintFinding] = []

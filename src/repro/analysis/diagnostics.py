@@ -2,7 +2,7 @@
 
 A :class:`Diagnostic` is one finding about a workflow, identified by a
 stable ``WFnnn`` code so scripts (and CI jobs wrapping ``repro lint``)
-can filter or suppress individual rules without string-matching messages.
+can pick out individual rules without string-matching messages.
 Codes are grouped by family:
 
 * ``WF0xx`` — graph hazards: wasted, disconnected or uncosted tasks.

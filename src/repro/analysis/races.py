@@ -28,23 +28,17 @@ from repro.runtime.task import Task
 
 
 def _crash_exhausts_retries(plan: FaultPlan, max_attempts: int, task: Task) -> bool:
-    """Whether a planned crash provably fails ``task`` permanently.
+    """Whether the crash plan provably fails ``task`` permanently.
 
-    True when some TaskCrash matches the task and its ``attempts`` tuple
-    covers every attempt the retry budget allows — the task cannot ever
-    commit, no matter how the schedule unfolds.
+    True when the plan crashes every attempt the retry budget allows,
+    asked attempt by attempt through the query the executor makes, so
+    split crash entries and the seeded crash stream count too: the task
+    cannot ever commit, no matter how the schedule unfolds.
     """
-    budget = set(range(1, max_attempts + 1))
-    for crash in plan.task_crashes:
-        if crash.task_id is not None and crash.task_id != task.task_id:
-            continue
-        if crash.task_type is not None and crash.task_type != task.name:
-            continue
-        if crash.task_id is None and crash.task_type is None:
-            continue
-        if budget <= set(crash.attempts):
-            return True
-    return False
+    return all(
+        plan.crash_stage_for(task.task_id, task.name, attempt) is not None
+        for attempt in range(1, max_attempts + 1)
+    )
 
 
 def check_read_after_free(ctx: RuleContext) -> list[Diagnostic]:

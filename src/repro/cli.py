@@ -13,7 +13,8 @@ Commands:
   non-zero when errors (e.g. a predicted host OOM) are found;
 * ``devlint`` — lint repro's own Python source for nondeterminism
   patterns (``DLnnn``: unsorted set iteration, address-based tie-breaks,
-  unseeded RNGs, ...), gated on a committed baseline file;
+  unseeded RNGs, ...), exiting non-zero on any finding not disabled
+  inline;
 * ``info`` — show the simulated cluster and calibration constants.
 """
 
@@ -32,6 +33,7 @@ from repro.core.experiments.engine import (
 from repro.core.report import Table, format_seconds
 from repro.hardware import StorageKind, cluster_presets, minotauro
 from repro.runtime import SchedulingPolicy
+from repro.runtime.task import gpu_intended
 
 _FIGURES = (
     "fig1",
@@ -179,17 +181,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     devlint.add_argument("--format", choices=("text", "json"), default="text",
                          help="output format")
-    devlint.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="baseline file of accepted findings; only new findings fail",
-    )
-    devlint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline file with the current findings and exit 0",
-    )
 
     decompose = sub.add_parser(
         "decompose",
@@ -324,13 +315,16 @@ def _run_config(args):
     return workflow, config
 
 
-def _check_fault_targets(plan, graph) -> None:
-    """Refuse a fault entry naming a task or task type the graph lacks.
+def _check_fault_targets(graph, config) -> None:
+    """Refuse a fault entry that can never fire on this run.
 
-    The library lets such entries match nothing, so that one plan can
-    serve several workflows; ``repro run`` builds one workflow, on which
-    an entry that can never fire is a mistake.
+    Such an entry names a task or task type the graph lacks, or is a
+    runtime GPU OOM aimed only at tasks the run keeps on CPU cores.  The
+    library lets entries match nothing, so that one plan can serve
+    several workflows and configurations; ``repro run`` builds one
+    workflow under one config, on which such an entry is a mistake.
     """
+    plan = config.fault_plan
     tasks = graph.tasks()
     ids = {task.task_id for task in tasks}
     types = {task.name for task in tasks}
@@ -348,6 +342,17 @@ def _check_fault_targets(plan, graph) -> None:
                     f"{entry.task_type!r} but the workflow has only "
                     + ", ".join(sorted(types))
                 )
+    for index, entry in enumerate(plan.gpu_ooms):
+        if not any(
+            entry.task_id in (None, task.task_id)
+            and entry.task_type in (None, task.name)
+            and gpu_intended(task, config.use_gpu, config.gpu_task_types)
+            for task in tasks
+        ):
+            raise ValueError(
+                f"fault plan gpu_ooms[{index}] names no task this run "
+                "places on a GPU, so it can never fire"
+            )
 
 
 def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
@@ -365,9 +370,7 @@ def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
     runtime = Runtime(config)
     workflow.build(runtime)
     if config.fault_plan is not None:
-        _or_usage_error(
-            parser, _check_fault_targets, config.fault_plan, runtime.graph
-        )
+        _or_usage_error(parser, _check_fault_targets, runtime.graph, config)
     print(f"DAG: {runtime.graph.describe()}")
     try:
         result = runtime.run(sanitize=args.sanitize)
@@ -504,37 +507,21 @@ def _cmd_lint(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_devlint(args) -> int:
-    from repro.analysis import filter_new, lint_paths, load_baseline, save_baseline
+    from repro.analysis import lint_paths
 
     findings = lint_paths(args.paths)
-    if args.write_baseline:
-        if not args.baseline:
-            print("devlint: --write-baseline requires --baseline FILE",
-                  file=sys.stderr)
-            return 2
-        path = save_baseline(args.baseline, (f.fingerprint() for f in findings))
-        print(f"devlint: wrote {len(findings)} fingerprint(s) to {path}")
-        return 0
-    baseline = load_baseline(args.baseline) if args.baseline else set()
-    new, known = filter_new(findings, baseline)
     if args.format == "json":
         from repro.core.persistence import dumps_deterministic
 
         print(
-            dumps_deterministic(
-                {
-                    "findings": [f.to_dict() for f in new],
-                    "baselined": len(known),
-                }
-            ),
+            dumps_deterministic({"findings": [f.to_dict() for f in findings]}),
             end="",
         )
     else:
-        for finding in new:
+        for finding in findings:
             print(finding.render())
-        suffix = f" ({len(known)} baselined)" if baseline else ""
-        print(f"devlint: {len(new)} new finding(s){suffix}")
-    return 1 if new else 0
+        print(f"devlint: {len(findings)} finding(s)")
+    return 1 if findings else 0
 
 
 def _cmd_info() -> int:

@@ -248,17 +248,13 @@ class Runtime:
         kwargs: dict[str, Any] | None = None,
         n_outputs: int = 1,
         output_bytes: Sequence[int] | None = None,
-        ignore: Sequence[str] = (),
     ) -> list[DataRef]:
         """Record one task; returns refs for its future outputs.
 
         ``fn`` is called with ``args`` (the inputs when omitted) and
         ``kwargs`` by the in-process backend.  ``output_bytes`` gives
         the size of each produced object; when omitted it defaults to an
-        even split of ``cost.output_bytes``.  ``ignore`` suppresses the
-        given analyzer codes (``WFnnn``) for this task — reviewed-and-
-        accepted findings that lint should stop reporting; a bare string
-        raises ``ValueError``.
+        even split of ``cost.output_bytes``.
         """
         if output_bytes is None:
             total = cost.output_bytes if cost is not None else 0
@@ -283,7 +279,6 @@ class Runtime:
             fn=fn,
             args=inputs if args is None else tuple(args),
             kwargs=dict(kwargs) if kwargs else _NO_KWARGS,
-            ignore=ignore,
         )
         self.graph.add_task(record)
         return list(outputs)

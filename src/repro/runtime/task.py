@@ -18,30 +18,15 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.perfmodel import TaskCost
 from repro.runtime.data import DataRef
 
-#: The keyword arguments and suppressed codes of every task that has
-#: none: one shared read-only mapping and one shared frozenset, so a
-#: graph of a million tasks holds no million empty containers.
+#: The keyword arguments of every task that has none: one shared
+#: read-only mapping, so a graph of a million tasks holds no million
+#: empty dicts.
 _NO_KWARGS: Mapping[str, Any] = MappingProxyType({})
-_NO_CODES: frozenset[str] = frozenset()
-
-
-def _ignore_codes(codes: Iterable[str]) -> frozenset[str]:
-    """The analyzer codes of an ``ignore=`` argument, as a frozenset.
-
-    A bare string is refused: ``frozenset("WF006")`` would suppress the
-    codes ``W``, ``F``, ``0`` and ``6`` and leave WF006 reported.
-    """
-    if isinstance(codes, str):
-        raise ValueError(
-            f"ignore takes a collection of codes, not the string {codes!r}; "
-            f"write ignore={{{codes!r}}}"
-        )
-    return frozenset(codes) if codes else _NO_CODES
 
 
 @dataclass(eq=False, slots=True)
@@ -56,15 +41,6 @@ class Task:
     fn: Callable[..., Any] | None = None
     args: tuple[Any, ...] = ()
     kwargs: Mapping[str, Any] = field(default_factory=lambda: _NO_KWARGS)
-    #: Analyzer codes (``WFnnn``) suppressed for this task — the
-    #: task-level counterpart of ``analyze(ignore=...)``.  Set via
-    #: ``@task(ignore={...})`` or ``Runtime.submit(ignore={...})`` for
-    #: findings that are reviewed and accepted (e.g. a deliberately
-    #: tiny kernel tripping WF201).
-    ignore: frozenset[str] = _NO_CODES
-
-    def __post_init__(self) -> None:
-        self.ignore = _ignore_codes(self.ignore)
 
     @property
     def gpu_eligible(self) -> bool:
@@ -112,14 +88,12 @@ class TaskFunction:
         fn: Callable[..., Any],
         returns: int,
         name: str | None = None,
-        ignore: Iterable[str] = (),
     ) -> None:
         if returns < 0:
             raise ValueError("returns must be non-negative")
         self.fn = fn
         self.returns = returns
         self.name = name or fn.__name__
-        self.ignore = _ignore_codes(ignore)
         functools.update_wrapper(self, fn)
 
     def __call__(self, *args: Any, **kwargs: Any) -> Any:
@@ -141,7 +115,6 @@ class TaskFunction:
             cost=cost,
             n_outputs=self.returns,
             output_bytes=output_bytes,
-            ignore=self.ignore,
         )
         if self.returns == 0:
             return None
@@ -153,7 +126,6 @@ class TaskFunction:
 def task(
     returns: int = 1,
     name: str | None = None,
-    ignore: Iterable[str] = (),
 ) -> Callable[[Callable[..., Any]], TaskFunction]:
     """Register a function as a task type (PyCOMPSs-style decorator).
 
@@ -163,11 +135,6 @@ def task(
         How many data objects the task produces.
     name:
         Task-type name used in traces; defaults to the function name.
-    ignore:
-        Analyzer codes (``WFnnn``) suppressed for tasks of this type —
-        reviewed-and-accepted findings that ``repro lint`` should stop
-        reporting (see ``docs/linting.md``).  A bare string raises
-        ``ValueError``; write ``ignore={"WF201"}``.
 
     When invoked under an active runtime, pass ``_cost=`` (a
     :class:`TaskCost`) and optionally ``_output_bytes=`` (sizes of each
@@ -177,6 +144,6 @@ def task(
     """
 
     def decorate(fn: Callable[..., Any]) -> TaskFunction:
-        return TaskFunction(fn, returns=returns, name=name, ignore=ignore)
+        return TaskFunction(fn, returns=returns, name=name)
 
     return decorate

@@ -1,6 +1,8 @@
 """Block-access race rules (WF4xx): fire on the hazard, stay quiet on
 every safe configuration."""
 
+import pytest
+
 from repro.analysis import analyze
 from repro.faults import (
     CheckpointPolicy,
@@ -72,6 +74,44 @@ class TestReadAfterFree:
         [finding] = [d for d in report.warnings if d.code == "WF402"]
         assert finding.task_ids == (0,)
         assert finding.task_type == "doomed"
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            pytest.param(
+                FaultPlan(
+                    node_faults=(NodeFault(node=0, at_time=0.1),),
+                    task_crashes=(
+                        TaskCrash(task_id=0, stage=Stage.SERIAL_FRACTION,
+                                  attempts=(1,)),
+                        TaskCrash(task_type="doomed",
+                                  stage=Stage.PARALLEL_FRACTION,
+                                  attempts=(2, 3)),
+                    ),
+                ),
+                id="split-entries",
+            ),
+            pytest.param(
+                FaultPlan(
+                    node_faults=(NodeFault(node=0, at_time=0.1),),
+                    crash_probability=1.0,
+                ),
+                id="crash-probability",
+            ),
+        ],
+    )
+    def test_wf402_fires_when_the_plan_crashes_every_attempt(self, plan):
+        # No one entry covers the budget; the executor asks the plan per
+        # attempt, and every attempt it asks about dies.
+        report = analyze(
+            self._graph(),
+            RuntimeConfig(
+                fault_plan=plan,
+                retry_policy=RetryPolicy(max_attempts=3, recover_lost_blocks=True),
+            ),
+        )
+        [finding] = [d for d in report.warnings if d.code == "WF402"]
+        assert finding.task_ids == (0,)
 
     def test_wf402_quiet_without_recovery(self):
         report = analyze(
@@ -150,30 +190,3 @@ class TestCheckpointTypesExist:
     def test_wf404_quiet_without_type_restriction(self):
         report = self._lint(None)
         assert "WF404" not in report.codes()
-
-
-class TestSuppression:
-    def test_races_obey_global_ignore(self):
-        producer = _task(0, name="doomed", cost=_cost())
-        consumer = _task(1, inputs=producer.outputs, cost=_cost())
-        plan = FaultPlan(
-            node_faults=(NodeFault(node=0, at_time=0.1),),
-            task_crashes=(
-                TaskCrash(
-                    task_id=0, stage=Stage.SERIAL_FRACTION, attempts=(1, 2, 3)
-                ),
-            ),
-        )
-        config = RuntimeConfig(
-            fault_plan=plan,
-            retry_policy=RetryPolicy(max_attempts=3, recover_lost_blocks=True),
-            checkpoint_policy=CheckpointPolicy(
-                every_levels=1, task_types=frozenset({"ghost"})
-            ),
-        )
-        graph = _graph(producer, consumer)
-        loud = analyze(graph, config)
-        assert {"WF402", "WF404"} <= loud.codes()
-        quiet = analyze(graph, config, ignore=frozenset({"WF402", "WF404"}))
-        assert "WF402" not in quiet.codes()
-        assert "WF404" not in quiet.codes()

@@ -362,67 +362,3 @@ class TestStructuralRules:
         )
         report = _lint(_graph(_task(0, cost=zero)), backend=Backend.IN_PROCESS)
         assert "WF008" not in _codes(report)
-
-
-class TestSuppressions:
-    def test_options_ignore_drops_code_globally(self):
-        head = _task(0, cost=_cost())
-        tail = _task(1, inputs=head.outputs, cost=_cost())
-        island = _task(2, cost=_cost())
-        graph = _graph(head, tail, island)
-        assert "WF007" in _codes(_lint(graph))
-        quiet = analyze(graph, RuntimeConfig(), ignore=frozenset({"WF007"}))
-        assert "WF007" not in _codes(quiet)
-
-    def test_task_level_ignore(self):
-        head = _task(0, cost=_cost())
-        tail = _task(1, inputs=head.outputs, cost=_cost())
-        island = Task(
-            task_id=2,
-            name="island",
-            inputs=(),
-            outputs=(DataRef(size_bytes=8),),
-            cost=_cost(),
-            ignore=frozenset({"WF005", "WF007"}),
-        )
-        report = _lint(_graph(head, tail, island))
-        assert "WF007" not in _codes(report)
-        assert "WF005" not in _codes(report)
-
-    def test_task_ignore_requires_every_named_task(self):
-        # A finding naming several tasks survives unless all of them
-        # waive it.
-        waived = _task(0, name="noop", cost=None)
-        waived.ignore = frozenset({"WF006"})
-        kept = _task(1, name="noop", cost=None)
-        report = _lint(_graph(waived, kept))
-        [finding] = [d for d in report.warnings if d.code == "WF006"]
-        assert finding.task_ids == (0, 1)
-
-    def test_submit_and_decorator_ignore_plumbing(self):
-        from repro.runtime import task as task_decorator
-
-        runtime = Runtime(RuntimeConfig())
-        runtime.submit("a", inputs=(), cost=_cost(), ignore=("WF203",))
-        assert runtime.graph.task(0).ignore == frozenset({"WF203"})
-
-        @task_decorator(returns=1, ignore={"WF201"})
-        def tiny_kernel(x):
-            return x
-
-        with runtime:
-            tiny_kernel(None, _cost=_cost())
-        assert runtime.graph.task(1).ignore == frozenset({"WF201"})
-
-    def test_submit_refuses_a_bare_string_ignore(self):
-        # frozenset("WF006") would waive W, F, 0 and 6, not WF006.
-        runtime = Runtime(RuntimeConfig())
-        with pytest.raises(ValueError, match="ignore"):
-            runtime.submit("noop", inputs=(), ignore="WF006")
-        assert runtime.graph.num_tasks == 0
-
-    def test_decorator_refuses_a_bare_string_ignore(self):
-        from repro.runtime import task as task_decorator
-
-        with pytest.raises(ValueError, match="ignore"):
-            task_decorator(returns=1, ignore="WF006")(lambda x: x)

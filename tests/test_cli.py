@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -175,6 +177,18 @@ class TestBadArguments:
                          "fault plan stragglers[0] names task type 'nope' "
                          "but the workflow has only merge, partial_sum",
                          id="run-faults-straggler-ghost-task-type"),
+            pytest.param("run --grid 4 --dataset kmeans_100mb --max-attempts 3 "
+                         '--faults {"gpu_ooms":[{"task_type":"partial_sum",'
+                         '"attempts":[1,2,3]}]}',
+                         "fault plan gpu_ooms[0] names no task this run "
+                         "places on a GPU, so it can never fire",
+                         id="run-faults-gpu-oom-without-gpu"),
+            pytest.param("run --grid 4 --dataset kmeans_100mb --max-attempts 3 "
+                         '--gpu --faults {"gpu_ooms":[{"task_type":"merge",'
+                         '"attempts":[1,2,3]}]}',
+                         "fault plan gpu_ooms[0] names no task this run "
+                         "places on a GPU, so it can never fire",
+                         id="run-faults-gpu-oom-serial-type"),
             pytest.param("lint --grid 0", "grid dimensions must be positive",
                          id="lint-grid"),
             pytest.param("lint --clusters 0", "n_clusters must be positive",
@@ -227,6 +241,49 @@ class TestBadArguments:
                      "--faults", spec, "--max-attempts", "1"])
         assert code == 1
         assert "faults: FAILED" in capsys.readouterr().out
+
+
+class TestDevlint:
+    """``repro devlint`` exits 1 on any finding and 0 on none."""
+
+    #: A scheduler draining a set in hash order: DL001 on line 2.
+    UNSORTED_DRAIN = (
+        "def drain(dispatch):\n"
+        "    for task_id in {3, 1, 2}:\n"
+        "        dispatch(task_id)\n"
+    )
+
+    def test_finding_exits_1_with_its_line(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "drain.py").write_text(self.UNSORTED_DRAIN)
+        assert main(["devlint", "drain.py"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("drain.py:2: DL001 ")
+        assert lines[-1] == "devlint: 1 finding(s)"
+
+    def test_clean_file_exits_0(self, capsys, tmp_path):
+        clean = tmp_path / "clean.py"
+        clean.write_text("def drain(ready):\n    return sorted(ready)\n")
+        assert main(["devlint", str(clean)]) == 0
+        assert capsys.readouterr().out == "devlint: 0 finding(s)\n"
+
+    def test_json_lists_the_findings(self, capsys, tmp_path):
+        hit = tmp_path / "drain.py"
+        hit.write_text(self.UNSORTED_DRAIN)
+        assert main(["devlint", str(hit), "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["findings"]
+        [finding] = payload["findings"]
+        assert (finding["code"], finding["line"]) == ("DL001", 2)
+        assert "fingerprint" not in finding
+
+    def test_baseline_flag_is_gone(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["devlint", str(tmp_path), "--baseline", "x.json"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "repro: error: unrecognized arguments: --baseline x.json"
+        )
 
 
 class TestDecompose:

@@ -1,21 +1,10 @@
 """Nondeterminism devlint: each DLnnn rule catches its seeded bug class,
-suppressions and baselines work, and repro's own source is clean modulo
-the committed baseline."""
+inline disables work, and repro's own source has no finding."""
 
 import textwrap
 from pathlib import Path
 
-import pytest
-
-from repro.analysis import (
-    RULES,
-    Severity,
-    filter_new,
-    lint_paths,
-    lint_source,
-    load_baseline,
-    save_baseline,
-)
+from repro.analysis import RULES, Severity, lint_paths, lint_source
 from repro.analysis.analyzer import _CHECKS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -336,57 +325,13 @@ class TestSuppressionAndBaseline:
         )
         assert _codes(findings) == {"DL001"}
 
-    def test_fingerprint_survives_line_drift(self):
-        body = """
-            def drain(dispatch):
-                ready = {1, 2}
-                for task_id in ready:
-                    dispatch(task_id)
-            """
-        [before] = _lint(body)
-        [after] = _lint("\n\n\n" + textwrap.dedent(body))
-        assert before.line != after.line
-        assert before.fingerprint() == after.fingerprint()
-        assert before.fingerprint() == "snippet.py|DL001|drain"
-
-    def test_baseline_roundtrip(self, tmp_path):
-        findings = _lint(
-            """
-            def drain(dispatch):
-                ready = {1, 2}
-                for task_id in ready:
-                    dispatch(task_id)
-            """
-        )
-        path = tmp_path / "baseline.json"
-        save_baseline(path, (f.fingerprint() for f in findings))
-        baseline = load_baseline(path)
-        new, known = filter_new(findings, baseline)
-        assert new == []
-        assert known == findings
-        # Deterministic bytes: writing twice gives identical files.
-        first = path.read_bytes()
-        save_baseline(path, (f.fingerprint() for f in findings))
-        assert path.read_bytes() == first
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json") == set()
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text('{"version": 99, "fingerprints": []}')
-        with pytest.raises(ValueError, match="version"):
-            load_baseline(path)
-
 
 class TestRepoIsClean:
-    def test_repro_source_clean_modulo_baseline(self):
+    def test_repro_source_has_no_finding(self):
         findings = lint_paths(
             [REPO_ROOT / "src" / "repro"], root=REPO_ROOT
         )
-        baseline = load_baseline(REPO_ROOT / "devlint-baseline.json")
-        new, _known = filter_new(findings, baseline)
-        assert new == [], "\n".join(f.render() for f in new)
+        assert findings == [], "\n".join(f.render() for f in findings)
 
     def test_lint_paths_is_deterministic(self):
         paths = [REPO_ROOT / "src" / "repro" / "analysis"]

@@ -313,11 +313,11 @@ class TestFootprint:
     """
 
     WIDTH, DEPTH = 125, 160
-    #: Traced bytes per task.  Slotted ``Task``/``DataRef`` records,
-    #: shared empty ``kwargs``/``ignore`` and one tuple per task for its
-    #: inputs, default args and predecessors read about 650 (Python
-    #: 3.11); records with instance dicts and per-task empties read
-    #: about 1,110.
+    #: Traced bytes per task.  Slotted ``Task``/``DataRef`` records, a
+    #: shared empty ``kwargs`` and one tuple per task for its inputs,
+    #: default args and predecessors read about 645 (Python 3.11);
+    #: records with instance dicts and per-task empties read about
+    #: 1,110.
     BYTES_PER_TASK_BOUND = 900
 
     def _build(self) -> tuple[Runtime, int]:
